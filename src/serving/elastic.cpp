@@ -2,57 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 
 #include "serving/engine.hpp"
+#include "serving/spec_grammar.hpp"
 
 namespace fcad::serving {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Shortest decimal form that parses back to exactly `v` — same canonical
-/// formatting as scenario strings (both feed the checkpoint fingerprint).
-std::string format_number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  if (std::strtod(buf, nullptr) == v) return buf;
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-StatusOr<double> parse_number(const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    return Status::invalid_argument("elastic: bad number '" + text + "'");
-  }
-  return v;
-}
-
-std::string trim(const std::string& text) {
-  std::size_t lo = text.find_first_not_of(" \t");
-  if (lo == std::string::npos) return "";
-  std::size_t hi = text.find_last_not_of(" \t");
-  return text.substr(lo, hi - lo + 1);
-}
-
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(sep, start);
-    if (pos == std::string::npos) {
-      parts.push_back(trim(text.substr(start)));
-      return parts;
-    }
-    parts.push_back(trim(text.substr(start, pos - start)));
-    start = pos + 1;
-  }
-}
 
 /// Fair contiguous split of `total` over `bins`: floor(total/bins) each,
 /// remainder to the low bins — the static fleet's instance partition.
@@ -68,11 +27,13 @@ std::vector<int> fair_split(int total, int bins) {
 
 }  // namespace
 
+// Every range check below is written so that NaN fails it: a NaN compares
+// false both ways, so `!(x >= lo)` rejects it where `x < lo` would not.
 Status validate_elastic(const ElasticSpec& spec) {
   if (spec.autoscale_enabled()) {
     const AutoscaleSpec& a = spec.autoscale;
-    if (a.low_watermark <= 0 || a.high_watermark <= a.low_watermark ||
-        a.high_watermark > 1) {
+    if (!(a.low_watermark > 0 && a.high_watermark > a.low_watermark &&
+          a.high_watermark <= 1)) {
       return Status::invalid_argument(
           "elastic: watermarks need 0 < low < high <= 1");
     }
@@ -83,14 +44,17 @@ Status validate_elastic(const ElasticSpec& spec) {
       return Status::invalid_argument(
           "elastic: min_instances must be <= max_instances");
     }
-    if (a.cooldown_us < 0) {
-      return Status::invalid_argument("elastic: cooldown_us must be >= 0");
+    if (!(a.cooldown_us >= 0) || !std::isfinite(a.cooldown_us)) {
+      return Status::invalid_argument(
+          "elastic: scale cooldown_us must be finite and >= 0");
     }
   }
-  if (spec.reshard_enabled()) {
+  // A NaN fraction reads as "disabled" to reshard_enabled(); validate it
+  // anyway so it errors instead of silently dropping the policy.
+  if (spec.reshard_enabled() || std::isnan(spec.reshard.p99_fraction)) {
     const ReshardSpec& r = spec.reshard;
     if (!std::isfinite(r.p99_fraction)) {
-      return Status::invalid_argument("elastic: p99_fraction must be finite");
+      return Status::invalid_argument("elastic: reshard frac must be finite");
     }
     if (r.window < 1) {
       return Status::invalid_argument("elastic: reshard window must be >= 1");
@@ -99,8 +63,9 @@ Status validate_elastic(const ElasticSpec& spec) {
       return Status::invalid_argument(
           "elastic: max_cells must be >= 2 (a one-cell cap can never split)");
     }
-    if (r.cooldown_us < 0) {
-      return Status::invalid_argument("elastic: cooldown_us must be >= 0");
+    if (!(r.cooldown_us >= 0) || !std::isfinite(r.cooldown_us)) {
+      return Status::invalid_argument(
+          "elastic: reshard cooldown_us must be finite and >= 0");
     }
   }
   // Both layers evaluate on the autoscale window cadence.
@@ -119,19 +84,19 @@ std::string elastic_to_string(const ElasticSpec& spec) {
   if (spec.autoscale_enabled()) {
     const AutoscaleSpec& a = spec.autoscale;
     out << "scale:max=" << a.max_instances
-        << ",high=" << format_number(a.high_watermark)
-        << ",low=" << format_number(a.low_watermark)
-        << ",window_us=" << format_number(a.window_us)
-        << ",cooldown_us=" << format_number(a.cooldown_us)
+        << ",high=" << format_spec_number(a.high_watermark)
+        << ",low=" << format_spec_number(a.low_watermark)
+        << ",window_us=" << format_spec_number(a.window_us)
+        << ",cooldown_us=" << format_spec_number(a.cooldown_us)
         << ",min=" << a.min_instances;
     first = false;
   }
   if (spec.reshard_enabled()) {
     const ReshardSpec& r = spec.reshard;
     if (!first) out << ";";
-    out << "reshard:frac=" << format_number(r.p99_fraction)
+    out << "reshard:frac=" << format_spec_number(r.p99_fraction)
         << ",window=" << r.window
-        << ",cooldown_us=" << format_number(r.cooldown_us)
+        << ",cooldown_us=" << format_spec_number(r.cooldown_us)
         << ",cells=" << r.max_cells;
     first = false;
   }
@@ -140,72 +105,52 @@ std::string elastic_to_string(const ElasticSpec& spec) {
 }
 
 StatusOr<ElasticSpec> elastic_from_string(const std::string& text) {
+  auto clauses = parse_spec_clauses("elastic", text);
+  if (!clauses.is_ok()) return clauses.status();
   ElasticSpec spec;
-  const std::string trimmed = trim(text);
-  if (trimmed.empty() || trimmed == "none") return spec;
-  for (const std::string& clause : split(trimmed, ';')) {
-    if (clause.empty()) continue;
-    const std::size_t colon = clause.find(':');
-    if (colon == std::string::npos) {
-      return Status::invalid_argument(
-          "elastic: clause '" + clause + "' is missing ':'");
-    }
-    const std::string kind = trim(clause.substr(0, colon));
-    std::vector<std::pair<std::string, double>> kv;
-    for (const std::string& pair : split(clause.substr(colon + 1), ',')) {
-      const std::size_t eq = pair.find('=');
-      if (eq == std::string::npos) {
-        return Status::invalid_argument(
-            "elastic: expected key=value, got '" + pair + "'");
+  for (SpecClause& clause : *clauses) {
+    for (const auto& [key, value] : clause.values) {
+      if (!std::isfinite(value)) {
+        return clause.error(clause.kind + " " + key + " must be finite");
       }
-      auto value = parse_number(trim(pair.substr(eq + 1)));
-      if (!value.is_ok()) return value.status();
-      kv.emplace_back(trim(pair.substr(0, eq)), value.value());
     }
-    auto take = [&](const std::string& key, double* out) -> bool {
-      for (auto it = kv.begin(); it != kv.end(); ++it) {
-        if (it->first == key) {
-          *out = it->second;
-          kv.erase(it);
-          return true;
-        }
-      }
-      return false;
-    };
-    if (kind == "scale") {
+    if (clause.kind == "scale") {
       AutoscaleSpec a;
-      double max = 0;
-      double min = a.min_instances;
-      if (!take("max", &max)) {
-        return Status::invalid_argument("elastic: scale needs max=");
+      auto max = clause.take_int("max", &a.max_instances);
+      if (!max.is_ok()) return max.status();
+      if (!*max) return clause.error("scale needs max=");
+      // max <= 0 is how a spec says "no autoscaler"; a clause that asks for
+      // one must not silently vanish.
+      if (a.max_instances < 1) return clause.error("scale max must be >= 1");
+      clause.take("high", &a.high_watermark);
+      clause.take("low", &a.low_watermark);
+      clause.take("window_us", &a.window_us);
+      clause.take("cooldown_us", &a.cooldown_us);
+      if (auto s = clause.take_int("min", &a.min_instances); !s.is_ok()) {
+        return s.status();
       }
-      a.max_instances = static_cast<int>(max);
-      take("high", &a.high_watermark);
-      take("low", &a.low_watermark);
-      take("window_us", &a.window_us);
-      take("cooldown_us", &a.cooldown_us);
-      if (take("min", &min)) a.min_instances = static_cast<int>(min);
       spec.autoscale = a;
-    } else if (kind == "reshard") {
+    } else if (clause.kind == "reshard") {
       ReshardSpec r;
-      double window = r.window;
-      double cells = r.max_cells;
-      if (!take("frac", &r.p99_fraction)) {
-        return Status::invalid_argument("elastic: reshard needs frac=");
+      if (!clause.take("frac", &r.p99_fraction)) {
+        return clause.error("reshard needs frac=");
       }
-      if (take("window", &window)) r.window = static_cast<int>(window);
-      take("cooldown_us", &r.cooldown_us);
-      if (take("cells", &cells)) r.max_cells = static_cast<int>(cells);
+      // Likewise frac <= 0 would read as "no resharding".
+      if (!(r.p99_fraction > 0)) {
+        return clause.error("reshard frac must be > 0");
+      }
+      if (auto s = clause.take_int("window", &r.window); !s.is_ok()) {
+        return s.status();
+      }
+      clause.take("cooldown_us", &r.cooldown_us);
+      if (auto s = clause.take_int("cells", &r.max_cells); !s.is_ok()) {
+        return s.status();
+      }
       spec.reshard = r;
     } else {
-      return Status::invalid_argument(
-          "elastic: unknown clause kind '" + kind + "'");
+      return clause.error("unknown clause kind '" + clause.kind + "'");
     }
-    if (!kv.empty()) {
-      return Status::invalid_argument("elastic: unknown key '" +
-                                      kv.front().first + "' in clause '" +
-                                      kind + "'");
-    }
+    if (Status s = clause.finish(); !s.is_ok()) return s;
   }
   if (Status s = validate_elastic(spec); !s.is_ok()) return s;
   return spec;

@@ -34,6 +34,8 @@ struct AutoscaleSpec {
   double window_us = 100000;    ///< evaluation cadence
   double cooldown_us = 250000;  ///< min gap between scaling decisions
   int min_instances = 1;        ///< fleet-wide floor scale-down respects
+
+  bool operator==(const AutoscaleSpec&) const = default;
 };
 
 /// Shard-local dynamic resharding. Disabled while `p99_fraction <= 0`.
@@ -45,6 +47,8 @@ struct ReshardSpec {
   int window = 256;         ///< completions in the rolling p99 window
   double cooldown_us = 250000;
   int max_cells = 4;        ///< cap on user-range cells per shard
+
+  bool operator==(const ReshardSpec&) const = default;
 };
 
 struct ElasticSpec {
@@ -54,11 +58,13 @@ struct ElasticSpec {
   bool autoscale_enabled() const { return autoscale.max_instances > 0; }
   bool reshard_enabled() const { return reshard.p99_fraction > 0; }
   bool enabled() const { return autoscale_enabled() || reshard_enabled(); }
+  bool operator==(const ElasticSpec&) const = default;
 };
 
 /// Validates enabled layers: watermarks need 0 < low < high <= 1 and
-/// window/cooldown sane; resharding needs p99_fraction > 0, window >= 1,
-/// and max_cells >= 2 (a one-cell cap can never split).
+/// window/cooldown finite and sane; resharding needs a finite p99_fraction
+/// > 0, window >= 1, and max_cells >= 2 (a one-cell cap can never split).
+/// A NaN p99_fraction is rejected even though it reads as disabled.
 Status validate_elastic(const ElasticSpec& spec);
 
 /// Canonical one-line form, reparseable by elastic_from_string. Clauses:
@@ -68,7 +74,9 @@ Status validate_elastic(const ElasticSpec& spec);
 std::string elastic_to_string(const ElasticSpec& spec);
 
 /// Parses the elastic_to_string grammar ("none"/"" -> disabled spec) and
-/// validates the result.
+/// validates the result. Every value must be finite, count fields
+/// integral, and a present clause must enable its layer (scale max >= 1,
+/// reshard frac > 0) — a policy the text asks for never silently vanishes.
 StatusOr<ElasticSpec> elastic_from_string(const std::string& text);
 
 /// Fixed-size rolling window with a lazily computed exact nearest-rank p99

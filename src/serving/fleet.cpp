@@ -11,16 +11,15 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include <cstring>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "serving/binary_io.hpp"
 #include "serving/engine.hpp"
 #include "serving/stream.hpp"
-#include "util/format.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
@@ -29,11 +28,11 @@ namespace fcad::serving {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr const char* kCheckpointMagic = "fcad-fleet-checkpoint v1";
-/// Binary checkpoint v2 leading/trailing magics (sketch-mode replays).
-constexpr char kBinaryMagic[8] = {'F', 'C', 'A', 'D', 'F', 'L', 'T', '2'};
-constexpr std::uint32_t kBinaryVersion = 2;
-constexpr std::uint32_t kBinaryTrailer = 0x32544c46;  // "FLT2"
+/// Checkpoint v3 leading/trailing magics. Earlier formats (text v1, binary
+/// v2) fail the magic check and are rejected like any unreadable file.
+constexpr char kCheckpointMagic[8] = {'F', 'C', 'A', 'D', 'F', 'L', 'T', '3'};
+constexpr std::uint32_t kCheckpointVersion = 3;
+constexpr std::uint32_t kCheckpointTrailer = 0x33544c46;  // "FLT3"
 
 /// Progress plumbing shared by every shard: a global completion counter
 /// drives the ~20-tick cadence; the emitting shard supplies its local
@@ -69,54 +68,34 @@ struct ProgressSink {
   }
 };
 
-/// Pull interface the shard event loop consumes arrivals through — either a
-/// materialized arrival-sorted slice (VectorSource) or a lazily generated
-/// stream filtered down to the shard's users (StreamShardSource).
-class RequestSource {
+/// A shard's arrivals: a request stream filtered down to `user % num_shards
+/// == shard`, buffering one request. A trace replay streams the shard's own
+/// pre-partitioned slice (every request passes the filter); a streaming
+/// replay gives each shard a full copy of the generated stream, so the
+/// shard sees exactly the slice the static partition would hand it without
+/// the workload ever being materialized.
+class ShardSource {
  public:
-  virtual ~RequestSource() = default;
+  ShardSource(std::unique_ptr<RequestStream> stream, int shard,
+              int num_shards)
+      : stream_(std::move(stream)), shard_(shard), num_shards_(num_shards) {}
+
   /// Next arrival without consuming it; nullptr once exhausted. Stable
   /// until the next pop().
-  virtual const Request* peek() = 0;
-  virtual void pop() = 0;
-};
-
-class VectorSource final : public RequestSource {
- public:
-  explicit VectorSource(const std::vector<Request>& requests)
-      : requests_(requests) {}
-
-  const Request* peek() override {
-    return next_ < requests_.size() ? &requests_[next_] : nullptr;
-  }
-  void pop() override { ++next_; }
-
- private:
-  const std::vector<Request>& requests_;
-  std::size_t next_ = 0;
-};
-
-/// Filters a full-workload stream down to `user % num_shards == shard`,
-/// buffering one request — the shard sees exactly the slice the static
-/// partition in simulate_fleet would hand it, without the workload ever
-/// being materialized.
-class StreamShardSource final : public RequestSource {
- public:
-  StreamShardSource(RequestStream& stream, int shard, int num_shards)
-      : stream_(stream), shard_(shard), num_shards_(num_shards) {}
-
-  const Request* peek() override {
+  const Request* peek() {
     while (!buffered_) {
-      std::optional<Request> r = stream_.next();
+      std::optional<Request> r = stream_->next();
       if (!r) return nullptr;
       if (r->user % num_shards_ == shard_) buffered_ = *r;
     }
     return &*buffered_;
   }
-  void pop() override { buffered_.reset(); }
+  void pop() { buffered_.reset(); }
+  /// Inspect after exhaustion: an error when the stream ended early.
+  Status finish_status() const { return stream_->finish_status(); }
 
  private:
-  RequestStream& stream_;
+  std::unique_ptr<RequestStream> stream_;
   int shard_;
   int num_shards_;
   std::optional<Request> buffered_;
@@ -131,7 +110,7 @@ class StreamShardSource final : public RequestSource {
 /// jitter — that is the point of wall mode, not a defect. The only failure
 /// mode is cooperative cancellation via `sink->scope`.
 StatusOr<ShardStats> run_shard(const ServiceModel& service,
-                               RequestSource& source,
+                               ShardSource& source,
                                std::int64_t expected_requests,
                                int shard_index, const ElasticSpec& elastic,
                                const ShardElasticPlan& plan,
@@ -227,352 +206,64 @@ StatusOr<ShardStats> run_shard(const ServiceModel& service,
   return out;
 }
 
-// ---------------------------------------------------------- checkpointing --
+/// Everything one replay needs, validated once: the resolved options, the
+/// derived workload, the elastic shard plans, the shard range this process
+/// owns, and the fingerprint that binds checkpoints and sketches to the run.
+struct ReplayPlan {
+  FleetOptions options;
+  /// The generated workload with `branches` derived from the service model
+  /// (streaming replays only; a trace replay ignores spec.workload).
+  WorkloadOptions workload;
+  std::vector<ShardElasticPlan> shards;
+  int provisioned_total = 0;
+  /// This process's contiguous shard range [shard_lo, shard_hi).
+  int shard_lo = 0;
+  int shard_hi = 0;
+  /// Requests the whole replay offers: the trace size or the stream target.
+  std::int64_t offered = 0;
+  /// The arrival-sorted per-shard slices of a trace replay (empty for a
+  /// streaming replay); run_replay moves each into its shard's stream.
+  std::vector<std::vector<Request>> trace_shards;
+  std::string fingerprint;
+  std::uint64_t sketch_seed = 0;
+};
 
-void write_int64s(std::ostream& os, const char* key,
-                  const std::vector<std::int64_t>& values) {
-  os << key << " " << values.size();
-  for (std::int64_t v : values) os << " " << v;
-  os << "\n";
+// ------------------------------------------------- checkpoint format (v3) --
+// Raw fixed-width fields (serving/binary_io.hpp, like the sketch's own
+// encoding). A shard block opens with its latency-mode byte: a sketch block
+// then carries the counters and both sketches — O(branches + instances +
+// sketch buckets) however many requests it covered — and an exact block
+// carries the counters plus raw f64 pages of every latency and wait and the
+// per-request records.
+
+void put_f64_page(std::ostream& os, const std::vector<double>& values) {
+  put_u64(os, values.size());
+  os.write(reinterpret_cast<const char*>(values.data()),
+           static_cast<std::streamsize>(values.size() * sizeof(double)));
 }
 
-void write_doubles(std::ostream& os, const char* key,
-                   const std::vector<double>& values) {
-  os << key << " " << values.size();
-  for (double v : values) os << " " << format_exact(v);
-  os << "\n";
-}
-
-void shard_to_text(std::ostream& os, const ShardStats& shard) {
-  os << "offered " << shard.offered << "\n";
-  os << "completed " << shard.completed << "\n";
-  os << "batches " << shard.batches << "\n";
-  os << "sla_violations " << shard.sla_violations << "\n";
-  os << "max_queue_depth " << shard.max_queue_depth << "\n";
-  os << "scale_up_events " << shard.scale_up_events << "\n";
-  os << "scale_down_events " << shard.scale_down_events << "\n";
-  os << "reshard_splits " << shard.reshard_splits << "\n";
-  os << "fault_events " << shard.fault_events << "\n";
-  os << "recover_events " << shard.recover_events << "\n";
-  os << "fill_sum " << format_exact(shard.fill_sum) << "\n";
-  os << "depth_integral_us " << format_exact(shard.depth_integral_us) << "\n";
-  os << "makespan_us " << format_exact(shard.makespan_us) << "\n";
-  write_doubles(os, "latencies", shard.latencies);
-  write_doubles(os, "waits", shard.waits);
-  write_int64s(os, "branch_completed", shard.branch_completed);
-  // Instance and record rows share stats.cpp's line (de)serializers, so
-  // the checkpoint and artifact formats can never diverge per-row (the
-  // utilization field is 0 here — it is recomputed at merge time).
-  os << "instances " << shard.instances.size() << "\n";
-  for (const InstanceStats& inst : shard.instances) {
-    write_instance_line(os, inst);
+bool get_f64_page(std::istream& in, std::vector<double>& values) {
+  std::uint64_t n = 0;
+  if (!get_raw(in, n)) return false;
+  values.clear();
+  // The count comes from an untrusted file: grow chunk by chunk so a corrupt
+  // value fails a short read (-> wholesale restart) instead of throwing out
+  // of one huge allocation.
+  constexpr std::uint64_t kChunk = 1 << 16;
+  while (values.size() < n) {
+    const std::size_t have = values.size();
+    const auto take =
+        static_cast<std::size_t>(std::min<std::uint64_t>(kChunk, n - have));
+    values.resize(have + take);
+    const auto bytes = static_cast<std::streamsize>(take * sizeof(double));
+    in.read(reinterpret_cast<char*>(values.data() + have), bytes);
+    if (in.gcount() != bytes) return false;
   }
-  os << "records " << shard.records.size() << "\n";
-  for (const RequestRecord& rec : shard.records) {
-    write_record_line(os, rec);
-  }
-  os << "shard_end\n";
-}
-
-bool shard_from_text(std::istream& in, ShardStats& shard) {
-  std::string line;
-  auto read_counted = [](std::istringstream& fields, auto& out) {
-    std::size_t n = 0;
-    fields >> n;
-    if (fields.fail()) return false;
-    out.clear();
-    // The count comes from an untrusted file: cap the reservation so a
-    // corrupt value fails the element reads below (-> wholesale restart)
-    // instead of throwing length_error out of reserve.
-    out.reserve(std::min<std::size_t>(n, 1u << 20));
-    for (std::size_t i = 0; i < n; ++i) {
-      typename std::decay_t<decltype(out)>::value_type v{};
-      fields >> v;
-      if (fields.fail()) return false;
-      out.push_back(v);
-    }
-    return true;
-  };
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string key;
-    fields >> key;
-    if (key == "shard_end") return true;
-    if (key == "offered") {
-      fields >> shard.offered;
-    } else if (key == "completed") {
-      fields >> shard.completed;
-    } else if (key == "batches") {
-      fields >> shard.batches;
-    } else if (key == "sla_violations") {
-      fields >> shard.sla_violations;
-    } else if (key == "max_queue_depth") {
-      fields >> shard.max_queue_depth;
-    } else if (key == "scale_up_events") {
-      fields >> shard.scale_up_events;
-    } else if (key == "scale_down_events") {
-      fields >> shard.scale_down_events;
-    } else if (key == "reshard_splits") {
-      fields >> shard.reshard_splits;
-    } else if (key == "fault_events") {
-      fields >> shard.fault_events;
-    } else if (key == "recover_events") {
-      fields >> shard.recover_events;
-    } else if (key == "fill_sum") {
-      fields >> shard.fill_sum;
-    } else if (key == "depth_integral_us") {
-      fields >> shard.depth_integral_us;
-    } else if (key == "makespan_us") {
-      fields >> shard.makespan_us;
-    } else if (key == "latencies") {
-      if (!read_counted(fields, shard.latencies)) return false;
-      continue;
-    } else if (key == "waits") {
-      if (!read_counted(fields, shard.waits)) return false;
-      continue;
-    } else if (key == "branch_completed") {
-      if (!read_counted(fields, shard.branch_completed)) return false;
-      continue;
-    } else if (key == "instances") {
-      std::size_t n = 0;
-      fields >> n;
-      if (fields.fail()) return false;
-      for (std::size_t i = 0; i < n; ++i) {
-        InstanceStats inst;
-        if (!std::getline(in, line) || !parse_instance_line(line, inst)) {
-          return false;
-        }
-        shard.instances.push_back(inst);
-      }
-      continue;
-    } else if (key == "records") {
-      std::size_t n = 0;
-      fields >> n;
-      if (fields.fail()) return false;
-      for (std::size_t i = 0; i < n; ++i) {
-        RequestRecord rec;
-        if (!std::getline(in, line) || !parse_record_line(line, rec)) {
-          return false;
-        }
-        shard.records.push_back(rec);
-      }
-      continue;
-    } else {
-      return false;
-    }
-    if (fields.fail()) return false;
-  }
-  return false;  // ran out of lines before shard_end
-}
-
-void absorb_common_fingerprint(util::Hash128& h, const ServiceModel& service,
-                               const FleetOptions& options,
-                               const ScenarioSpec& scenario,
-                               const ElasticSpec& elastic) {
-  // Elastic policies and fault schedules change per-shard results, so a
-  // checkpoint from a different spec must never resume this run. The
-  // canonical strings are byte-stable (format_number round-trips exactly).
-  h.absorb_string(scenario_to_string(scenario));
-  h.absorb_string(elastic_to_string(elastic));
-  h.absorb(service.branches.size());
-  for (const BranchService& b : service.branches) {
-    h.absorb(static_cast<std::uint64_t>(b.capacity));
-    h.absorb_double(b.pass_us);
-  }
-  h.absorb(static_cast<std::uint64_t>(options.instances));
-  h.absorb(static_cast<std::uint64_t>(options.policy));
-  h.absorb_double(options.batch_timeout_us);
-  h.absorb_double(options.switch_penalty_us);
-  h.absorb_double(options.sla_bound_us);
-  h.absorb(static_cast<std::uint64_t>(options.shards));
-  h.absorb(static_cast<std::uint64_t>(options.keep_records));
-  h.absorb(static_cast<std::uint64_t>(options.latency_mode));
-}
-
-/// Fingerprint binding a checkpoint to its exact run: the service model,
-/// the full request stream (hashed shard slice by shard slice, in shard
-/// order), and every result-affecting fleet option. A mismatch means
-/// "different replay" — the checkpoint is ignored. The clock kind is
-/// deliberately absent: it paces events without changing results, so a
-/// virtual run may resume a cancelled wall-clock one and vice versa.
-/// process_index/process_count are likewise absent — the point of the
-/// multi-process mode is that every process (and the final merge) agrees on
-/// one fingerprint.
-std::string replay_fingerprint(
-    const ServiceModel& service,
-    const std::vector<std::vector<Request>>& shard_requests,
-    const FleetOptions& options, const ScenarioSpec& scenario,
-    const ElasticSpec& elastic) {
-  util::Hash128 h;
-  h.absorb_string(kCheckpointMagic);
-  absorb_common_fingerprint(h, service, options, scenario, elastic);
-  h.absorb(shard_requests.size());
-  for (const std::vector<Request>& shard : shard_requests) {
-    h.absorb(shard.size());
-    for (const Request& r : shard) {
-      h.absorb(static_cast<std::uint64_t>(r.id));
-      h.absorb(static_cast<std::uint64_t>(r.user));
-      h.absorb(static_cast<std::uint64_t>(r.branch));
-      h.absorb_double(r.arrival_us);
-    }
-  }
-  return h.hex();
-}
-
-/// Streaming-replay twin: the request stream is a pure function of the
-/// workload + scenario parameters, so hashing those (instead of a stream the
-/// whole point is never to materialize) binds the checkpoint just as
-/// tightly.
-std::string stream_fingerprint(const ServiceModel& service,
-                               const WorkloadOptions& workload,
-                               const FleetOptions& options,
-                               const ScenarioSpec& scenario,
-                               const ElasticSpec& elastic) {
-  util::Hash128 h;
-  h.absorb_string("fcad-fleet-stream v2");
-  absorb_common_fingerprint(h, service, options, scenario, elastic);
-  h.absorb(static_cast<std::uint64_t>(workload.process));
-  h.absorb(static_cast<std::uint64_t>(workload.users));
-  h.absorb(static_cast<std::uint64_t>(workload.branches));
-  h.absorb_double(workload.frame_rate_hz);
-  h.absorb_double(workload.duration_s);
-  h.absorb(workload.seed);
-  h.absorb_double(workload.burst_on_s);
-  h.absorb_double(workload.burst_off_s);
-  h.absorb_double(workload.burst_factor);
-  h.absorb(static_cast<std::uint64_t>(workload.target_requests));
-  return h.hex();
-}
-
-/// Loads finished-shard slots from `path`. Any mismatch (magic,
-/// fingerprint, shard count) or torn content ignores the file wholesale —
-/// resuming from a stale or corrupt checkpoint would silently change
-/// results, restarting never does.
-int load_checkpoint(const std::string& path, const std::string& fingerprint,
-                    std::vector<std::optional<ShardStats>>& slots) {
-  std::ifstream in(path);
-  if (!in) return 0;
-  std::string line;
-  if (!std::getline(in, line) || line != kCheckpointMagic) {
-    FCAD_LOG(kWarn) << "fleet checkpoint unreadable, restarting: " << path;
-    return 0;
-  }
-  if (!std::getline(in, line) || line != "fingerprint " + fingerprint) {
-    FCAD_LOG(kWarn) << "fleet checkpoint is for a different replay, "
-                       "restarting: "
-                    << path;
-    return 0;
-  }
-  if (!std::getline(in, line) ||
-      line != "shards " + std::to_string(slots.size())) {
-    FCAD_LOG(kWarn) << "fleet checkpoint shard count mismatch, restarting: "
-                    << path;
-    return 0;
-  }
-  std::vector<std::optional<ShardStats>> loaded(slots.size());
-  int count = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string key;
-    fields >> key;
-    if (key == "end") {
-      slots = std::move(loaded);
-      return count;
-    }
-    std::size_t index = slots.size();
-    fields >> index;
-    if (key != "shard" || fields.fail() || index >= slots.size()) break;
-    ShardStats shard;
-    if (!shard_from_text(in, shard)) break;
-    loaded[index] = std::move(shard);
-    ++count;
-  }
-  FCAD_LOG(kWarn) << "fleet checkpoint torn or truncated, restarting: "
-                  << path;
-  return 0;
-}
-
-/// Atomically rewrites the checkpoint with every finished shard. Called
-/// under the caller's mutex; a failed write only costs resumability.
-void write_checkpoint(const std::string& path, const std::string& fingerprint,
-                      const std::vector<std::optional<ShardStats>>& slots) {
-  const std::string tmp_path =
-      path + ".tmp." + std::to_string(::getpid());
-  bool written = false;
-  {
-    std::ofstream out(tmp_path);
-    if (out) {
-      out << kCheckpointMagic << "\n";
-      out << "fingerprint " << fingerprint << "\n";
-      out << "shards " << slots.size() << "\n";
-      for (std::size_t s = 0; s < slots.size(); ++s) {
-        if (!slots[s]) continue;
-        out << "shard " << s << "\n";
-        shard_to_text(out, *slots[s]);
-      }
-      out << "end\n";
-      written = out.good();
-    }
-  }
-  std::error_code ec;
-  if (written) {
-    std::filesystem::rename(tmp_path, path, ec);
-    written = !ec;
-  }
-  if (!written) {
-    std::filesystem::remove(tmp_path, ec);
-    FCAD_LOG(kWarn) << "fleet checkpoint not writable: " << path;
-  }
-}
-
-// ------------------------------------------------ binary checkpoint (v2) --
-// The sketch-mode format: raw little-endian fields (like the sketch's own
-// encoding), no per-request streams — a shard block is O(branches +
-// instances + sketch buckets) however many requests it covered. Every read
-// is exact-size, so a torn or truncated file fails a get_* and is rejected
-// wholesale, same contract as the text format.
-
-void put_u32(std::ostream& os, std::uint32_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  os.write(buf, sizeof v);
-}
-
-void put_u64(std::ostream& os, std::uint64_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  os.write(buf, sizeof v);
-}
-
-void put_i64(std::ostream& os, std::int64_t v) {
-  put_u64(os, static_cast<std::uint64_t>(v));
-}
-
-void put_f64(std::ostream& os, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(os, bits);
-}
-
-template <typename T>
-bool get_raw(std::istream& in, T& v) {
-  char buf[sizeof v];
-  in.read(buf, sizeof v);
-  if (in.gcount() != sizeof v) return false;
-  std::memcpy(&v, buf, sizeof v);
-  return true;
-}
-
-bool get_f64(std::istream& in, double& v) {
-  std::uint64_t bits = 0;
-  if (!get_raw(in, bits)) return false;
-  std::memcpy(&v, &bits, sizeof v);
   return true;
 }
 
 void shard_to_binary(std::ostream& os, const ShardStats& shard) {
+  os.put(static_cast<char>(shard.latency_mode));
   put_i64(os, shard.offered);
   put_i64(os, shard.completed);
   put_i64(os, shard.batches);
@@ -596,11 +287,33 @@ void shard_to_binary(std::ostream& os, const ShardStats& shard) {
     put_i64(os, inst.branch_switches);
     put_f64(os, inst.busy_us);
   }
-  shard.latency_sketch.write_binary(os);
-  shard.wait_sketch.write_binary(os);
+  if (shard.latency_mode == LatencyMode::kSketch) {
+    shard.latency_sketch.write_binary(os);
+    shard.wait_sketch.write_binary(os);
+    return;
+  }
+  put_f64_page(os, shard.latencies);
+  put_f64_page(os, shard.waits);
+  put_u64(os, shard.records.size());
+  for (const RequestRecord& rec : shard.records) {
+    put_i64(os, rec.id);
+    put_i64(os, rec.user);
+    put_i64(os, rec.branch);
+    put_i64(os, rec.instance);
+    put_f64(os, rec.arrival_us);
+    put_f64(os, rec.start_us);
+    put_f64(os, rec.finish_us);
+  }
 }
 
-bool shard_from_binary(std::istream& in, ShardStats& shard) {
+/// Reads one shard block written by a `mode` replay; a block of the other
+/// mode is as foreign as a torn one.
+bool shard_from_binary(std::istream& in, LatencyMode mode, ShardStats& shard) {
+  char mode_byte = 0;
+  if (!in.get(mode_byte) || mode_byte != static_cast<char>(mode)) {
+    return false;
+  }
+  shard.latency_mode = mode;
   std::int64_t depth = 0;
   if (!get_raw(in, shard.offered) || !get_raw(in, shard.completed) ||
       !get_raw(in, shard.batches) || !get_raw(in, shard.sla_violations) ||
@@ -608,13 +321,12 @@ bool shard_from_binary(std::istream& in, ShardStats& shard) {
       !get_raw(in, shard.scale_down_events) ||
       !get_raw(in, shard.reshard_splits) ||
       !get_raw(in, shard.fault_events) ||
-      !get_raw(in, shard.recover_events) || !get_f64(in, shard.fill_sum) ||
-      !get_f64(in, shard.depth_integral_us) ||
-      !get_f64(in, shard.makespan_us)) {
+      !get_raw(in, shard.recover_events) || !get_raw(in, shard.fill_sum) ||
+      !get_raw(in, shard.depth_integral_us) ||
+      !get_raw(in, shard.makespan_us)) {
     return false;
   }
   shard.max_queue_depth = static_cast<int>(depth);
-  shard.latency_mode = LatencyMode::kSketch;
   std::uint32_t n_branch = 0;
   if (!get_raw(in, n_branch)) return false;
   shard.branch_completed.clear();
@@ -633,41 +345,66 @@ bool shard_from_binary(std::istream& in, ShardStats& shard) {
     std::int64_t id = 0;
     if (!get_raw(in, id) || !get_raw(in, inst.batches) ||
         !get_raw(in, inst.requests) || !get_raw(in, inst.branch_switches) ||
-        !get_f64(in, inst.busy_us)) {
+        !get_raw(in, inst.busy_us)) {
       return false;
     }
     inst.instance = static_cast<int>(id);
     shard.instances.push_back(inst);
   }
-  return QuantileSketch::read_binary(in, shard.latency_sketch) &&
-         QuantileSketch::read_binary(in, shard.wait_sketch);
+  if (mode == LatencyMode::kSketch) {
+    return QuantileSketch::read_binary(in, shard.latency_sketch) &&
+           QuantileSketch::read_binary(in, shard.wait_sketch);
+  }
+  std::uint64_t n_records = 0;
+  if (!get_f64_page(in, shard.latencies) || !get_f64_page(in, shard.waits) ||
+      !get_raw(in, n_records)) {
+    return false;
+  }
+  shard.records.clear();
+  shard.records.reserve(std::min<std::uint64_t>(n_records, 1u << 20));
+  for (std::uint64_t i = 0; i < n_records; ++i) {
+    RequestRecord rec;
+    std::int64_t user = 0;
+    std::int64_t branch = 0;
+    std::int64_t instance = 0;
+    if (!get_raw(in, rec.id) || !get_raw(in, user) || !get_raw(in, branch) ||
+        !get_raw(in, instance) || !get_raw(in, rec.arrival_us) ||
+        !get_raw(in, rec.start_us) || !get_raw(in, rec.finish_us)) {
+      return false;
+    }
+    rec.user = static_cast<int>(user);
+    rec.branch = static_cast<int>(branch);
+    rec.instance = static_cast<int>(instance);
+    shard.records.push_back(rec);
+  }
+  return true;
 }
 
-/// Binary twin of load_checkpoint: same strictness (any mismatch or torn
-/// content rejects the file wholesale), returns the loaded-shard count.
-int load_checkpoint_binary(const std::string& path,
-                           const std::string& fingerprint,
-                           std::vector<std::optional<ShardStats>>& slots) {
+/// Loads finished-shard slots from `path` and returns how many it loaded.
+/// Any mismatch (magic or version, fingerprint, shard count, latency mode)
+/// or torn content ignores the file wholesale — resuming from a stale or
+/// corrupt checkpoint would silently change results, restarting never does.
+int load_checkpoint(const std::string& path, const ReplayPlan& plan,
+                    std::vector<std::optional<ShardStats>>& slots) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return 0;
   char magic[8];
   in.read(magic, sizeof magic);
-  if (in.gcount() != sizeof magic ||
-      std::memcmp(magic, kBinaryMagic, sizeof magic) != 0) {
-    FCAD_LOG(kWarn) << "fleet checkpoint unreadable, restarting: " << path;
-    return 0;
-  }
   std::uint32_t version = 0;
   std::uint32_t fp_len = 0;
-  if (!get_raw(in, version) || version != kBinaryVersion ||
-      !get_raw(in, fp_len) || fp_len != fingerprint.size()) {
-    FCAD_LOG(kWarn) << "fleet checkpoint unreadable, restarting: " << path;
+  if (in.gcount() != sizeof magic ||
+      std::memcmp(magic, kCheckpointMagic, sizeof magic) != 0 ||
+      !get_raw(in, version) || version != kCheckpointVersion ||
+      !get_raw(in, fp_len) || fp_len != plan.fingerprint.size()) {
+    FCAD_LOG(kWarn) << "fleet checkpoint unreadable or an older format, "
+                       "restarting: "
+                    << path;
     return 0;
   }
   std::string fp(fp_len, '\0');
   in.read(fp.data(), static_cast<std::streamsize>(fp_len));
   if (in.gcount() != static_cast<std::streamsize>(fp_len) ||
-      fp != fingerprint) {
+      fp != plan.fingerprint) {
     FCAD_LOG(kWarn) << "fleet checkpoint is for a different replay, "
                        "restarting: "
                     << path;
@@ -686,7 +423,7 @@ int load_checkpoint_binary(const std::string& path,
     std::uint32_t index = 0;
     ShardStats shard;
     if (!get_raw(in, index) || index >= slots.size() ||
-        !shard_from_binary(in, shard)) {
+        !shard_from_binary(in, plan.options.latency_mode, shard)) {
       FCAD_LOG(kWarn) << "fleet checkpoint torn or truncated, restarting: "
                       << path;
       return 0;
@@ -694,7 +431,7 @@ int load_checkpoint_binary(const std::string& path,
     loaded[index] = std::move(shard);
   }
   std::uint32_t trailer = 0;
-  if (!get_raw(in, trailer) || trailer != kBinaryTrailer) {
+  if (!get_raw(in, trailer) || trailer != kCheckpointTrailer) {
     FCAD_LOG(kWarn) << "fleet checkpoint torn or truncated, restarting: "
                     << path;
     return 0;
@@ -703,20 +440,21 @@ int load_checkpoint_binary(const std::string& path,
   return static_cast<int>(present);
 }
 
-/// Binary twin of write_checkpoint — same temp + rename atomicity.
-void write_checkpoint_binary(
-    const std::string& path, const std::string& fingerprint,
-    const std::vector<std::optional<ShardStats>>& slots) {
+/// Atomically rewrites the checkpoint (temp + rename) with every finished
+/// shard. Called under the caller's mutex; a failed write only costs
+/// resumability.
+void write_checkpoint(const std::string& path, const ReplayPlan& plan,
+                      const std::vector<std::optional<ShardStats>>& slots) {
   const std::string tmp_path = path + ".tmp." + std::to_string(::getpid());
   bool written = false;
   {
     std::ofstream out(tmp_path, std::ios::binary);
     if (out) {
-      out.write(kBinaryMagic, sizeof kBinaryMagic);
-      put_u32(out, kBinaryVersion);
-      put_u32(out, static_cast<std::uint32_t>(fingerprint.size()));
-      out.write(fingerprint.data(),
-                static_cast<std::streamsize>(fingerprint.size()));
+      out.write(kCheckpointMagic, sizeof kCheckpointMagic);
+      put_u32(out, kCheckpointVersion);
+      put_u32(out, static_cast<std::uint32_t>(plan.fingerprint.size()));
+      out.write(plan.fingerprint.data(),
+                static_cast<std::streamsize>(plan.fingerprint.size()));
       put_u32(out, static_cast<std::uint32_t>(slots.size()));
       std::uint32_t present = 0;
       for (const auto& slot : slots) present += slot ? 1 : 0;
@@ -726,7 +464,7 @@ void write_checkpoint_binary(
         put_u32(out, static_cast<std::uint32_t>(s));
         shard_to_binary(out, *slots[s]);
       }
-      put_u32(out, kBinaryTrailer);
+      put_u32(out, kCheckpointTrailer);
       written = out.good();
     }
   }
@@ -739,6 +477,227 @@ void write_checkpoint_binary(
     std::filesystem::remove(tmp_path, ec);
     FCAD_LOG(kWarn) << "fleet checkpoint not writable: " << path;
   }
+}
+
+/// Fingerprint binding a checkpoint to its exact run: the service model,
+/// every result-affecting fleet option, the scenario and elastic specs, and
+/// a digest of the request source — a trace's per-shard slices (hashed
+/// request by request, in shard order), or a stream's generator parameters
+/// (the stream is a pure function of them, so they bind it just as
+/// tightly). A mismatch means "different replay" — the checkpoint is
+/// ignored. The clock kind is deliberately absent: it paces events without
+/// changing results, so a virtual run may resume a cancelled wall-clock one
+/// and vice versa. process_index/process_count are likewise absent — the
+/// point of the multi-process mode is that every process (and the final
+/// merge) agrees on one fingerprint.
+std::string replay_fingerprint(const ServiceModel& service,
+                               const ServeSpec& spec, const ReplayPlan& plan) {
+  const FleetOptions& options = plan.options;
+  util::Hash128 h;
+  h.absorb_string("fcad-fleet-replay v3");
+  // Elastic policies and fault schedules change per-shard results, so a
+  // checkpoint from a different spec must never resume this run. The
+  // canonical strings are byte-stable (format_spec_number round-trips
+  // exactly).
+  h.absorb_string(scenario_to_string(spec.scenario));
+  h.absorb_string(elastic_to_string(spec.elastic));
+  h.absorb(service.branches.size());
+  for (const BranchService& b : service.branches) {
+    h.absorb(static_cast<std::uint64_t>(b.capacity));
+    h.absorb_double(b.pass_us);
+  }
+  h.absorb(static_cast<std::uint64_t>(options.instances));
+  h.absorb(static_cast<std::uint64_t>(options.policy));
+  h.absorb_double(options.batch_timeout_us);
+  h.absorb_double(options.switch_penalty_us);
+  h.absorb_double(options.sla_bound_us);
+  h.absorb(static_cast<std::uint64_t>(options.shards));
+  h.absorb(static_cast<std::uint64_t>(options.keep_records));
+  h.absorb(static_cast<std::uint64_t>(options.latency_mode));
+  if (!plan.trace_shards.empty()) {
+    h.absorb_string("trace");
+    for (const std::vector<Request>& shard : plan.trace_shards) {
+      h.absorb(shard.size());
+      for (const Request& r : shard) {
+        h.absorb(static_cast<std::uint64_t>(r.id));
+        h.absorb(static_cast<std::uint64_t>(r.user));
+        h.absorb(static_cast<std::uint64_t>(r.branch));
+        h.absorb_double(r.arrival_us);
+      }
+    }
+    return h.hex();
+  }
+  const WorkloadOptions& workload = plan.workload;
+  h.absorb_string("stream");
+  h.absorb(static_cast<std::uint64_t>(workload.process));
+  h.absorb(static_cast<std::uint64_t>(workload.users));
+  h.absorb(static_cast<std::uint64_t>(workload.branches));
+  h.absorb_double(workload.frame_rate_hz);
+  h.absorb_double(workload.duration_s);
+  h.absorb(workload.seed);
+  h.absorb_double(workload.burst_on_s);
+  h.absorb_double(workload.burst_off_s);
+  h.absorb_double(workload.burst_factor);
+  h.absorb(static_cast<std::uint64_t>(workload.target_requests));
+  return h.hex();
+}
+
+/// Resolves and validates `spec` once for every entry point. `trace` is the
+/// materialized workload of a trace replay (partitioned here into the
+/// plan's per-shard slices), or nullptr for a streaming replay, whose
+/// workload is generated per shard from spec.workload.
+StatusOr<ReplayPlan> plan_replay(const ServiceModel& service,
+                                 const ServeSpec& spec,
+                                 const std::vector<Request>* trace) {
+  auto resolved = resolved_fleet_options(spec);
+  if (!resolved.is_ok()) return resolved.status();
+  ReplayPlan plan;
+  plan.options = *resolved;
+  const FleetOptions& options = plan.options;
+  if (options.instances < 1) {
+    return Status::invalid_argument("fleet: instances must be >= 1");
+  }
+  if (options.shards < 1 || options.shards > options.instances) {
+    return Status::invalid_argument(
+        "fleet: shards must be in [1, instances], got " +
+        std::to_string(options.shards));
+  }
+  if (Status s = validate_percentile(options.progress_tail_pct); !s.is_ok()) {
+    return Status::invalid_argument("fleet: progress_tail_pct: " +
+                                    s.message());
+  }
+  if (service.num_branches() < 1) {
+    return Status::invalid_argument("fleet: service model has no branches");
+  }
+  if (Status s = validate_scenario(spec.scenario); !s.is_ok()) return s;
+  if (Status s = validate_elastic(spec.elastic); !s.is_ok()) return s;
+  const bool sketch_mode = options.latency_mode == LatencyMode::kSketch;
+  if (sketch_mode && options.keep_records) {
+    return Status::invalid_argument(
+        "fleet: keep_records requires latency_mode exact — a sketch-mode "
+        "shard keeps O(1) state and its checkpoint block carries no "
+        "per-request records");
+  }
+  if (options.process_count < 1 || options.process_count > options.shards) {
+    return Status::invalid_argument(
+        "fleet: process_count must be in [1, shards], got " +
+        std::to_string(options.process_count));
+  }
+  if (options.process_index < 0 ||
+      options.process_index >= options.process_count) {
+    return Status::invalid_argument(
+        "fleet: process_index must be in [0, process_count), got " +
+        std::to_string(options.process_index));
+  }
+  if (options.process_count > 1 && trace != nullptr) {
+    return Status::invalid_argument(
+        "fleet: process sharding requires the streaming replay "
+        "(simulate_fleet_stream)");
+  }
+  if (options.process_count > 1 && options.checkpoint_path.empty()) {
+    return Status::invalid_argument(
+        "fleet: process sharding needs a checkpoint_path — without one the "
+        "partial results could never be merged");
+  }
+  const int num_shards = options.shards;
+
+  if (trace != nullptr) {
+    // Static partition: user u -> shard u mod S. One counting pass sizes
+    // every slice, one partition pass fills them. Partitioning preserves
+    // relative order, so a per-shard stable sort yields exactly the slice a
+    // global stable sort would have handed the shard — and already-sorted
+    // input (every generator's output) skips the sorts entirely.
+    std::vector<std::size_t> shard_sizes(static_cast<std::size_t>(num_shards),
+                                         0);
+    for (const Request& r : *trace) {
+      if (r.branch < 0 || r.branch >= service.num_branches()) {
+        return Status::invalid_argument("fleet: request branch out of range");
+      }
+      ++shard_sizes[static_cast<std::size_t>(r.user % num_shards)];
+    }
+    plan.trace_shards.resize(static_cast<std::size_t>(num_shards));
+    for (int s = 0; s < num_shards; ++s) {
+      plan.trace_shards[static_cast<std::size_t>(s)].reserve(
+          shard_sizes[static_cast<std::size_t>(s)]);
+    }
+    const auto by_arrival = [](const Request& a, const Request& b) {
+      return a.arrival_us < b.arrival_us;
+    };
+    const bool presorted =
+        std::is_sorted(trace->begin(), trace->end(), by_arrival);
+    for (const Request& r : *trace) {
+      plan.trace_shards[static_cast<std::size_t>(r.user % num_shards)]
+          .push_back(r);
+    }
+    if (!presorted) {
+      for (std::vector<Request>& shard : plan.trace_shards) {
+        std::stable_sort(shard.begin(), shard.end(), by_arrival);
+      }
+    }
+    plan.offered = static_cast<std::int64_t>(trace->size());
+  } else {
+    plan.workload = spec.workload;
+    const WorkloadOptions workload_defaults;
+    if (plan.workload.branches == workload_defaults.branches) {
+      plan.workload.branches = service.num_branches();
+    }
+    if (plan.workload.process == ArrivalProcess::kTrace) {
+      return Status::invalid_argument(
+          "fleet: the streaming replay generates its workload — a trace is "
+          "already materialized, use simulate_fleet");
+    }
+    if (plan.workload.target_requests <= 0) {
+      return Status::invalid_argument(
+          "fleet: the streaming replay needs workload.target_requests > 0 "
+          "(a definite end the shards can run to)");
+    }
+    if (plan.workload.branches > service.num_branches()) {
+      return Status::invalid_argument(
+          "fleet: workload.branches exceeds the service model's branches");
+    }
+    plan.offered = plan.workload.target_requests;
+  }
+  plan.shard_lo = static_cast<int>(
+      static_cast<std::int64_t>(options.process_index) * num_shards /
+      options.process_count);
+  plan.shard_hi = static_cast<int>(
+      static_cast<std::int64_t>(options.process_index + 1) * num_shards /
+      options.process_count);
+
+  // With a disabled elastic spec the provisioned pool is exactly the active
+  // fleet, split into the classic contiguous per-shard slices.
+  auto shards_or = plan_elastic_shards(spec.elastic, spec.scenario.faults,
+                                       options.instances, num_shards);
+  if (!shards_or.is_ok()) return shards_or.status();
+  plan.shards = std::move(shards_or).value();
+  plan.provisioned_total =
+      plan.shards.back().first_instance + plan.shards.back().provisioned;
+
+  // The fingerprint also seeds sketch binding. A stream's digest is O(1),
+  // so it is always taken (the merge needs it); a trace's is O(requests),
+  // so an exact, checkpoint-free trace replay skips it.
+  if (trace == nullptr || sketch_mode || !options.checkpoint_path.empty()) {
+    plan.fingerprint = replay_fingerprint(service, spec, plan);
+  }
+  if (sketch_mode) {
+    plan.sketch_seed = sketch_seed_from_fingerprint(plan.fingerprint);
+  }
+  return plan;
+}
+
+/// Shard `shard`'s request stream: its slice of the trace (moved out of
+/// the plan — each shard runs once), or its own copy of the generated
+/// workload stream — memory O(users), never O(requests). The generator is
+/// deterministic, so every shard sees the identical global sequence.
+StatusOr<std::unique_ptr<RequestStream>> shard_stream(ReplayPlan& plan,
+                                                      const ServeSpec& spec,
+                                                      int shard) {
+  if (!plan.trace_shards.empty()) {
+    return std::unique_ptr<RequestStream>(
+        std::make_unique<VectorRequestStream>(std::move(
+            plan.trace_shards[static_cast<std::size_t>(shard)])));
+  }
+  return make_request_stream(plan.workload, spec.scenario);
 }
 
 /// The exact final tail-percentile estimate for the terminal progress tick,
@@ -768,6 +727,154 @@ double final_tail_estimate(const std::vector<ShardStats>& shards,
     for (double v : shard.latencies) tail.add(v);
   }
   return tail.partial();
+}
+
+/// Runs the owned shard range of `plan`: resumes finished shards from the
+/// checkpoint, simulates the rest across the thread pool (checkpointing each
+/// as it finishes), folds cancellation, and merges the owned shards in
+/// shard-index order. A plan owning every shard returns the fleet-wide
+/// stats; a process-sharded one returns its owned shards' stats.
+StatusOr<ServingStats> run_replay(ReplayPlan plan,
+                                  const ServiceModel& service,
+                                  const ServeSpec& spec,
+                                  const util::RunScope* scope) {
+  const FleetOptions& options = plan.options;
+  const int num_shards = options.shards;
+
+  std::vector<std::optional<ShardStats>> slots(
+      static_cast<std::size_t>(num_shards));
+  int resumed = 0;
+  if (!options.checkpoint_path.empty()) {
+    resumed = load_checkpoint(options.checkpoint_path, plan, slots);
+    // A resumable checkpoint only ever carries this process's own shards —
+    // drop anything outside the owned range (e.g. a file from a different
+    // process split) rather than reporting shards this process does not own.
+    for (int s = 0; s < num_shards; ++s) {
+      if ((s < plan.shard_lo || s >= plan.shard_hi) &&
+          slots[static_cast<std::size_t>(s)]) {
+        slots[static_cast<std::size_t>(s)].reset();
+        --resumed;
+      }
+    }
+  }
+
+  ProgressSink sink;
+  sink.scope = scope;
+  sink.offered = plan.offered;
+  sink.chunk =
+      scope != nullptr ? std::max<std::int64_t>(1, plan.offered / 20) : 0;
+  std::int64_t already_completed = 0;
+  for (const auto& slot : slots) {
+    if (slot) already_completed += slot->completed;
+  }
+  sink.completed.store(already_completed);
+  sink.next_at.store(
+      sink.chunk > 0 ? (already_completed / sink.chunk + 1) * sink.chunk : 0);
+
+  std::mutex slot_mutex;
+  const int owned = plan.shard_hi - plan.shard_lo;
+  std::vector<Status> shard_status(static_cast<std::size_t>(owned),
+                                   Status::ok());
+  auto run_one = [&](std::int64_t i) {
+    const int s = plan.shard_lo + static_cast<int>(i);
+    const auto index = static_cast<std::size_t>(s);
+    Status& status = shard_status[static_cast<std::size_t>(i)];
+    if (slots[index]) return;  // resumed from the checkpoint
+    const std::int64_t expected =
+        plan.trace_shards.empty()
+            ? plan.offered
+            : static_cast<std::int64_t>(plan.trace_shards[index].size());
+    auto stream = shard_stream(plan, spec, s);
+    if (!stream.is_ok()) {
+      status = stream.status();
+      return;
+    }
+    ShardSource source(std::move(stream).value(), s, num_shards);
+    auto result = run_shard(service, source, expected, s, spec.elastic,
+                            plan.shards[index], options, plan.sketch_seed,
+                            &sink);
+    if (Status fs = source.finish_status(); !fs.is_ok()) {
+      status = fs;
+      return;
+    }
+    if (!result.is_ok()) {
+      status = result.status();
+      return;
+    }
+    std::lock_guard<std::mutex> lock(slot_mutex);
+    slots[index] = std::move(result).value();
+    if (!options.checkpoint_path.empty()) {
+      write_checkpoint(options.checkpoint_path, plan, slots);
+      obs::MetricsRegistry::global()
+          .counter("serving.fleet.checkpoint_writes")
+          .add(1);
+      if (obs::Tracer* const tracer = obs::tracer()) {
+        // Stamped at the shard's virtual makespan — where the shard's
+        // timeline ends, which is when its state became durable.
+        tracer->instant(shard_lane(s), "checkpoint write", "serving",
+                        slots[index]->makespan_us);
+      }
+    }
+  };
+  if (owned == 1) {
+    run_one(0);
+  } else {
+    util::ThreadPool& pool = util::ThreadPool::shared(
+        scope != nullptr ? scope->threads(options.threads) : options.threads);
+    pool.parallel_for(owned, run_one);
+  }
+
+  bool cancelled = false;
+  for (const Status& s : shard_status) {
+    if (s.is_ok()) continue;
+    if (s.code() == StatusCode::kCancelled) {
+      cancelled = true;
+      continue;
+    }
+    return s;
+  }
+  if (cancelled) {
+    return Status::cancelled("fleet replay cancelled after " +
+                             std::to_string(sink.completed.load()) + "/" +
+                             std::to_string(plan.offered) + " requests");
+  }
+
+  std::vector<ShardStats> shards;
+  shards.reserve(static_cast<std::size_t>(owned));
+  for (int s = plan.shard_lo; s < plan.shard_hi; ++s) {
+    shards.push_back(std::move(*slots[static_cast<std::size_t>(s)]));
+  }
+
+  // The terminal tick: every replay with an observer ends with a progress
+  // event whose estimate is the final tail percentile over ALL latencies
+  // (exact in exact mode, the merged-sketch quantile in sketch mode). A
+  // sharded run's last in-loop tick carries the emitting shard's local
+  // estimate even when it lands exactly at completed == offered, so only
+  // the single-shard loop (whose tracker saw every sample) may skip the
+  // terminal emit. Computed before the merge, which consumes the shards.
+  std::int64_t total_completed = 0;
+  for (const ShardStats& shard : shards) total_completed += shard.completed;
+  const bool terminal_tick =
+      scope != nullptr &&
+      (owned > 1 || sink.last_emitted.load() != total_completed);
+  const double final_tail =
+      terminal_tick ? final_tail_estimate(shards, total_completed, options)
+                    : 0;
+
+  ServingStats stats =
+      merge_shard_stats(std::move(shards), service, options.sla_bound_us,
+                        plan.provisioned_total, resumed);
+
+  FCAD_CHECK_MSG(stats.completed == stats.offered,
+                 "fleet: lost requests in flight");
+  if (owned == num_shards) {
+    FCAD_CHECK_MSG(stats.completed == plan.offered,
+                   "fleet: replay ended short of its requests");
+  }
+
+  if (terminal_tick) sink.emit(stats.completed, final_tail);
+
+  return stats;
 }
 
 }  // namespace
@@ -828,205 +935,9 @@ StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
                                       const std::vector<Request>& requests,
                                       const ServeSpec& spec,
                                       const util::RunScope* scope) {
-  auto resolved = resolved_fleet_options(spec);
-  if (!resolved.is_ok()) return resolved.status();
-  const FleetOptions& options = *resolved;
-  if (options.instances < 1) {
-    return Status::invalid_argument("fleet: instances must be >= 1");
-  }
-  if (options.shards < 1 || options.shards > options.instances) {
-    return Status::invalid_argument(
-        "fleet: shards must be in [1, instances], got " +
-        std::to_string(options.shards));
-  }
-  if (Status s = validate_percentile(options.progress_tail_pct); !s.is_ok()) {
-    return Status::invalid_argument("fleet: progress_tail_pct: " +
-                                    s.message());
-  }
-  if (service.num_branches() < 1) {
-    return Status::invalid_argument("fleet: service model has no branches");
-  }
-  if (Status s = validate_scenario(spec.scenario); !s.is_ok()) return s;
-  if (Status s = validate_elastic(spec.elastic); !s.is_ok()) return s;
-  if (options.latency_mode == LatencyMode::kSketch && options.keep_records) {
-    return Status::invalid_argument(
-        "fleet: keep_records requires latency_mode exact — the binary v2 "
-        "checkpoint carries no per-request records");
-  }
-  if (options.process_count != 1 || options.process_index != 0) {
-    return Status::invalid_argument(
-        "fleet: process sharding requires the streaming replay "
-        "(simulate_fleet_stream)");
-  }
-
-  // Static partition: user u -> shard u mod S; the *provisioned* instance
-  // pool splits into contiguous per-shard slices (with a disabled elastic
-  // spec the provisioned pool is exactly the active fleet — the classic
-  // split). One counting pass sizes every slice, one partition pass fills
-  // them — the full-workload copy the old copy-then-sort paid is gone.
-  // Partitioning preserves relative order, so a per-shard stable sort
-  // yields exactly the slice a global stable sort would have handed the
-  // shard — and already-sorted input (every generator's output) skips the
-  // sorts entirely.
-  const int num_shards = options.shards;
-  std::vector<std::size_t> shard_sizes(static_cast<std::size_t>(num_shards),
-                                       0);
-  for (const Request& r : requests) {
-    if (r.branch < 0 || r.branch >= service.num_branches()) {
-      return Status::invalid_argument("fleet: request branch out of range");
-    }
-    ++shard_sizes[static_cast<std::size_t>(r.user % num_shards)];
-  }
-  std::vector<std::vector<Request>> shard_requests(
-      static_cast<std::size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    shard_requests[static_cast<std::size_t>(s)].reserve(
-        shard_sizes[static_cast<std::size_t>(s)]);
-  }
-  const auto by_arrival = [](const Request& a, const Request& b) {
-    return a.arrival_us < b.arrival_us;
-  };
-  const bool presorted =
-      std::is_sorted(requests.begin(), requests.end(), by_arrival);
-  for (const Request& r : requests) {
-    shard_requests[static_cast<std::size_t>(r.user % num_shards)].push_back(
-        r);
-  }
-  if (!presorted) {
-    for (std::vector<Request>& shard : shard_requests) {
-      std::stable_sort(shard.begin(), shard.end(), by_arrival);
-    }
-  }
-  auto plans_or = plan_elastic_shards(spec.elastic, spec.scenario.faults,
-                                      options.instances, num_shards);
-  if (!plans_or.is_ok()) return plans_or.status();
-  const std::vector<ShardElasticPlan>& plans = *plans_or;
-  const int provisioned_total =
-      plans.back().first_instance + plans.back().provisioned;
-
-  const std::int64_t offered = static_cast<std::int64_t>(requests.size());
-  const bool sketch_mode = options.latency_mode == LatencyMode::kSketch;
-
-  // Checkpoint resume: reload every finished shard of a matching prior run.
-  // The fingerprint is also what seeds sketch binding, so sketch mode
-  // computes it even without a checkpoint path.
-  std::vector<std::optional<ShardStats>> slots(
-      static_cast<std::size_t>(num_shards));
-  std::string fingerprint;
-  std::uint64_t sketch_seed = 0;
-  int resumed = 0;
-  if (!options.checkpoint_path.empty() || sketch_mode) {
-    fingerprint = replay_fingerprint(service, shard_requests, options,
-                                     spec.scenario, spec.elastic);
-    if (sketch_mode) sketch_seed = sketch_seed_from_fingerprint(fingerprint);
-  }
-  if (!options.checkpoint_path.empty()) {
-    resumed = sketch_mode ? load_checkpoint_binary(options.checkpoint_path,
-                                                   fingerprint, slots)
-                          : load_checkpoint(options.checkpoint_path,
-                                            fingerprint, slots);
-  }
-
-  ProgressSink sink;
-  sink.scope = scope;
-  sink.offered = offered;
-  sink.chunk = scope != nullptr ? std::max<std::int64_t>(1, offered / 20) : 0;
-  std::int64_t already_completed = 0;
-  for (const auto& slot : slots) {
-    if (slot) already_completed += slot->completed;
-  }
-  sink.completed.store(already_completed);
-  sink.next_at.store(
-      sink.chunk > 0 ? (already_completed / sink.chunk + 1) * sink.chunk : 0);
-
-  std::mutex slot_mutex;
-  std::vector<Status> shard_status(static_cast<std::size_t>(num_shards),
-                                   Status::ok());
-  auto run_one = [&](std::int64_t s) {
-    const auto index = static_cast<std::size_t>(s);
-    if (slots[index]) return;  // resumed from the checkpoint
-    VectorSource source(shard_requests[index]);
-    auto result = run_shard(
-        service, source,
-        static_cast<std::int64_t>(shard_requests[index].size()),
-        static_cast<int>(s), spec.elastic, plans[index], options, sketch_seed,
-        &sink);
-    if (!result.is_ok()) {
-      shard_status[index] = result.status();
-      return;
-    }
-    std::lock_guard<std::mutex> lock(slot_mutex);
-    slots[index] = std::move(result).value();
-    if (!options.checkpoint_path.empty()) {
-      if (sketch_mode) {
-        write_checkpoint_binary(options.checkpoint_path, fingerprint, slots);
-      } else {
-        write_checkpoint(options.checkpoint_path, fingerprint, slots);
-      }
-      obs::MetricsRegistry::global()
-          .counter("serving.fleet.checkpoint_writes")
-          .add(1);
-      if (obs::Tracer* const tracer = obs::tracer()) {
-        // Stamped at the shard's virtual makespan — where the shard's
-        // timeline ends, which is when its state became durable.
-        tracer->instant(shard_lane(static_cast<int>(s)), "checkpoint write",
-                        "serving", slots[index]->makespan_us);
-      }
-    }
-  };
-  if (num_shards == 1) {
-    run_one(0);
-  } else {
-    util::ThreadPool& pool = util::ThreadPool::shared(
-        scope != nullptr ? scope->threads(options.threads) : options.threads);
-    pool.parallel_for(num_shards, run_one);
-  }
-
-  bool cancelled = false;
-  for (const Status& s : shard_status) {
-    if (s.is_ok()) continue;
-    if (s.code() == StatusCode::kCancelled) {
-      cancelled = true;
-      continue;
-    }
-    return s;
-  }
-  if (cancelled) {
-    return Status::cancelled("fleet replay cancelled after " +
-                             std::to_string(sink.completed.load()) + "/" +
-                             std::to_string(offered) + " requests");
-  }
-
-  std::vector<ShardStats> shards;
-  shards.reserve(slots.size());
-  for (auto& slot : slots) shards.push_back(std::move(*slot));
-
-  // The terminal tick: every replay with an observer ends with a progress
-  // event whose estimate is the final tail percentile over ALL latencies
-  // (exact in exact mode, the merged-sketch quantile in sketch mode). A
-  // sharded run's last in-loop tick carries the emitting shard's local
-  // estimate even when it lands exactly at completed == offered, so only
-  // the single-shard loop (whose tracker saw every sample) may skip the
-  // terminal emit. Computed before the merge, which consumes the shards.
-  std::int64_t total_completed = 0;
-  for (const ShardStats& shard : shards) total_completed += shard.completed;
-  const bool terminal_tick =
-      scope != nullptr &&
-      (num_shards > 1 || sink.last_emitted.load() != total_completed);
-  const double final_tail =
-      terminal_tick ? final_tail_estimate(shards, total_completed, options)
-                    : 0;
-
-  ServingStats stats =
-      merge_shard_stats(std::move(shards), service, options.sla_bound_us,
-                        provisioned_total, resumed);
-
-  FCAD_CHECK_MSG(stats.completed == stats.offered,
-                 "fleet: lost requests in flight");
-
-  if (terminal_tick) sink.emit(stats.completed, final_tail);
-
-  return stats;
+  auto plan = plan_replay(service, spec, &requests);
+  if (!plan.is_ok()) return plan.status();
+  return run_replay(std::move(plan).value(), service, spec, scope);
 }
 
 StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
@@ -1042,266 +953,26 @@ StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
   return simulate_fleet(service, *requests, spec, scope);
 }
 
-namespace {
-
-/// Shared head of the streaming replay and the checkpoint merge: resolves
-/// and validates the spec, fills the derived workload, and computes the
-/// stream fingerprint every process (and the merge) must agree on.
-struct StreamPlan {
-  FleetOptions options;
-  WorkloadOptions workload;
-  std::vector<ShardElasticPlan> plans;
-  int provisioned_total = 0;
-  std::string fingerprint;
-  std::uint64_t sketch_seed = 0;
-};
-
-StatusOr<StreamPlan> plan_stream_replay(const ServiceModel& service,
-                                        const ServeSpec& spec) {
-  auto resolved = resolved_fleet_options(spec);
-  if (!resolved.is_ok()) return resolved.status();
-  StreamPlan plan;
-  plan.options = *resolved;
-  const FleetOptions& options = plan.options;
-  if (options.instances < 1) {
-    return Status::invalid_argument("fleet: instances must be >= 1");
-  }
-  if (options.shards < 1 || options.shards > options.instances) {
-    return Status::invalid_argument(
-        "fleet: shards must be in [1, instances], got " +
-        std::to_string(options.shards));
-  }
-  if (Status s = validate_percentile(options.progress_tail_pct); !s.is_ok()) {
-    return Status::invalid_argument("fleet: progress_tail_pct: " +
-                                    s.message());
-  }
-  if (service.num_branches() < 1) {
-    return Status::invalid_argument("fleet: service model has no branches");
-  }
-  if (Status s = validate_scenario(spec.scenario); !s.is_ok()) return s;
-  if (Status s = validate_elastic(spec.elastic); !s.is_ok()) return s;
-  if (options.latency_mode == LatencyMode::kSketch && options.keep_records) {
-    return Status::invalid_argument(
-        "fleet: keep_records requires latency_mode exact — the binary v2 "
-        "checkpoint carries no per-request records");
-  }
-
-  plan.workload = spec.workload;
-  const WorkloadOptions workload_defaults;
-  if (plan.workload.branches == workload_defaults.branches) {
-    plan.workload.branches = service.num_branches();
-  }
-  if (plan.workload.process == ArrivalProcess::kTrace) {
-    return Status::invalid_argument(
-        "fleet: the streaming replay generates its workload — a trace is "
-        "already materialized, use simulate_fleet");
-  }
-  if (plan.workload.target_requests <= 0) {
-    return Status::invalid_argument(
-        "fleet: the streaming replay needs workload.target_requests > 0 (a "
-        "definite end the shards can run to)");
-  }
-  if (plan.workload.branches > service.num_branches()) {
-    return Status::invalid_argument(
-        "fleet: workload.branches exceeds the service model's branches");
-  }
-
-  auto plans_or = plan_elastic_shards(spec.elastic, spec.scenario.faults,
-                                      options.instances, options.shards);
-  if (!plans_or.is_ok()) return plans_or.status();
-  plan.plans = std::move(plans_or).value();
-  plan.provisioned_total =
-      plan.plans.back().first_instance + plan.plans.back().provisioned;
-  plan.fingerprint = stream_fingerprint(service, plan.workload, options,
-                                        spec.scenario, spec.elastic);
-  if (options.latency_mode == LatencyMode::kSketch) {
-    plan.sketch_seed = sketch_seed_from_fingerprint(plan.fingerprint);
-  }
-  return plan;
-}
-
-}  // namespace
-
 StatusOr<ServingStats> simulate_fleet_stream(const ServiceModel& service,
                                              const ServeSpec& spec,
                                              const util::RunScope* scope) {
-  auto plan_or = plan_stream_replay(service, spec);
-  if (!plan_or.is_ok()) return plan_or.status();
-  const StreamPlan& plan = *plan_or;
-  const FleetOptions& options = plan.options;
-  const int num_shards = options.shards;
-  if (options.process_count < 1 || options.process_count > num_shards) {
-    return Status::invalid_argument(
-        "fleet: process_count must be in [1, shards], got " +
-        std::to_string(options.process_count));
-  }
-  if (options.process_index < 0 ||
-      options.process_index >= options.process_count) {
-    return Status::invalid_argument(
-        "fleet: process_index must be in [0, process_count), got " +
-        std::to_string(options.process_index));
-  }
-  if (options.process_count > 1 && options.checkpoint_path.empty()) {
-    return Status::invalid_argument(
-        "fleet: process sharding needs a checkpoint_path — without one the "
-        "partial results could never be merged");
-  }
-
-  // This process's contiguous shard range.
-  const int shard_lo = static_cast<int>(
-      static_cast<std::int64_t>(options.process_index) * num_shards /
-      options.process_count);
-  const int shard_hi = static_cast<int>(
-      static_cast<std::int64_t>(options.process_index + 1) * num_shards /
-      options.process_count);
-  const bool sketch_mode = options.latency_mode == LatencyMode::kSketch;
-  const std::int64_t target = plan.workload.target_requests;
-
-  std::vector<std::optional<ShardStats>> slots(
-      static_cast<std::size_t>(num_shards));
-  int resumed = 0;
-  if (!options.checkpoint_path.empty()) {
-    resumed = sketch_mode ? load_checkpoint_binary(options.checkpoint_path,
-                                                   plan.fingerprint, slots)
-                          : load_checkpoint(options.checkpoint_path,
-                                            plan.fingerprint, slots);
-    // A resumable checkpoint only ever carries this process's own shards —
-    // drop anything outside the owned range (e.g. a file from a different
-    // process split) rather than reporting shards this process does not own.
-    for (int s = 0; s < num_shards; ++s) {
-      if ((s < shard_lo || s >= shard_hi) &&
-          slots[static_cast<std::size_t>(s)]) {
-        slots[static_cast<std::size_t>(s)].reset();
-        --resumed;
-      }
-    }
-  }
-
-  ProgressSink sink;
-  sink.scope = scope;
-  sink.offered = target;
-  sink.chunk = scope != nullptr ? std::max<std::int64_t>(1, target / 20) : 0;
-  std::int64_t already_completed = 0;
-  for (const auto& slot : slots) {
-    if (slot) already_completed += slot->completed;
-  }
-  sink.completed.store(already_completed);
-  sink.next_at.store(
-      sink.chunk > 0 ? (already_completed / sink.chunk + 1) * sink.chunk : 0);
-
-  std::mutex slot_mutex;
-  const int owned = shard_hi - shard_lo;
-  std::vector<Status> shard_status(static_cast<std::size_t>(owned),
-                                   Status::ok());
-  auto run_one = [&](std::int64_t i) {
-    const int s = shard_lo + static_cast<int>(i);
-    const auto index = static_cast<std::size_t>(s);
-    if (slots[index]) return;  // resumed from the checkpoint
-    // Each shard pulls its own full-workload stream and keeps only the
-    // users it owns — memory is O(users), never O(requests). The generator
-    // is deterministic, so every shard sees the identical global sequence.
-    auto stream_or = make_request_stream(plan.workload, spec.scenario);
-    if (!stream_or.is_ok()) {
-      shard_status[static_cast<std::size_t>(i)] = stream_or.status();
-      return;
-    }
-    RequestStream& stream = **stream_or;
-    StreamShardSource source(stream, s, num_shards);
-    auto result = run_shard(service, source, target, s, spec.elastic,
-                            plan.plans[index], options, plan.sketch_seed,
-                            &sink);
-    if (Status fs = stream.finish_status(); !fs.is_ok()) {
-      shard_status[static_cast<std::size_t>(i)] = fs;
-      return;
-    }
-    if (!result.is_ok()) {
-      shard_status[static_cast<std::size_t>(i)] = result.status();
-      return;
-    }
-    std::lock_guard<std::mutex> lock(slot_mutex);
-    slots[index] = std::move(result).value();
-    if (!options.checkpoint_path.empty()) {
-      if (sketch_mode) {
-        write_checkpoint_binary(options.checkpoint_path, plan.fingerprint,
-                                slots);
-      } else {
-        write_checkpoint(options.checkpoint_path, plan.fingerprint, slots);
-      }
-      obs::MetricsRegistry::global()
-          .counter("serving.fleet.checkpoint_writes")
-          .add(1);
-      if (obs::Tracer* const tracer = obs::tracer()) {
-        tracer->instant(shard_lane(s), "checkpoint write", "serving",
-                        slots[index]->makespan_us);
-      }
-    }
-  };
-  if (owned == 1) {
-    run_one(0);
-  } else {
-    util::ThreadPool& pool = util::ThreadPool::shared(
-        scope != nullptr ? scope->threads(options.threads) : options.threads);
-    pool.parallel_for(owned, run_one);
-  }
-
-  bool cancelled = false;
-  for (const Status& s : shard_status) {
-    if (s.is_ok()) continue;
-    if (s.code() == StatusCode::kCancelled) {
-      cancelled = true;
-      continue;
-    }
-    return s;
-  }
-  if (cancelled) {
-    return Status::cancelled("fleet replay cancelled after " +
-                             std::to_string(sink.completed.load()) + "/" +
-                             std::to_string(target) + " requests");
-  }
-
-  std::vector<ShardStats> shards;
-  shards.reserve(static_cast<std::size_t>(owned));
-  for (int s = shard_lo; s < shard_hi; ++s) {
-    shards.push_back(std::move(*slots[static_cast<std::size_t>(s)]));
-  }
-
-  std::int64_t total_completed = 0;
-  for (const ShardStats& shard : shards) total_completed += shard.completed;
-  const bool terminal_tick =
-      scope != nullptr &&
-      (owned > 1 || sink.last_emitted.load() != total_completed);
-  const double final_tail =
-      terminal_tick ? final_tail_estimate(shards, total_completed, options)
-                    : 0;
-
-  // The returned stats cover this process's owned shards; a single-process
-  // run owns them all, and its result is bit-identical to the materialized
-  // overload on the same spec.
-  ServingStats stats =
-      merge_shard_stats(std::move(shards), service, options.sla_bound_us,
-                        plan.provisioned_total, resumed);
-
-  FCAD_CHECK_MSG(stats.completed == stats.offered,
-                 "fleet: lost requests in flight");
-  if (options.process_count == 1) {
-    FCAD_CHECK_MSG(stats.completed == target,
-                   "fleet: stream ended short of target_requests");
-  }
-
-  if (terminal_tick) sink.emit(stats.completed, final_tail);
-
-  return stats;
+  auto plan = plan_replay(service, spec, nullptr);
+  if (!plan.is_ok()) return plan.status();
+  return run_replay(std::move(plan).value(), service, spec, scope);
 }
 
 StatusOr<ServingStats> merge_replay_checkpoints(
     const ServiceModel& service, const ServeSpec& spec,
     const std::vector<std::string>& checkpoint_paths) {
-  auto plan_or = plan_stream_replay(service, spec);
+  // The merge is the single-process view of the replay: it owns every
+  // shard, whatever process split produced the files.
+  ServeSpec whole = spec;
+  whole.fleet.process_index = 0;
+  whole.fleet.process_count = 1;
+  auto plan_or = plan_replay(service, whole, nullptr);
   if (!plan_or.is_ok()) return plan_or.status();
-  const StreamPlan& plan = *plan_or;
-  const FleetOptions& options = plan.options;
-  const int num_shards = options.shards;
-  const bool sketch_mode = options.latency_mode == LatencyMode::kSketch;
+  const ReplayPlan& plan = *plan_or;
+  const int num_shards = plan.options.shards;
   if (checkpoint_paths.empty()) {
     return Status::invalid_argument("merge: no checkpoint files given");
   }
@@ -1313,14 +984,10 @@ StatusOr<ServingStats> merge_replay_checkpoints(
   for (const std::string& path : checkpoint_paths) {
     std::vector<std::optional<ShardStats>> file_slots(
         static_cast<std::size_t>(num_shards));
-    const int loaded =
-        sketch_mode
-            ? load_checkpoint_binary(path, plan.fingerprint, file_slots)
-            : load_checkpoint(path, plan.fingerprint, file_slots);
-    if (loaded == 0) {
+    if (load_checkpoint(path, plan, file_slots) == 0) {
       return Status::invalid_argument(
-          "merge: checkpoint unreadable, torn, empty, or for a different "
-          "replay: " +
+          "merge: checkpoint unreadable, torn, empty, an older format, or "
+          "for a different replay: " +
           path);
     }
     for (int s = 0; s < num_shards; ++s) {
@@ -1352,15 +1019,14 @@ StatusOr<ServingStats> merge_replay_checkpoints(
     total_offered += slot->offered;
     shards.push_back(std::move(*slot));
   }
-  if (total_offered != plan.workload.target_requests) {
+  if (total_offered != plan.offered) {
     return Status::invalid_argument(
         "merge: checkpoints cover " + std::to_string(total_offered) +
-        " requests but the spec targets " +
-        std::to_string(plan.workload.target_requests));
+        " requests but the spec targets " + std::to_string(plan.offered));
   }
 
   ServingStats stats =
-      merge_shard_stats(std::move(shards), service, options.sla_bound_us,
+      merge_shard_stats(std::move(shards), service, plan.options.sla_bound_us,
                         plan.provisioned_total, num_shards);
   FCAD_CHECK_MSG(stats.completed == stats.offered,
                  "merge: lost requests in flight");

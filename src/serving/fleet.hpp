@@ -14,9 +14,12 @@
 // latency/SLA streams in shard-index order — so for a fixed shard count the
 // stats are bit-identical for ANY thread count, including 1. Sharded runs
 // can also checkpoint (`FleetOptions::checkpoint_path`): every finished
-// shard's partial stats (counts, latency/wait streams, per-branch and
-// per-instance counters) are serialized atomically, and a replay cancelled
-// via RunControl resumes from the completed shards instead of restarting.
+// shard's partial stats (counts, per-branch and per-instance counters, and
+// either the exact latency/wait pages and records or the two sketches) are
+// serialized atomically in the one binary checkpoint format (v3), and a
+// replay cancelled via RunControl resumes from the completed shards instead
+// of restarting. The trace, stream, and merge entry points below share one
+// validated replay plan and one shard runner.
 #pragma once
 
 #include <string>
@@ -80,8 +83,10 @@ struct FleetOptions {
   /// finished shards' partial stats, and a later run with the same service,
   /// workload, and options resumes from it — loaded shards are not
   /// re-simulated, and the merged stats are bit-identical to an
-  /// uninterrupted run. A checkpoint whose fingerprint does not match the
-  /// run is ignored, never misapplied.
+  /// uninterrupted run. The file is binary format v3 in both latency
+  /// modes. A checkpoint whose fingerprint does not match the run, or one
+  /// in a retired format (text v1, binary v2), is ignored, never
+  /// misapplied.
   std::string checkpoint_path;
   /// Time source the per-shard event loops run on. kVirtual jumps between
   /// events (the classic instant replay); kSteady paces every event at its
@@ -92,9 +97,10 @@ struct FleetOptions {
   ClockKind clock = ClockKind::kVirtual;
   /// kSketch swaps the exact per-request latency streams for mergeable
   /// quantile sketches (relative error <= the sketch alpha, 0.1%): memory
-  /// per shard becomes O(1) and checkpoints switch to the compact binary v2
-  /// format — the billion-request mode. Incompatible with keep_records.
-  /// The default keeps today's exact accounting, bit for bit.
+  /// per shard becomes O(1) and each checkpoint shard block carries the
+  /// sketches instead of the exact latency pages, so its size no longer
+  /// grows with the request count — the billion-request mode. Incompatible
+  /// with keep_records. The default keeps exact accounting, bit for bit.
   LatencyMode latency_mode = LatencyMode::kExact;
   /// Multi-process sharding (simulate_fleet_stream only): this process owns
   /// the contiguous shard range [process_index*S/N, (process_index+1)*S/N)
@@ -185,11 +191,15 @@ StatusOr<ServingStats> simulate_fleet_stream(
 
 /// Folds the checkpoints written by N `--process-shard` runs of the SAME
 /// spec into the final ServingStats, exactly as if one process had run
-/// every shard (sketch merges are associative and byte-stable, so the
-/// result is bit-identical to the single-process run). Strict, unlike
-/// checkpoint resume: an unreadable or mismatched-fingerprint file, an
-/// overlapping or missing shard, or a merged request count that does not
-/// reach the target is an error, never a silent restart.
+/// every shard (shards merge in shard-index order, and sketch merges are
+/// associative and byte-stable, so the result is bit-identical to the
+/// single-process run). The spec's process_index/process_count are
+/// ignored: the merge always owns every shard. Strict, unlike
+/// checkpoint resume: an unreadable, retired-format (text v1, binary v2),
+/// or mismatched-fingerprint file, an overlapping or missing shard, or a
+/// merged request count that does not reach the target is an error, never
+/// a silent restart. Works in both latency modes: exact blocks concatenate
+/// their latency pages in shard order, sketch blocks merge.
 StatusOr<ServingStats> merge_replay_checkpoints(
     const ServiceModel& service, const ServeSpec& spec,
     const std::vector<std::string>& checkpoint_paths);

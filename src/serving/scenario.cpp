@@ -2,59 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
+#include "serving/spec_grammar.hpp"
 #include "serving/stream.hpp"
 
 namespace fcad::serving {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
-
-/// Shortest decimal form that parses back to exactly `v` ("inf" for
-/// infinity) — keeps canonical scenario strings human-typable while staying
-/// byte-stable for fingerprinting.
-std::string format_number(double v) {
-  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  if (std::strtod(buf, nullptr) == v) return buf;
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-StatusOr<double> parse_number(const std::string& text) {
-  if (text == "inf") return std::numeric_limits<double>::infinity();
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    return Status::invalid_argument("scenario: bad number '" + text + "'");
-  }
-  return v;
-}
-
-std::string trim(const std::string& text) {
-  std::size_t lo = text.find_first_not_of(" \t");
-  if (lo == std::string::npos) return "";
-  std::size_t hi = text.find_last_not_of(" \t");
-  return text.substr(lo, hi - lo + 1);
-}
-
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(sep, start);
-    if (pos == std::string::npos) {
-      parts.push_back(trim(text.substr(start)));
-      return parts;
-    }
-    parts.push_back(trim(text.substr(start, pos - start)));
-    start = pos + 1;
-  }
-}
 
 }  // namespace
 
@@ -64,28 +20,33 @@ int ScenarioSpec::extra_users() const {
   return total;
 }
 
+// Every range check below is written so that NaN fails it: a NaN compares
+// false both ways, so `!(x >= lo)` rejects it where `x < lo` would not.
 Status validate_scenario(const ScenarioSpec& spec) {
+  if (!std::isfinite(spec.diurnal.period_s)) {
+    return Status::invalid_argument("scenario: diurnal period must be finite");
+  }
   if (spec.diurnal.period_s > 0) {
-    if (spec.diurnal.amplitude < 0 || spec.diurnal.amplitude >= 1) {
+    if (!(spec.diurnal.amplitude >= 0 && spec.diurnal.amplitude < 1)) {
       return Status::invalid_argument(
-          "scenario: diurnal amplitude must be in [0, 1)");
+          "scenario: diurnal amp must be in [0, 1)");
     }
-    if (spec.diurnal.phase < 0 || spec.diurnal.phase >= 1) {
+    if (!(spec.diurnal.phase >= 0 && spec.diurnal.phase < 1)) {
       return Status::invalid_argument(
           "scenario: diurnal phase must be in [0, 1)");
     }
   }
   for (const auto& f : spec.flash) {
-    if (f.start_s < 0 || f.end_s <= f.start_s) {
+    if (!(f.start_s >= 0 && f.end_s > f.start_s)) {
       return Status::invalid_argument(
           "scenario: flash window needs end > start >= 0");
     }
     if (!std::isfinite(f.end_s)) {
       return Status::invalid_argument("scenario: flash end must be finite");
     }
-    if (f.rate_multiplier <= 0) {
+    if (!(f.rate_multiplier > 0) || !std::isfinite(f.rate_multiplier)) {
       return Status::invalid_argument(
-          "scenario: flash rate multiplier must be > 0");
+          "scenario: flash rate must be finite and > 0");
     }
     if (f.extra_users < 0) {
       return Status::invalid_argument("scenario: flash users must be >= 0");
@@ -99,7 +60,7 @@ Status validate_scenario(const ScenarioSpec& spec) {
     if (c.user < 0) {
       return Status::invalid_argument("scenario: churn user must be >= 0");
     }
-    if (c.join_s < 0 || c.leave_s <= c.join_s) {
+    if (!(c.join_s >= 0 && c.leave_s > c.join_s)) {
       return Status::invalid_argument(
           "scenario: churn needs leave > join >= 0");
     }
@@ -111,7 +72,7 @@ Status validate_scenario(const ScenarioSpec& spec) {
     }
     // Rejecting non-recovering faults up front guarantees a shard can
     // never lose its whole instance slice forever and stall the replay.
-    if (fault.fail_s < 0 || fault.recover_s <= fault.fail_s ||
+    if (!(fault.fail_s >= 0 && fault.recover_s > fault.fail_s) ||
         !std::isfinite(fault.recover_s)) {
       return Status::invalid_argument(
           "scenario: fault needs finite recover > fail >= 0");
@@ -144,110 +105,79 @@ std::string scenario_to_string(const ScenarioSpec& spec) {
     first = false;
   };
   if (spec.diurnal.period_s > 0) {
-    clause("diurnal:period=" + format_number(spec.diurnal.period_s) +
-           ",amp=" + format_number(spec.diurnal.amplitude) +
-           ",phase=" + format_number(spec.diurnal.phase));
+    clause("diurnal:period=" + format_spec_number(spec.diurnal.period_s) +
+           ",amp=" + format_spec_number(spec.diurnal.amplitude) +
+           ",phase=" + format_spec_number(spec.diurnal.phase));
   }
   for (const auto& f : spec.flash) {
-    clause("flash:start=" + format_number(f.start_s) +
-           ",end=" + format_number(f.end_s) +
-           ",rate=" + format_number(f.rate_multiplier) +
+    clause("flash:start=" + format_spec_number(f.start_s) +
+           ",end=" + format_spec_number(f.end_s) +
+           ",rate=" + format_spec_number(f.rate_multiplier) +
            ",users=" + std::to_string(f.extra_users));
   }
   for (const auto& c : spec.churn) {
     clause("churn:user=" + std::to_string(c.user) +
-           ",join=" + format_number(c.join_s) +
-           ",leave=" + format_number(c.leave_s));
+           ",join=" + format_spec_number(c.join_s) +
+           ",leave=" + format_spec_number(c.leave_s));
   }
   for (const auto& fault : spec.faults) {
     clause("fault:instance=" + std::to_string(fault.instance) +
-           ",fail=" + format_number(fault.fail_s) +
-           ",recover=" + format_number(fault.recover_s));
+           ",fail=" + format_spec_number(fault.fail_s) +
+           ",recover=" + format_spec_number(fault.recover_s));
   }
   if (first) return "none";
   return out.str();
 }
 
 StatusOr<ScenarioSpec> scenario_from_string(const std::string& text) {
+  auto clauses = parse_spec_clauses("scenario", text);
+  if (!clauses.is_ok()) return clauses.status();
   ScenarioSpec spec;
-  const std::string trimmed = trim(text);
-  if (trimmed.empty() || trimmed == "none") return spec;
-  for (const std::string& clause : split(trimmed, ';')) {
-    if (clause.empty()) continue;
-    const std::size_t colon = clause.find(':');
-    if (colon == std::string::npos) {
-      return Status::invalid_argument(
-          "scenario: clause '" + clause + "' is missing ':'");
-    }
-    const std::string kind = trim(clause.substr(0, colon));
-    // Collect key=value pairs first, then map them onto the clause kind.
-    std::vector<std::pair<std::string, double>> kv;
-    for (const std::string& pair : split(clause.substr(colon + 1), ',')) {
-      const std::size_t eq = pair.find('=');
-      if (eq == std::string::npos) {
-        return Status::invalid_argument(
-            "scenario: expected key=value, got '" + pair + "'");
-      }
-      auto value = parse_number(trim(pair.substr(eq + 1)));
-      if (!value.is_ok()) return value.status();
-      kv.emplace_back(trim(pair.substr(0, eq)), value.value());
-    }
-    auto take = [&](const std::string& key, double* out) -> bool {
-      for (auto it = kv.begin(); it != kv.end(); ++it) {
-        if (it->first == key) {
-          *out = it->second;
-          kv.erase(it);
-          return true;
-        }
-      }
-      return false;
-    };
-    if (kind == "diurnal") {
+  for (SpecClause& clause : *clauses) {
+    if (clause.kind == "diurnal") {
       DiurnalSpec d;
-      if (!take("period", &d.period_s)) {
-        return Status::invalid_argument("scenario: diurnal needs period=");
+      if (!clause.take("period", &d.period_s)) {
+        return clause.error("diurnal needs period=");
       }
-      take("amp", &d.amplitude);
-      take("phase", &d.phase);
+      // A non-positive period is how a spec says "no diurnal shape"; a
+      // clause that asks for one must not silently vanish.
+      if (!(d.period_s > 0)) {
+        return clause.error("diurnal period must be > 0");
+      }
+      clause.take("amp", &d.amplitude);
+      clause.take("phase", &d.phase);
       spec.diurnal = d;
-    } else if (kind == "flash") {
+    } else if (clause.kind == "flash") {
       FlashCrowdSpec f;
-      double users = 0;
-      if (!take("start", &f.start_s) || !take("end", &f.end_s)) {
-        return Status::invalid_argument("scenario: flash needs start=,end=");
+      if (!clause.take("start", &f.start_s) || !clause.take("end", &f.end_s)) {
+        return clause.error("flash needs start=,end=");
       }
-      take("rate", &f.rate_multiplier);
-      if (take("users", &users)) f.extra_users = static_cast<int>(users);
+      clause.take("rate", &f.rate_multiplier);
+      if (auto s = clause.take_int("users", &f.extra_users); !s.is_ok()) {
+        return s.status();
+      }
       spec.flash.push_back(f);
-    } else if (kind == "churn") {
+    } else if (clause.kind == "churn") {
       ChurnEvent c;
-      double user = 0;
-      if (!take("user", &user)) {
-        return Status::invalid_argument("scenario: churn needs user=");
-      }
-      c.user = static_cast<int>(user);
-      take("join", &c.join_s);
-      take("leave", &c.leave_s);
+      auto user = clause.take_int("user", &c.user);
+      if (!user.is_ok()) return user.status();
+      if (!*user) return clause.error("churn needs user=");
+      clause.take("join", &c.join_s);
+      clause.take("leave", &c.leave_s);
       spec.churn.push_back(c);
-    } else if (kind == "fault") {
+    } else if (clause.kind == "fault") {
       InstanceFault fault;
-      double instance = 0;
-      if (!take("instance", &instance) || !take("fail", &fault.fail_s) ||
-          !take("recover", &fault.recover_s)) {
-        return Status::invalid_argument(
-            "scenario: fault needs instance=,fail=,recover=");
+      auto instance = clause.take_int("instance", &fault.instance);
+      if (!instance.is_ok()) return instance.status();
+      if (!*instance || !clause.take("fail", &fault.fail_s) ||
+          !clause.take("recover", &fault.recover_s)) {
+        return clause.error("fault needs instance=,fail=,recover=");
       }
-      fault.instance = static_cast<int>(instance);
       spec.faults.push_back(fault);
     } else {
-      return Status::invalid_argument(
-          "scenario: unknown clause kind '" + kind + "'");
+      return clause.error("unknown clause kind '" + clause.kind + "'");
     }
-    if (!kv.empty()) {
-      return Status::invalid_argument("scenario: unknown key '" +
-                                      kv.front().first + "' in clause '" +
-                                      kind + "'");
-    }
+    if (Status s = clause.finish(); !s.is_ok()) return s;
   }
   if (Status s = validate_scenario(spec); !s.is_ok()) return s;
   return spec;

@@ -78,12 +78,13 @@ struct ScenarioSpec {
   int extra_users() const;
 };
 
-/// Validates ranges: diurnal amplitude in [0,1) and phase in [0,1); flash
-/// windows need end > start >= 0, rate_multiplier > 0, extra_users >= 0,
-/// and at least one effect; churn needs user >= 0 and leave > join >= 0;
-/// faults need instance >= 0 and a finite recover_s > fail_s >= 0 (a fault
-/// that never recovers could silence a shard's whole instance slice and
-/// stall the replay, so it is rejected up front).
+/// Validates ranges: a finite diurnal period, and when it is > 0 amplitude
+/// in [0,1) and phase in [0,1); flash windows need a finite end > start >=
+/// 0, a finite rate_multiplier > 0, extra_users >= 0, and at least one
+/// effect; churn needs user >= 0 and leave > join >= 0; faults need
+/// instance >= 0 and a finite recover_s > fail_s >= 0 (a fault that never
+/// recovers could silence a shard's whole instance slice and stall the
+/// replay, so it is rejected up front). NaN fails every check.
 Status validate_scenario(const ScenarioSpec& spec);
 
 /// Instantaneous rate multiplier at virtual time `t_us` for a base user:
@@ -100,7 +101,10 @@ double scenario_rate_multiplier(const ScenarioSpec& spec, double t_us);
 std::string scenario_to_string(const ScenarioSpec& spec);
 
 /// Parses the scenario_to_string grammar ("none"/"" -> empty spec) and
-/// validates the result.
+/// validates the result. Stricter than validate_scenario about what a
+/// clause asks for: NaN values, a diurnal period <= 0 (which would drop the
+/// clause), and non-integral user/instance counts are rejected, each error
+/// naming its field.
 StatusOr<ScenarioSpec> scenario_from_string(const std::string& text);
 
 /// Generates `options` shaped by `spec`. With a trivial spec this defers to

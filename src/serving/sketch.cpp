@@ -9,50 +9,13 @@
 #include <ostream>
 #include <sstream>
 
+#include "serving/binary_io.hpp"
 #include "util/hash.hpp"
 
 namespace fcad::serving {
 namespace {
 
 constexpr std::uint32_t kSketchMagic = 0x46534b31;  // "FSK1"
-
-void put_u32(std::ostream& os, std::uint32_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  os.write(buf, sizeof v);
-}
-
-void put_u64(std::ostream& os, std::uint64_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  os.write(buf, sizeof v);
-}
-
-void put_i64(std::ostream& os, std::int64_t v) {
-  put_u64(os, static_cast<std::uint64_t>(v));
-}
-
-void put_f64(std::ostream& os, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(os, bits);
-}
-
-template <typename T>
-bool get_raw(std::istream& in, T& v) {
-  char buf[sizeof v];
-  in.read(buf, sizeof v);
-  if (in.gcount() != sizeof v) return false;
-  std::memcpy(&v, buf, sizeof v);
-  return true;
-}
-
-bool get_f64(std::istream& in, double& v) {
-  std::uint64_t bits = 0;
-  if (!get_raw(in, bits)) return false;
-  std::memcpy(&v, &bits, sizeof v);
-  return true;
-}
 
 }  // namespace
 
@@ -230,7 +193,7 @@ bool QuantileSketch::read_binary(std::istream& in, QuantileSketch& out) {
   if (!get_raw(in, magic) || magic != kSketchMagic) return false;
   std::uint64_t seed = 0;
   double alpha = 0;
-  if (!get_raw(in, seed) || !get_f64(in, alpha)) return false;
+  if (!get_raw(in, seed) || !get_raw(in, alpha)) return false;
   if (!(alpha > 0 && alpha < 1)) return false;
   QuantileSketch sketch(seed, alpha);
   std::uint32_t lo = 0;
@@ -239,7 +202,7 @@ bool QuantileSketch::read_binary(std::istream& in, QuantileSketch& out) {
   std::uint64_t sum_hi = 0;
   if (!get_raw(in, sketch.count_) || !get_raw(in, sketch.zero_count_) ||
       !get_raw(in, sum_lo) || !get_raw(in, sum_hi) ||
-      !get_f64(in, sketch.min_) || !get_f64(in, sketch.max_) ||
+      !get_raw(in, sketch.min_) || !get_raw(in, sketch.max_) ||
       !get_raw(in, sketch.compactions_) || !get_raw(in, lo) ||
       !get_raw(in, n)) {
     return false;

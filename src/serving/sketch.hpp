@@ -99,8 +99,8 @@ class QuantileSketch {
 
   /// Canonical little-endian binary encoding — byte-stable, so two sketches
   /// over the same value multiset (whatever the add/merge order) serialize
-  /// identically as long as no compaction fired. Used by the v2 binary
-  /// checkpoint format.
+  /// identically as long as no compaction fired. Used by the sketch-mode
+  /// shard blocks of the fleet checkpoint format.
   void write_binary(std::ostream& os) const;
   /// Reads the encoding back; false on a torn or malformed block (the
   /// checkpoint loader then rejects the file wholesale).

@@ -287,8 +287,6 @@ Status truncated(const std::string& what) {
                                   " list");
 }
 
-}  // namespace
-
 void write_instance_line(std::ostream& os, const InstanceStats& inst) {
   os << "instance " << inst.instance << " " << inst.batches << " "
      << inst.requests << " " << inst.branch_switches << " "
@@ -318,6 +316,8 @@ bool parse_record_line(const std::string& line, RequestRecord& rec) {
       rec.arrival_us >> rec.start_us >> rec.finish_us;
   return key == "record" && !fields.fail();
 }
+
+}  // namespace
 
 void serving_stats_to_text(std::ostream& os, const ServingStats& stats) {
   os << "serving_stats\n";

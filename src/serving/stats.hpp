@@ -173,13 +173,4 @@ void serving_stats_to_text(std::ostream& os, const ServingStats& stats);
 StatusOr<ServingStats> serving_stats_from_text(std::istream& in,
                                                bool header_consumed = false);
 
-/// Single-line (de)serializers for the per-instance and per-request rows,
-/// shared by the stats block above and the fleet checkpoint format so the
-/// two can never diverge per-row. Writers emit the terminating newline;
-/// parsers reject a malformed or short line.
-void write_instance_line(std::ostream& os, const InstanceStats& inst);
-bool parse_instance_line(const std::string& line, InstanceStats& inst);
-void write_record_line(std::ostream& os, const RequestRecord& rec);
-bool parse_record_line(const std::string& line, RequestRecord& rec);
-
 }  // namespace fcad::serving

@@ -64,6 +64,13 @@ bool ThreadPool::in_parallel_region() { return t_parallel_depth > 0; }
 int ThreadPool::current_worker() { return t_worker_index; }
 
 void ThreadPool::run_batch(Batch& batch) {
+  // Claim an index before touching anything the caller owns. A ticket
+  // picked up after the caller drained the batch itself is stale: the
+  // caller may already have returned and destroyed the ambient tracer. A
+  // worker holding an unfinished index keeps the caller waiting, so the
+  // tracer outlives every use below.
+  std::int64_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
+  if (i >= batch.n) return;
   ++t_parallel_depth;
   // Resolved once per batch: a disabled tracer costs one atomic load here
   // and nothing per index.
@@ -75,9 +82,8 @@ void ThreadPool::run_batch(Batch& batch) {
                           ? "caller"
                           : "worker " + std::to_string(t_worker_index));
   }
-  for (;;) {
-    const std::int64_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= batch.n) break;
+  for (; i < batch.n;
+       i = batch.next.fetch_add(1, std::memory_order_relaxed)) {
     std::exception_ptr error;
     const double span_start_us =
         tracer != nullptr ? tracer->wall_now_us() : 0;

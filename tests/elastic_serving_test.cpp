@@ -6,8 +6,10 @@
 // elastic_serving_test because tests/elastic_test.cpp covers src/arch.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -130,6 +132,67 @@ TEST(ElasticSpecTest, StringRoundTripIsStable) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(elastic_from_string("stretch:by=2").status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(ElasticSpecTest, NonFiniteAndVanishingClausesAreRejected) {
+  // Each text asks for a policy the parser cannot honour; it must error and
+  // name the offending field, never parse to a spec without that policy.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"reshard:frac=nan,cells=4", "frac"},
+      {"reshard:frac=inf,cells=4", "frac"},
+      {"reshard:frac=0,cells=4", "frac"},
+      {"reshard:frac=-1", "frac"},
+      {"reshard:frac=0.5,window=nan", "window"},
+      {"reshard:frac=0.5,window=2.5", "window"},
+      {"reshard:frac=0.5,cooldown_us=nan", "cooldown_us"},
+      {"reshard:frac=0.5,cells=inf", "cells"},
+      {"scale:max=nan", "max"},
+      {"scale:max=0", "max"},
+      {"scale:max=1e12", "max"},
+      {"scale:max=8,high=nan", "high"},
+      {"scale:max=8,low=nan", "low"},
+      {"scale:max=8,window_us=nan", "window_us"},
+      {"scale:max=8,window_us=inf", "window_us"},
+      {"scale:max=8,cooldown_us=nan", "cooldown_us"},
+      {"scale:max=8,min=nan", "min"},
+  };
+  for (const auto& [text, field] : bad) {
+    auto parsed = elastic_from_string(text);
+    ASSERT_FALSE(parsed.is_ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(parsed.status().message().find(field), std::string::npos)
+        << text << " -> " << parsed.status().message();
+  }
+
+  // The struct-level validator is NaN-safe too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ElasticSpec reshard;
+  reshard.reshard.p99_fraction = nan;
+  EXPECT_EQ(validate_elastic(reshard).code(), StatusCode::kInvalidArgument);
+  ElasticSpec watermark = scale_policy();
+  watermark.autoscale.low_watermark = nan;
+  EXPECT_EQ(validate_elastic(watermark).code(),
+            StatusCode::kInvalidArgument);
+  ElasticSpec cooldown = scale_policy();
+  cooldown.autoscale.cooldown_us = nan;
+  EXPECT_EQ(validate_elastic(cooldown).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ElasticSpecTest, ReparsingTheCanonicalFormIsIdempotent) {
+  // parse(to_string(parse(s))) == parse(s) for every valid spec.
+  for (const std::string text :
+       {"none", "scale:max=12,high=0.5,low=0.1,window_us=200000,"
+                "cooldown_us=200000",
+        "scale:max=16,high=0.6,low=0.2,window_us=500000,cooldown_us=500000",
+        "scale:max=16,high=0.6,low=0.2;reshard:frac=0.6,cells=4",
+        "reshard:frac=0.25,window=64", "scale:max=4,min=2",
+        "scale:max=8,high=0.7,low=0.30000000000000004"}) {
+    auto parsed = elastic_from_string(text);
+    ASSERT_TRUE(parsed.is_ok()) << text << ": " << parsed.status().message();
+    auto reparsed = elastic_from_string(elastic_to_string(*parsed));
+    ASSERT_TRUE(reparsed.is_ok()) << text;
+    EXPECT_TRUE(*reparsed == *parsed) << text;
+  }
 }
 
 TEST(ElasticSpecTest, RollingP99WindowTracksExactNearestRank) {
@@ -305,7 +368,7 @@ TEST(ElasticFleetTest, ReshardSplitsCellsUnderTailDrift) {
 
 TEST(ElasticFleetTest, ElasticRunsRoundTripThroughCheckpointText)
 {
-  // The elastic counters ride the checkpoint/artifact text format.
+  // The elastic counters ride the artifact stats text format.
   const ServiceModel service = toy_service();
   const std::vector<Request> trace = flash_trace();
   ServeSpec spec = flash_spec();

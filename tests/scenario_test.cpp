@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "serving/scenario.hpp"
@@ -203,6 +206,59 @@ TEST(ScenarioTest, ValidationRejectsMalformedSpecs) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(scenario_from_string("tide:high=1").status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(ScenarioTest, NonFiniteAndOutOfRangeFieldsAreRejected) {
+  // Each text asks for a shape the parser cannot honour; it must error and
+  // name the offending field, never drop the clause silently.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"diurnal:period=nan,amp=0.4", "period"},
+      {"diurnal:period=inf,amp=0.4", "period"},
+      {"diurnal:period=0,amp=0.4", "period"},
+      {"diurnal:period=-5,amp=0.4", "period"},
+      {"diurnal:period=10,amp=nan", "amp"},
+      {"diurnal:period=10,amp=0.4,phase=nan", "phase"},
+      {"flash:start=nan,end=2,rate=2", "start"},
+      {"flash:start=0,end=nan,rate=2", "end"},
+      {"flash:start=0,end=inf,rate=2", "end"},
+      {"flash:start=0,end=2,rate=nan", "rate"},
+      {"flash:start=0,end=2,rate=inf", "rate"},
+      {"flash:start=0,end=2,users=nan", "users"},
+      {"flash:start=0,end=2,users=1.5", "users"},
+      {"flash:start=0,end=2,users=1e12", "users"},
+      {"churn:user=nan,join=0,leave=1", "user"},
+      {"churn:user=1,join=nan,leave=1", "join"},
+      {"churn:user=1,join=0,leave=nan", "leave"},
+      {"fault:instance=nan,fail=0,recover=1", "instance"},
+      {"fault:instance=0,fail=nan,recover=1", "fail"},
+      {"fault:instance=0,fail=0,recover=nan", "recover"},
+      {"fault:instance=0,fail=0,recover=inf", "recover"},
+  };
+  for (const auto& [text, field] : bad) {
+    auto parsed = scenario_from_string(text);
+    ASSERT_FALSE(parsed.is_ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(parsed.status().message().find(field), std::string::npos)
+        << text << " -> " << parsed.status().message();
+  }
+
+  // The struct-level validator is NaN-safe too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ScenarioSpec diurnal;
+  diurnal.diurnal.period_s = nan;
+  EXPECT_EQ(validate_scenario(diurnal).code(), StatusCode::kInvalidArgument);
+  ScenarioSpec flash;
+  flash.flash.push_back({0, 1, nan, 0});
+  EXPECT_EQ(validate_scenario(flash).code(), StatusCode::kInvalidArgument);
+  ScenarioSpec churn;
+  churn.churn.push_back({0, nan, 1});
+  EXPECT_EQ(validate_scenario(churn).code(), StatusCode::kInvalidArgument);
+  ScenarioSpec fault;
+  fault.faults.push_back({0, nan, 1});
+  EXPECT_EQ(validate_scenario(fault).code(), StatusCode::kInvalidArgument);
+
+  // The canonical default churn leave is +inf, which stays legal.
+  EXPECT_TRUE(scenario_from_string("churn:user=1,join=0,leave=inf").is_ok());
 }
 
 TEST(ScenarioTest, TraceArrivalsCannotBeShaped) {

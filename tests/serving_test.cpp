@@ -862,6 +862,14 @@ std::string checkpoint_path(const std::string& name) {
   return path.string();
 }
 
+/// Every serialized stats field, records included (resumed_shards is not
+/// serialized).
+std::string stats_text(const ServingStats& stats) {
+  std::ostringstream os;
+  serving_stats_to_text(os, stats);
+  return os.str();
+}
+
 }  // namespace
 
 TEST(FleetTest, CheckpointResumeMatchesUncancelledRun) {
@@ -931,46 +939,68 @@ TEST(FleetTest, StaleOrTornCheckpointIsIgnored) {
   auto workload = generate_workload(wl);
   ASSERT_TRUE(workload.is_ok());
   const ServiceModel service = make_service({{2, 3000.0}, {4, 5000.0}});
-  FleetOptions options;
-  options.instances = 2;
-  options.shards = 2;
-  options.checkpoint_path = checkpoint_path("stale");
+  for (LatencyMode mode : {LatencyMode::kExact, LatencyMode::kSketch}) {
+    SCOPED_TRACE(to_string(mode));
+    FleetOptions options;
+    options.instances = 2;
+    options.shards = 2;
+    options.latency_mode = mode;
+    // Exact shards carry their per-request records through the checkpoint.
+    options.keep_records = mode == LatencyMode::kExact;
+    options.checkpoint_path = checkpoint_path("stale");
 
-  // Garbage on disk: the replay restarts cleanly instead of misapplying it.
-  {
-    std::ofstream out(options.checkpoint_path);
-    out << "not a checkpoint\n";
+    // Garbage on disk: the replay restarts cleanly instead of misapplying
+    // it.
+    {
+      std::ofstream out(options.checkpoint_path);
+      out << "not a checkpoint\n";
+    }
+    auto garbage = run_fleet(service, *workload, options);
+    ASSERT_TRUE(garbage.is_ok());
+    EXPECT_EQ(garbage->resumed_shards, 0);
+
+    // That run rewrote a complete matching checkpoint: a rerun resumes it,
+    // records included...
+    auto full = run_fleet(service, *workload, options);
+    ASSERT_TRUE(full.is_ok());
+    EXPECT_EQ(full->resumed_shards, 2);
+    EXPECT_EQ(stats_text(*full), stats_text(*garbage));
+
+    // ...but a *different* replay (other switch penalty) must not — the
+    // fingerprint catches the mismatch.
+    FleetOptions other = options;
+    other.switch_penalty_us = 123;
+    auto mismatched = run_fleet(service, *workload, other);
+    ASSERT_TRUE(mismatched.is_ok());
+    EXPECT_EQ(mismatched->resumed_shards, 0);
+
+    // Truncating a matching checkpoint also restarts instead of loading a
+    // torn file (the original run rewrites it first, since the mismatched
+    // run above replaced it with its own).
+    ASSERT_TRUE(run_fleet(service, *workload, options).is_ok());
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(options.checkpoint_path, ec);
+    ASSERT_FALSE(ec);
+    std::filesystem::resize_file(options.checkpoint_path, size / 2, ec);
+    ASSERT_FALSE(ec);
+    auto torn = run_fleet(service, *workload, options);
+    ASSERT_TRUE(torn.is_ok());
+    EXPECT_EQ(torn->resumed_shards, 0);
+    EXPECT_EQ(serving_csv_row({}, *torn), serving_csv_row({}, *full));
+
+    // Retired formats (text v1, binary v2) are ignored on resume.
+    for (const char* header : {"fcad-fleet-checkpoint v1\n", "FCADFLT2"}) {
+      {
+        std::ofstream out(options.checkpoint_path,
+                          std::ios::binary | std::ios::trunc);
+        out << header << "fingerprint 0\nshards 2\nend\n";
+      }
+      auto retired = run_fleet(service, *workload, options);
+      ASSERT_TRUE(retired.is_ok());
+      EXPECT_EQ(retired->resumed_shards, 0) << header;
+      EXPECT_EQ(serving_csv_row({}, *retired), serving_csv_row({}, *full));
+    }
   }
-  auto garbage = run_fleet(service, *workload, options);
-  ASSERT_TRUE(garbage.is_ok());
-  EXPECT_EQ(garbage->resumed_shards, 0);
-
-  // That run rewrote a complete matching checkpoint: a rerun resumes it...
-  auto full = run_fleet(service, *workload, options);
-  ASSERT_TRUE(full.is_ok());
-  EXPECT_EQ(full->resumed_shards, 2);
-
-  // ...but a *different* replay (other switch penalty) must not — the
-  // fingerprint catches the mismatch.
-  FleetOptions other = options;
-  other.switch_penalty_us = 123;
-  auto mismatched = run_fleet(service, *workload, other);
-  ASSERT_TRUE(mismatched.is_ok());
-  EXPECT_EQ(mismatched->resumed_shards, 0);
-
-  // Truncating a matching checkpoint also restarts instead of loading a
-  // torn file (the original run rewrites it first, since the mismatched run
-  // above replaced it with its own).
-  ASSERT_TRUE(run_fleet(service, *workload, options).is_ok());
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(options.checkpoint_path, ec);
-  ASSERT_FALSE(ec);
-  std::filesystem::resize_file(options.checkpoint_path, size / 2, ec);
-  ASSERT_FALSE(ec);
-  auto torn = run_fleet(service, *workload, options);
-  ASSERT_TRUE(torn.is_ok());
-  EXPECT_EQ(torn->resumed_shards, 0);
-  EXPECT_EQ(serving_csv_row({}, *torn), serving_csv_row({}, *full));
 }
 
 TEST(FleetTest, SlaViolationsAreCounted) {

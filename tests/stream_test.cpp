@@ -1,8 +1,9 @@
 // Streaming-replay suite (serving step 9): the lazy workload stream must
 // reproduce the materialized generators draw for draw, the streaming fleet
 // replay must match the materialized one bit for bit (and stay bounded in
-// sketch mode), and the binary v2 checkpoint + multi-process merge must be
-// strict about torn, stale, overlapping, or missing inputs.
+// sketch mode), and the checkpoint + multi-process merge must be strict
+// about torn, stale, retired-format, overlapping, or missing inputs in both
+// latency modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -206,149 +207,204 @@ TEST(StreamTest, SketchReplayTracksExactReplayWithinBound) {
 }
 
 TEST(StreamTest, ProcessShardedCheckpointsMergeToSingleProcessResult) {
+  // One checkpoint format carries either latency mode: exact blocks hold the
+  // raw latency/wait pages and records, sketch blocks the two sketches.
   const ServiceModel service = test_service();
-  ScratchFile p0("merge_p0.ckpt");
-  ScratchFile p1("merge_p1.ckpt");
-  ServeSpec spec;
-  spec.workload = stream_workload(30000, 13);
-  spec.fleet.instances = 4;
-  spec.fleet.shards = 4;
-  spec.fleet.latency_mode = LatencyMode::kSketch;
+  for (LatencyMode mode : {LatencyMode::kExact, LatencyMode::kSketch}) {
+    SCOPED_TRACE(to_string(mode));
+    ScratchFile p0("merge_p0.ckpt");
+    ScratchFile p1("merge_p1.ckpt");
+    ServeSpec spec;
+    spec.workload = stream_workload(30000, 13);
+    spec.fleet.instances = 4;
+    spec.fleet.shards = 4;
+    spec.fleet.latency_mode = mode;
+    spec.fleet.keep_records = mode == LatencyMode::kExact;
 
-  ServeSpec single = spec;
-  auto want = simulate_fleet_stream(service, single);
-  ASSERT_TRUE(want.is_ok());
+    ServeSpec single = spec;
+    auto want = simulate_fleet_stream(service, single);
+    ASSERT_TRUE(want.is_ok());
 
-  spec.fleet.process_count = 2;
-  spec.fleet.process_index = 0;
-  spec.fleet.checkpoint_path = p0.path();
-  auto part0 = simulate_fleet_stream(service, spec);
-  ASSERT_TRUE(part0.is_ok());
-  spec.fleet.process_index = 1;
-  spec.fleet.checkpoint_path = p1.path();
-  auto part1 = simulate_fleet_stream(service, spec);
-  ASSERT_TRUE(part1.is_ok());
-  // Each process reports only its owned shards.
-  EXPECT_EQ(part0->offered + part1->offered, want->offered);
+    spec.fleet.process_count = 2;
+    spec.fleet.process_index = 0;
+    spec.fleet.checkpoint_path = p0.path();
+    auto part0 = simulate_fleet_stream(service, spec);
+    ASSERT_TRUE(part0.is_ok());
+    spec.fleet.process_index = 1;
+    spec.fleet.checkpoint_path = p1.path();
+    auto part1 = simulate_fleet_stream(service, spec);
+    ASSERT_TRUE(part1.is_ok());
+    // Each process reports only its owned shards.
+    EXPECT_EQ(part0->offered + part1->offered, want->offered);
 
-  ServeSpec merge_spec = single;
-  auto merged =
-      merge_replay_checkpoints(service, merge_spec, {p0.path(), p1.path()});
-  ASSERT_TRUE(merged.is_ok());
-  ServingStats expect = *want;
-  expect.resumed_shards = merged->resumed_shards;  // provenance, not results
-  EXPECT_EQ(stats_text(*merged), stats_text(expect));
+    ServeSpec merge_spec = single;
+    auto merged =
+        merge_replay_checkpoints(service, merge_spec, {p0.path(), p1.path()});
+    ASSERT_TRUE(merged.is_ok());
+    ServingStats expect = *want;
+    expect.resumed_shards = merged->resumed_shards;  // provenance, not results
+    EXPECT_EQ(stats_text(*merged), stats_text(expect));
 
-  // Merge order must not matter (sketch merges are associative).
-  auto merged_rev =
-      merge_replay_checkpoints(service, merge_spec, {p1.path(), p0.path()});
-  ASSERT_TRUE(merged_rev.is_ok());
-  EXPECT_EQ(stats_text(*merged_rev), stats_text(*merged));
+    // Merge order must not matter: shards land in their own slots, and
+    // sketch merges are associative.
+    auto merged_rev =
+        merge_replay_checkpoints(service, merge_spec, {p1.path(), p0.path()});
+    ASSERT_TRUE(merged_rev.is_ok());
+    EXPECT_EQ(stats_text(*merged_rev), stats_text(*merged));
+  }
+}
+
+/// Raw bytes of `path`.
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The checkpoint at `path` re-headed as one of the retired formats: the
+/// text v1 magic line, or the binary v2 magic and version word. Everything
+/// after the header is a genuine current body, so only the header can be
+/// what rejects it.
+std::string retired_format_bytes(const std::string& path, bool text_v1) {
+  const std::string body = file_bytes(path);
+  if (text_v1) return "fcad-fleet-checkpoint v1\n" + body.substr(8);
+  std::string v2 = body;
+  v2.replace(0, 8, "FCADFLT2");
+  v2[8] = 2;  // little-endian u32 version word
+  return v2;
 }
 
 TEST(StreamTest, MergeIsStrictAboutBadInputs) {
   const ServiceModel service = test_service();
-  ScratchFile p0("strict_p0.ckpt");
-  ScratchFile p1("strict_p1.ckpt");
-  ScratchFile torn("strict_torn.ckpt");
-  ServeSpec spec;
-  spec.workload = stream_workload(8000, 17);
-  spec.fleet.instances = 4;
-  spec.fleet.shards = 4;
-  spec.fleet.latency_mode = LatencyMode::kSketch;
+  for (LatencyMode mode : {LatencyMode::kExact, LatencyMode::kSketch}) {
+    SCOPED_TRACE(to_string(mode));
+    ScratchFile p0("strict_p0.ckpt");
+    ScratchFile p1("strict_p1.ckpt");
+    ScratchFile bad("strict_bad.ckpt");
+    ServeSpec spec;
+    spec.workload = stream_workload(8000, 17);
+    spec.fleet.instances = 4;
+    spec.fleet.shards = 4;
+    spec.fleet.latency_mode = mode;
 
-  ServeSpec run = spec;
-  run.fleet.process_count = 2;
-  run.fleet.process_index = 0;
-  run.fleet.checkpoint_path = p0.path();
-  ASSERT_TRUE(simulate_fleet_stream(service, run).is_ok());
-  run.fleet.process_index = 1;
-  run.fleet.checkpoint_path = p1.path();
-  ASSERT_TRUE(simulate_fleet_stream(service, run).is_ok());
+    ServeSpec run = spec;
+    run.fleet.process_count = 2;
+    run.fleet.process_index = 0;
+    run.fleet.checkpoint_path = p0.path();
+    ASSERT_TRUE(simulate_fleet_stream(service, run).is_ok());
+    run.fleet.process_index = 1;
+    run.fleet.checkpoint_path = p1.path();
+    ASSERT_TRUE(simulate_fleet_stream(service, run).is_ok());
+    ASSERT_TRUE(
+        merge_replay_checkpoints(service, spec, {p0.path(), p1.path()})
+            .is_ok());
 
-  // Missing shard range: only half the fleet is covered.
-  auto missing = merge_replay_checkpoints(service, spec, {p0.path()});
-  EXPECT_EQ(missing.status().code(), StatusCode::kInvalidArgument);
-  // Overlap: the same range twice.
-  auto overlap =
-      merge_replay_checkpoints(service, spec, {p0.path(), p0.path()});
-  EXPECT_EQ(overlap.status().code(), StatusCode::kInvalidArgument);
-  // Torn file: a truncated copy must be rejected, never partially applied.
-  {
-    std::ifstream in(p1.path(), std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string bytes = buf.str();
-    std::ofstream out(torn.path(), std::ios::binary);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size() * 2 / 3));
+    // Missing shard range: only half the fleet is covered.
+    auto missing = merge_replay_checkpoints(service, spec, {p0.path()});
+    EXPECT_EQ(missing.status().code(), StatusCode::kInvalidArgument);
+    // Overlap: the same range twice.
+    auto overlap =
+        merge_replay_checkpoints(service, spec, {p0.path(), p0.path()});
+    EXPECT_EQ(overlap.status().code(), StatusCode::kInvalidArgument);
+    // Torn file: a truncated copy must be rejected, never partially applied.
+    const std::string bytes = file_bytes(p1.path());
+    write_bytes(bad.path(), bytes.substr(0, bytes.size() * 2 / 3));
+    auto torn_merge =
+        merge_replay_checkpoints(service, spec, {p0.path(), bad.path()});
+    EXPECT_EQ(torn_merge.status().code(), StatusCode::kInvalidArgument);
+    // Retired formats are caches, not archives: never merged.
+    for (bool text_v1 : {true, false}) {
+      write_bytes(bad.path(), retired_format_bytes(p1.path(), text_v1));
+      auto retired =
+          merge_replay_checkpoints(service, spec, {p0.path(), bad.path()});
+      EXPECT_EQ(retired.status().code(), StatusCode::kInvalidArgument)
+          << (text_v1 ? "text v1" : "binary v2");
+    }
+    // Stale/foreign: a checkpoint from a different seed never merges.
+    ServeSpec other = spec;
+    other.workload.seed = 99;
+    auto stale =
+        merge_replay_checkpoints(service, other, {p0.path(), p1.path()});
+    EXPECT_EQ(stale.status().code(), StatusCode::kInvalidArgument);
   }
-  auto torn_merge =
-      merge_replay_checkpoints(service, spec, {p0.path(), torn.path()});
-  EXPECT_EQ(torn_merge.status().code(), StatusCode::kInvalidArgument);
-  // Stale/foreign: a checkpoint from a different seed never merges.
-  ServeSpec other = spec;
-  other.workload.seed = 99;
-  auto stale =
-      merge_replay_checkpoints(service, other, {p0.path(), p1.path()});
-  EXPECT_EQ(stale.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(StreamTest, BinaryCheckpointResumesAndRejectsTamperedFiles) {
   const ServiceModel service = test_service();
-  ScratchFile ckpt("resume.ckpt");
-  ServeSpec spec;
-  spec.workload = stream_workload(10000, 23);
-  spec.fleet.instances = 4;
-  spec.fleet.shards = 4;
-  spec.fleet.latency_mode = LatencyMode::kSketch;
+  for (LatencyMode mode : {LatencyMode::kExact, LatencyMode::kSketch}) {
+    SCOPED_TRACE(to_string(mode));
+    ScratchFile ckpt("resume.ckpt");
+    ServeSpec spec;
+    spec.workload = stream_workload(10000, 23);
+    spec.fleet.instances = 4;
+    spec.fleet.shards = 4;
+    spec.fleet.latency_mode = mode;
+    // Exact mode keeps the per-request records, so the record pages must
+    // round-trip through the resumed shards too (stats_text includes them).
+    spec.fleet.keep_records = mode == LatencyMode::kExact;
 
-  auto fresh = simulate_fleet_stream(service, spec);
-  ASSERT_TRUE(fresh.is_ok());
+    auto fresh = simulate_fleet_stream(service, spec);
+    ASSERT_TRUE(fresh.is_ok());
+    if (spec.fleet.keep_records) {
+      EXPECT_EQ(static_cast<std::int64_t>(fresh->records.size()),
+                fresh->completed);
+    }
 
-  // A half-fleet process run leaves a resumable binary checkpoint; the full
-  // run resumes those shards and still matches the uninterrupted result.
-  ServeSpec half = spec;
-  half.fleet.process_count = 2;
-  half.fleet.process_index = 0;
-  half.fleet.checkpoint_path = ckpt.path();
-  ASSERT_TRUE(simulate_fleet_stream(service, half).is_ok());
-  ServeSpec resume = spec;
-  resume.fleet.checkpoint_path = ckpt.path();
-  auto resumed = simulate_fleet_stream(service, resume);
-  ASSERT_TRUE(resumed.is_ok());
-  EXPECT_EQ(resumed->resumed_shards, 2);
-  ServingStats want = *fresh;
-  want.resumed_shards = resumed->resumed_shards;
-  EXPECT_EQ(stats_text(*resumed), stats_text(want));
+    // A half-fleet process run leaves a resumable checkpoint; the full run
+    // resumes those shards and still matches the uninterrupted result.
+    ServeSpec half = spec;
+    half.fleet.process_count = 2;
+    half.fleet.process_index = 0;
+    half.fleet.checkpoint_path = ckpt.path();
+    ASSERT_TRUE(simulate_fleet_stream(service, half).is_ok());
+    const std::string half_bytes = file_bytes(ckpt.path());
+    ServeSpec resume = spec;
+    resume.fleet.checkpoint_path = ckpt.path();
+    auto resumed = simulate_fleet_stream(service, resume);
+    ASSERT_TRUE(resumed.is_ok());
+    EXPECT_EQ(resumed->resumed_shards, 2);
+    ServingStats want = *fresh;
+    want.resumed_shards = resumed->resumed_shards;
+    EXPECT_EQ(stats_text(*resumed), stats_text(want));
 
-  // Truncate the file: a torn checkpoint restarts (resumes nothing) and
-  // still converges to the same stats.
-  {
-    std::ifstream in(ckpt.path(), std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string bytes = buf.str();
-    std::ofstream out(ckpt.path(),
-                      std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+    // Truncate the file: a torn checkpoint restarts (resumes nothing) and
+    // still converges to the same stats.
+    const std::string bytes = file_bytes(ckpt.path());
+    write_bytes(ckpt.path(), bytes.substr(0, bytes.size() / 2));
+    auto after_torn = simulate_fleet_stream(service, resume);
+    ASSERT_TRUE(after_torn.is_ok());
+    EXPECT_EQ(after_torn->resumed_shards, 0);
+    want.resumed_shards = 0;
+    EXPECT_EQ(stats_text(*after_torn), stats_text(want));
+
+    // Retired formats are ignored on resume, never misread.
+    for (bool text_v1 : {true, false}) {
+      write_bytes(ckpt.path(), half_bytes);
+      write_bytes(ckpt.path(), retired_format_bytes(ckpt.path(), text_v1));
+      auto retired = simulate_fleet_stream(service, resume);
+      ASSERT_TRUE(retired.is_ok());
+      EXPECT_EQ(retired->resumed_shards, 0)
+          << (text_v1 ? "text v1" : "binary v2");
+      EXPECT_EQ(stats_text(*retired), stats_text(want));
+    }
+
+    // A different replay's checkpoint (stale fingerprint) is ignored, never
+    // misapplied.
+    ServeSpec other = spec;
+    other.workload.seed = 77;
+    other.fleet.checkpoint_path = ckpt.path();
+    ASSERT_TRUE(simulate_fleet_stream(service, other).is_ok());
+    auto mismatched = simulate_fleet_stream(service, resume);
+    ASSERT_TRUE(mismatched.is_ok());
+    EXPECT_EQ(mismatched->resumed_shards, 0);
+    EXPECT_EQ(stats_text(*mismatched), stats_text(want));
   }
-  auto after_torn = simulate_fleet_stream(service, resume);
-  ASSERT_TRUE(after_torn.is_ok());
-  EXPECT_EQ(after_torn->resumed_shards, 0);
-  want.resumed_shards = 0;
-  EXPECT_EQ(stats_text(*after_torn), stats_text(want));
-
-  // A different replay's checkpoint (stale fingerprint) is ignored, never
-  // misapplied.
-  ServeSpec other = spec;
-  other.workload.seed = 77;
-  other.fleet.checkpoint_path = ckpt.path();
-  ASSERT_TRUE(simulate_fleet_stream(service, other).is_ok());
-  auto mismatched = simulate_fleet_stream(service, resume);
-  ASSERT_TRUE(mismatched.is_ok());
-  EXPECT_EQ(mismatched->resumed_shards, 0);
-  EXPECT_EQ(stats_text(*mismatched), stats_text(want));
 }
 
 TEST(StreamTest, UnsortedTraceReplaysIdenticallyToSortedTrace) {
