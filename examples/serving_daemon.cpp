@@ -4,7 +4,8 @@
 // control), in one of three modes:
 //
 //   serving_daemon --replay 10000 --decisions d.csv --json out.json
-//     Virtual-clock trace replay through the daemon's online submit path.
+//     Trace replay through Daemon::run_trace: simulate_fleet's replay plus
+//     the admission gate, so every serving_cli --replay flag applies.
 //     Bit-identical artifacts to `serving_cli --replay` on the same flags —
 //     the replay/live parity contract (CI diffs the decision CSVs).
 //
@@ -20,9 +21,10 @@
 //     prints the session report. --self-drive N runs a built-in client
 //     that fires N requests and shuts the daemon down — the CI smoke path.
 //
-// --admission enables shedding when the rolling p99 over the last
-// --admission-window completions exceeds --admission-headroom x the SLA
-// bound; shed requests are answered "shed <id>" and never enter a batch.
+// --admission enables shedding, in both modes, when the rolling p99 over
+// the last --admission-window completions exceeds --admission-headroom x
+// the SLA bound; shed requests never enter a batch (live clients are
+// answered "shed <id>").
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -58,8 +60,8 @@ void usage() {
   std::printf(
       "usage: serving_daemon [options]\n"
       "modes:\n"
-      "  --replay <n>           replay an n-request trace through the online\n"
-      "                         daemon path under a virtual clock (default)\n"
+      "  --replay <n>           replay an n-request trace through the daemon\n"
+      "                         (simulate_fleet's replay plus admission)\n"
       "  --parity-check         with --replay: also run simulate_fleet and\n"
       "                         compare every decision (exit 1 on mismatch)\n"
       "  --live                 serve an AF_UNIX socket on a steady clock\n"
@@ -344,7 +346,7 @@ int run_replay_mode(const ArgParser& args) {
                                   args.get("trace-out", ""));
   serving::ReplayJob job = flag_value(serving::replay_job_from_args(args));
   job.via_daemon = true;
-  job.admission = args.has("admission");
+  job.daemon = daemon_options_from_args(args);
   job.json_bench = "serving_daemon";
   const serving::ServiceModel service =
       searched_service(job.spec.fleet.threads);

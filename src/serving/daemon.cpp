@@ -9,9 +9,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
-#include <limits>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -24,141 +23,26 @@
 #include "obs/metrics.hpp"
 #include "serving/elastic.hpp"
 #include "serving/engine.hpp"
+#include "util/format.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fcad::serving {
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Rolling-p99 admission gate over elastic.hpp's RollingP99Window (the same
-/// window the reshard trigger uses, so the two drift detectors can never
-/// diverge in percentile semantics). should_shed() is true once the window
-/// is full AND its lazily recomputed p99 exceeds the bound, so steady-state
-/// shedding costs O(1) per request.
-class AdmissionWindow {
- public:
-  AdmissionWindow(bool enabled, int window, double bound_us)
-      : enabled_(enabled && window > 0),
-        bound_us_(bound_us),
-        window_(enabled_ ? window : 1) {}
-
-  void record(double latency_us) {
-    if (enabled_) window_.add(latency_us);
+/// Both entry points' checks on the daemon's own options.
+Status validate_daemon_options(const DaemonOptions& options) {
+  if (options.admission_enabled && options.admission_window < 1) {
+    return Status::invalid_argument(
+        "daemon: admission_window must be >= 1 with admission on, got " +
+        std::to_string(options.admission_window));
   }
-
-  bool should_shed() const {
-    return enabled_ && window_.full() && window_.p99() > bound_us_;
+  if (!(std::isfinite(options.admission_headroom) &&
+        options.admission_headroom > 0)) {
+    return Status::invalid_argument(
+        "daemon: admission_headroom must be finite and > 0, got " +
+        format_exact(options.admission_headroom));
   }
-
- private:
-  bool enabled_;
-  double bound_us_;
-  RollingP99Window window_;
-};
-
-/// One shard of the trace-driven daemon: the same event loop as fleet.cpp's
-/// run_shard, except every due arrival passes through the admission window
-/// before it may enqueue. With admission off the decision stream — and so
-/// every record, latency, and counter — is bit-identical to run_shard's.
-StatusOr<ShardStats> run_daemon_shard(const ServiceModel& service,
-                                      const std::vector<Request>& requests,
-                                      int shard_index,
-                                      const ElasticSpec& elastic,
-                                      const ShardElasticPlan& plan,
-                                      const FleetOptions& options,
-                                      const DaemonOptions& daemon,
-                                      std::int64_t* shed_out,
-                                      const util::RunScope* scope) {
-  const std::unique_ptr<Clock> clock = make_clock(
-      options.clock, requests.empty() ? 0 : requests.front().arrival_us);
-
-  FleetEngineConfig config;
-  config.policy = options.policy;
-  config.batch_timeout_us = options.batch_timeout_us;
-  config.switch_penalty_us = options.switch_penalty_us;
-  config.sla_bound_us = options.sla_bound_us;
-  config.progress_tail_pct = options.progress_tail_pct;
-  config.keep_records = options.keep_records;
-  config.shard_index = shard_index;
-  config.first_instance = plan.first_instance;
-  config.instances = plan.provisioned;
-  config.initial_active = plan.initial_active;
-  config.max_cells =
-      elastic.reshard_enabled() ? elastic.reshard.max_cells : 1;
-  config.expected_requests = static_cast<std::int64_t>(requests.size());
-  FleetEngine engine(service, config, clock.get());
-
-  AdmissionWindow admission(
-      daemon.admission_enabled, daemon.admission_window,
-      daemon.admission_headroom * options.sla_bound_us);
-  engine.set_batch_hook(
-      [&admission](const Batch& batch, int, double, double finish_us) {
-        for (const Request& r : batch.requests) {
-          admission.record(finish_us - r.arrival_us);
-        }
-      });
-
-  std::optional<ElasticController> controller;
-  if (elastic.enabled() || !plan.faults.empty()) {
-    controller.emplace(elastic, plan, options.sla_bound_us);
-    engine.set_controller(&*controller);
-  }
-
-  std::int64_t shed = 0;
-  std::size_t next = 0;
-  while (true) {
-    if (scope != nullptr && scope->should_stop()) {
-      return Status::cancelled("daemon trace cancelled after " +
-                               std::to_string(engine.completed()) +
-                               " completions in shard " +
-                               std::to_string(shard_index));
-    }
-    while (next < requests.size() &&
-           requests[next].arrival_us <= engine.now_us()) {
-      // Grow before dropping: while scale-up headroom remains, admit and
-      // let the autoscaler absorb the drift; shedding engages only once the
-      // provisioned pool is exhausted (or no elastic policy exists).
-      if (admission.should_shed() &&
-          (!controller || !controller->can_scale_up())) {
-        ++shed;
-      } else {
-        engine.enqueue(requests[next]);
-      }
-      ++next;
-    }
-    if (next >= requests.size()) engine.close();
-
-    if (controller) controller->tick(engine, engine.now_us());
-    engine.dispatch_ready();
-
-    double t_us = engine.next_event_us();
-    if (next < requests.size()) {
-      t_us = std::min(t_us, requests[next].arrival_us);
-    }
-    if (controller) {
-      t_us = std::min(t_us, controller->next_event_us(engine.now_us()));
-    }
-    // The controller's evaluation cadence stays finite after the trace is
-    // done, so termination keys on drained, not on running out of events
-    // (the two are equivalent without a controller).
-    if ((next >= requests.size() && engine.drained()) || t_us == kInf) break;
-    // Strict advance only holds for virtual time; a steady clock can
-    // legitimately overtake the event schedule between readings (see the
-    // matching guard in fleet.cpp run_shard).
-    if (options.clock == ClockKind::kVirtual) {
-      FCAD_CHECK_MSG(t_us > engine.now_us(),
-                     "daemon: trace time did not advance");
-    }
-    engine.advance_to(t_us);
-  }
-
-  ShardStats out = engine.take_stats();
-  FCAD_CHECK_MSG(out.completed == out.offered,
-                 "daemon: lost requests in flight");
-  *shed_out = shed;
-  return out;
+  return Status::ok();
 }
 
 /// One parsed unit of receiver -> serving-loop traffic.
@@ -239,84 +123,14 @@ void Daemon::request_shutdown() {
 
 StatusOr<DaemonResult> Daemon::run_trace(const std::vector<Request>& trace,
                                          const util::RunScope* scope) const {
-  auto resolved = resolved_fleet_options(spec_);
-  if (!resolved.is_ok()) return resolved.status();
-  const FleetOptions& options = *resolved;
-  if (options.instances < 1) {
-    return Status::invalid_argument("daemon: instances must be >= 1");
-  }
-  if (options.shards < 1 || options.shards > options.instances) {
-    return Status::invalid_argument(
-        "daemon: shards must be in [1, instances], got " +
-        std::to_string(options.shards));
-  }
-  if (service_.num_branches() < 1) {
-    return Status::invalid_argument("daemon: service model has no branches");
-  }
-  if (Status s = validate_scenario(spec_.scenario); !s.is_ok()) return s;
-  if (Status s = validate_elastic(spec_.elastic); !s.is_ok()) return s;
-  for (const Request& r : trace) {
-    if (r.branch < 0 || r.branch >= service_.num_branches()) {
-      return Status::invalid_argument("daemon: request branch out of range");
-    }
-  }
-
-  // Identical partition to simulate_fleet: stable arrival sort, user u ->
-  // shard u mod S, contiguous slices of the provisioned instance pool — the
-  // parity contract extends to sharded and elastic traces.
-  std::vector<Request> sorted = trace;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Request& a, const Request& b) {
-                     return a.arrival_us < b.arrival_us;
-                   });
-  const int num_shards = options.shards;
-  std::vector<std::vector<Request>> shard_requests(
-      static_cast<std::size_t>(num_shards));
-  for (const Request& r : sorted) {
-    shard_requests[static_cast<std::size_t>(r.user % num_shards)].push_back(
-        r);
-  }
-  auto plans_or = plan_elastic_shards(spec_.elastic, spec_.scenario.faults,
-                                      options.instances, num_shards);
-  if (!plans_or.is_ok()) return plans_or.status();
-  const std::vector<ShardElasticPlan>& plans = *plans_or;
-  const int provisioned_total =
-      plans.back().first_instance + plans.back().provisioned;
-
-  std::vector<ShardStats> shards(static_cast<std::size_t>(num_shards));
-  std::vector<std::int64_t> shard_shed(static_cast<std::size_t>(num_shards),
-                                       0);
-  std::vector<Status> shard_status(static_cast<std::size_t>(num_shards),
-                                   Status::ok());
-  auto run_one = [&](std::int64_t s) {
-    const auto index = static_cast<std::size_t>(s);
-    auto result = run_daemon_shard(service_, shard_requests[index],
-                                   static_cast<int>(s), spec_.elastic,
-                                   plans[index], options, options_,
-                                   &shard_shed[index], scope);
-    if (!result.is_ok()) {
-      shard_status[index] = result.status();
-      return;
-    }
-    shards[index] = std::move(result).value();
-  };
-  if (num_shards == 1) {
-    run_one(0);
-  } else {
-    util::ThreadPool& pool = util::ThreadPool::shared(
-        scope != nullptr ? scope->threads(options.threads) : options.threads);
-    pool.parallel_for(num_shards, run_one);
-  }
-
-  for (const Status& s : shard_status) {
-    if (!s.is_ok()) return s;
-  }
-
+  if (Status s = validate_daemon_options(options_); !s.is_ok()) return s;
   DaemonResult result;
-  result.stats = merge_shard_stats(std::move(shards), service_,
-                                   options.sla_bound_us, provisioned_total,
-                                   0);
-  for (std::int64_t s : shard_shed) result.shed += s;
+  auto stats = simulate_fleet_admitted(
+      service_, trace, spec_,
+      options_.admission_enabled ? options_.admission_window : 0,
+      options_.admission_headroom, &result.shed, scope);
+  if (!stats.is_ok()) return stats.status();
+  result.stats = std::move(stats).value();
   obs::MetricsRegistry::global()
       .counter("serving.daemon.shed_requests")
       .add(result.shed);
@@ -324,29 +138,30 @@ StatusOr<DaemonResult> Daemon::run_trace(const std::vector<Request>& trace,
 }
 
 StatusOr<DaemonResult> Daemon::serve() {
-  auto resolved = resolved_fleet_options(spec_);
-  if (!resolved.is_ok()) return resolved.status();
-  const FleetOptions& options = *resolved;
+  if (Status s = validate_daemon_options(options_); !s.is_ok()) return s;
+  // What a live socket cannot honour is rejected by name, never dropped.
+  if (spec_.fleet.shards != 1) {
+    return Status::invalid_argument(
+        "daemon: serve() runs one shard per process; deploy one daemon per "
+        "shard instead of shards=" +
+        std::to_string(spec_.fleet.shards));
+  }
+  if (!spec_.fleet.checkpoint_path.empty() ||
+      spec_.fleet.process_count > 1) {
+    return Status::invalid_argument(
+        std::string("daemon: a live session cannot honour ") +
+        (spec_.fleet.checkpoint_path.empty() ? "process_count > 1"
+                                             : "checkpoint_path"));
+  }
+  auto validated = validated_fleet_options(service_, spec_);
+  if (!validated.is_ok()) return validated.status();
+  const FleetOptions& options = *validated;
   if (options.clock != ClockKind::kSteady) {
     return Status::invalid_argument(
         "daemon: serve() requires ClockKind::kSteady (a virtual clock has "
         "no time source to pace an idle socket on); run_trace replays "
         "virtual time");
   }
-  if (options.shards != 1) {
-    return Status::invalid_argument(
-        "daemon: serve() runs one shard per process; deploy one daemon per "
-        "shard instead of shards=" +
-        std::to_string(options.shards));
-  }
-  if (options.instances < 1) {
-    return Status::invalid_argument("daemon: instances must be >= 1");
-  }
-  if (service_.num_branches() < 1) {
-    return Status::invalid_argument("daemon: service model has no branches");
-  }
-  if (Status s = validate_scenario(spec_.scenario); !s.is_ok()) return s;
-  if (Status s = validate_elastic(spec_.elastic); !s.is_ok()) return s;
   // Arrival shaping is meaningless live (the daemon serves whatever
   // arrives); the scenario's *fault schedule* does apply, in steady-clock
   // microseconds since serve() started.
@@ -386,21 +201,12 @@ StatusOr<DaemonResult> Daemon::serve() {
   }
 
   SteadyClock clock(0);
-  FleetEngineConfig config;
-  config.policy = options.policy;
-  config.batch_timeout_us = options.batch_timeout_us;
-  config.switch_penalty_us = options.switch_penalty_us;
-  config.sla_bound_us = options.sla_bound_us;
-  config.progress_tail_pct = options.progress_tail_pct;
-  config.keep_records = options.keep_records;
-  config.first_instance = plan.first_instance;
-  config.instances = plan.provisioned;
-  config.initial_active = plan.initial_active;
-  config.max_cells = spec_.elastic.reshard_enabled()
-                         ? spec_.elastic.reshard.max_cells
-                         : 1;
-  config.expected_requests = options_.expected_requests;
-  FleetEngine engine(service_, config, &clock);
+  // A live session is never merged with another, so its sketch (in sketch
+  // mode) needs no fingerprint-derived seed.
+  FleetEngine engine(service_,
+                     shard_engine_config(options, spec_.elastic, plan, 0,
+                                         options_.expected_requests, 0),
+                     &clock);
 
   std::optional<ElasticController> controller;
   if (spec_.elastic.enabled() || !plan.faults.empty()) {
@@ -479,9 +285,8 @@ StatusOr<DaemonResult> Daemon::serve() {
     (void)::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
   };
 
-  AdmissionWindow admission(
-      options_.admission_enabled, options_.admission_window,
-      options_.admission_headroom * options.sla_bound_us);
+  std::optional<RollingP99Window> admission;
+  if (options_.admission_enabled) admission.emplace(options_.admission_window);
   obs::Counter& shed_counter =
       obs::MetricsRegistry::global().counter("serving.daemon.shed_requests");
   std::int64_t shed = 0;
@@ -489,7 +294,7 @@ StatusOr<DaemonResult> Daemon::serve() {
   engine.set_batch_hook([&](const Batch& batch, int instance, double,
                             double finish_us) {
     for (const Request& r : batch.requests) {
-      admission.record(finish_us - r.arrival_us);
+      if (admission) admission->add(finish_us - r.arrival_us);
       const auto it = reply_fd.find(r.id);
       if (it == reply_fd.end()) continue;
       reply(it->second, "ok " + std::to_string(r.id) + " " +
@@ -524,10 +329,10 @@ StatusOr<DaemonResult> Daemon::serve() {
         reply(in.fd, "err branch out of range\n");
         continue;
       }
-      // Grow before dropping: with scale-up headroom left the request is
-      // admitted and the autoscaler absorbs the drift at its next tick.
-      if (admission.should_shed() &&
-          (!controller || !controller->can_scale_up())) {
+      if (admission &&
+          admission_should_shed(
+              *admission, options_.admission_headroom * options.sla_bound_us,
+              controller ? &*controller : nullptr)) {
         ++shed;
         shed_counter.add(1);
         reply(in.fd, "shed " + std::to_string(in.id) + "\n");

@@ -1,18 +1,13 @@
-// The live serving daemon: the step from "simulator" to "system". Runs the
-// existing batching/dispatch/TailTracker pipeline (engine.hpp) online behind
-// a local-socket request server, with simple admission control when the
-// rolling p99 drifts toward the SLA bound and a graceful drain on shutdown.
+// The serving daemon: the step from "simulator" to "system". Both entry
+// points run the shared FleetEngine behind one admission gate
+// (admission_should_shed, elastic.hpp):
 //
-// Two entry points over the same submit path:
+//  - run_trace(): simulate_fleet's replay with the gate in each shard's
+//    ingest loop. With admission off it is IDENTICAL to simulate_fleet on
+//    the same trace — the parity contract pinned by tests/daemon_test.cpp.
 //
-//  - run_trace(): drives an arrival-stamped trace through the online engine
-//    under the spec's clock (usually VirtualClock). With admission control
-//    off this produces per-request decisions, latencies, and stats
-//    IDENTICAL to simulate_fleet on the same trace — the replay/live parity
-//    contract, pinned by tests/daemon_test.cpp and diffed in CI.
-//
-//  - serve(): listens on an AF_UNIX socket (SteadyClock required) and
-//    serves a line protocol:
+//  - serve(): the live loop. It listens on an AF_UNIX socket (SteadyClock
+//    required) and serves a line protocol:
 //        client -> "req <user> <branch>\n"
 //        daemon -> "ok <id> <branch> <instance> <latency_us>\n"   (on
 //                  dispatch; latency is arrival -> predicted completion)
@@ -43,7 +38,8 @@ struct DaemonOptions {
   /// `admission_headroom * sla.p99_bound_us` — the daemon starts refusing
   /// load *before* the SLA is breached, not after. With an elastic policy
   /// (ServeSpec::elastic) the daemon grows first and drops load last:
-  /// shedding engages only once scale-up headroom is exhausted.
+  /// shedding engages only once scale-up headroom is exhausted. Validated:
+  /// window >= 1 (with admission on), headroom finite and > 0.
   bool admission_enabled = false;
   int admission_window = 256;
   double admission_headroom = 0.9;
@@ -71,18 +67,18 @@ class Daemon {
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
-  /// Drives an arrival-stamped trace through the online submit path —
-  /// admission control included — sharded and merged exactly like
-  /// simulate_fleet (user u -> shard u mod S, index-ordered merge), each
-  /// shard on its own clock of the spec's kind. Deterministic for any
-  /// thread count; cancellable via `scope` (StatusCode::kCancelled).
+  /// simulate_fleet(trace, spec, scope) with the admission gate on each
+  /// shard's arrivals; every FleetOptions field behaves as it does there.
+  /// Admission rejects a checkpoint_path or process_count > 1 (a
+  /// checkpoint carries no shed count).
   StatusOr<DaemonResult> run_trace(const std::vector<Request>& trace,
                                    const util::RunScope* scope = nullptr) const;
 
   /// Serves the socket until shutdown. Blocks; returns the session's final
   /// stats after the graceful drain. Requires options.socket_path,
   /// spec.clock == ClockKind::kSteady, and spec.fleet.shards == 1 (live
-  /// sharding is a daemon-per-shard deployment, not one process).
+  /// sharding is a daemon-per-shard deployment, not one process); rejects
+  /// checkpoint_path and process_count > 1.
   StatusOr<DaemonResult> serve();
 
   /// Initiates a graceful shutdown of a concurrent serve(): one write to an

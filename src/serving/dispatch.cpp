@@ -15,7 +15,6 @@ Dispatcher::Dispatcher(DispatchPolicy policy, int instances, int branches,
       free_by_branch_(static_cast<std::size_t>(branches)) {
   const int active =
       initially_active < 0 ? instances : std::min(initially_active, instances);
-  active_count_ = active;
   for (int k = 0; k < active; ++k) insert_free(k);
   for (int k = active; k < instances; ++k) {
     instances_[static_cast<std::size_t>(k)].active = false;
@@ -78,7 +77,6 @@ void Dispatcher::set_active(int k, bool on, double now_us) {
   InstanceState& inst = instances_[static_cast<std::size_t>(k)];
   if (inst.active == on) return;
   inst.active = on;
-  active_count_ += on ? 1 : -1;
   if (on) {
     // refresh() above drained every expired busy entry, so an idle
     // instance has no pending heap entry and joins the free sets now; a

@@ -52,7 +52,6 @@ class Dispatcher {
   bool is_active(int k) const {
     return instances_[static_cast<std::size_t>(k)].active;
   }
-  int active_count() const { return active_count_; }
 
   /// Total accumulated busy time across all instances — the elastic
   /// autoscaler differences this across evaluation windows.
@@ -89,7 +88,6 @@ class Dispatcher {
   std::set<std::pair<double, int>> free_by_load_;  ///< (busy_us, index)
   std::vector<std::set<std::pair<double, int>>> free_by_branch_;
   int cursor_ = 0;
-  int active_count_ = 0;
 };
 
 }  // namespace fcad::serving

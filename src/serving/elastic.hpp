@@ -80,7 +80,7 @@ std::string elastic_to_string(const ElasticSpec& spec);
 StatusOr<ElasticSpec> elastic_from_string(const std::string& text);
 
 /// Fixed-size rolling window with a lazily computed exact nearest-rank p99
-/// — shared by the daemon's admission control and the reshard trigger.
+/// — shared by the admission gate and the reshard trigger.
 class RollingP99Window {
  public:
   explicit RollingP99Window(int window);
@@ -173,5 +173,16 @@ class ElasticController {
   double reshard_ready_us_ = 0;  ///< cooldown gate for the next split
   RollingP99Window p99_window_;
 };
+
+/// The daemon's admission gate for both the trace replay and the live loop:
+/// shed once `window` is full, its p99 exceeds `bound_us`, and no scale-up
+/// headroom is left (grow first, drop load last; `controller` is null
+/// without an elastic policy).
+inline bool admission_should_shed(const RollingP99Window& window,
+                                  double bound_us,
+                                  const ElasticController* controller) {
+  return window.full() && window.p99() > bound_us &&
+         (controller == nullptr || !controller->can_scale_up());
+}
 
 }  // namespace fcad::serving

@@ -16,6 +16,7 @@
 #include "serving/batcher.hpp"
 #include "serving/clock.hpp"
 #include "serving/dispatch.hpp"
+#include "serving/fleet.hpp"
 #include "serving/service.hpp"
 #include "serving/sketch.hpp"
 #include "serving/stats.hpp"
@@ -74,7 +75,7 @@ struct ShardStats {
 /// clock — the engine keeps the aggregation/dispatch/accounting state and
 /// never reads a time source other than the injected clock.
 ///
-/// The canonical loop (run_shard in fleet.cpp, Daemon::run_trace/serve):
+/// The canonical loop (run_shard in fleet.cpp, Daemon::serve):
 ///   while (work remains) {
 ///     enqueue every arrival due by now_us();     // or shed at admission
 ///     close() after the last arrival;
@@ -108,6 +109,28 @@ struct FleetEngineConfig {
   std::uint64_t sketch_seed = 0;
 };
 
+/// The engine config of one shard, for both event loops (run_shard in
+/// fleet.cpp and Daemon::serve).
+FleetEngineConfig shard_engine_config(const FleetOptions& options,
+                                      const ElasticSpec& elastic,
+                                      const ShardElasticPlan& plan,
+                                      int shard_index,
+                                      std::int64_t expected_requests,
+                                      std::uint64_t sketch_seed);
+
+/// resolved_fleet_options plus the option checks every replay and
+/// Daemon::serve share; each violation is invalid_argument naming the field.
+StatusOr<FleetOptions> validated_fleet_options(const ServiceModel& service,
+                                               const ServeSpec& spec);
+
+/// Daemon::run_trace's replay: simulate_fleet with the admission gate over
+/// each shard's arrivals (`admission_window` 0 = off); `*shed` receives the
+/// requests it refused.
+StatusOr<ServingStats> simulate_fleet_admitted(
+    const ServiceModel& service, const std::vector<Request>& trace,
+    const ServeSpec& spec, int admission_window, double admission_headroom,
+    std::int64_t* shed, const util::RunScope* scope);
+
 class FleetEngine {
  public:
   /// Invoked once per dispatched batch, after the engine's own accounting.
@@ -121,7 +144,6 @@ class FleetEngine {
               Clock* clock);
 
   double now_us() { return clock_->now_us(); }
-  Clock& clock() { return *clock_; }
 
   void set_batch_hook(BatchHook hook) { batch_hook_ = std::move(hook); }
 
@@ -137,7 +159,6 @@ class FleetEngine {
   /// batch in flight and then idles.
   void set_instance_active(int local_instance, bool on, ElasticReason reason);
 
-  int active_instances() const;
   double total_busy_us() const;
   int num_cells() const { return static_cast<int>(cells_.size()); }
 
@@ -156,7 +177,6 @@ class FleetEngine {
   /// Declares the arrival stream finished; the batcher then drains its tail
   /// on the timeout schedule (immediately when no timeout is configured).
   void close();
-  bool closed() const { return closed_; }
 
   /// Dispatches every ready batch a free instance exists for, at the
   /// current clock reading.
@@ -181,7 +201,6 @@ class FleetEngine {
     return total;
   }
   std::int64_t completed() const { return stats_.completed; }
-  const TailTracker& tail() const { return tail_; }
   /// Partial progress-tail estimate over completions so far: the exact
   /// TailTracker value in exact mode, the sketch quantile in sketch mode
   /// (where the tracker is disabled to keep memory bounded).

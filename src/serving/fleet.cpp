@@ -10,6 +10,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -101,58 +102,79 @@ class ShardSource {
   std::optional<Request> buffered_;
 };
 
+/// Everything one replay needs, validated once: the resolved options, the
+/// derived workload, the elastic shard plans, the shard range this process
+/// owns, and the fingerprint that binds checkpoints and sketches to the run.
+struct ReplayPlan {
+  FleetOptions options;
+  /// The generated workload with `branches` derived from the service model
+  /// (streaming replays only; a trace replay ignores spec.workload).
+  WorkloadOptions workload;
+  std::vector<ShardElasticPlan> shards;
+  int provisioned_total = 0;
+  /// This process's contiguous shard range [shard_lo, shard_hi).
+  int shard_lo = 0;
+  int shard_hi = 0;
+  /// Requests the whole replay offers: the trace size or the stream target.
+  std::int64_t offered = 0;
+  /// The arrival-sorted per-shard slices of a trace replay (empty for a
+  /// streaming replay); run_replay moves each into its shard's stream.
+  std::vector<std::vector<Request>> trace_shards;
+  std::string fingerprint;
+  std::uint64_t sketch_seed = 0;
+  /// Daemon::run_trace's admission gate: window size (0 = off), p99 bound.
+  int admission_window = 0;
+  double admission_bound_us = 0;
+};
+
 /// One shard's event-driven replay: arrivals pulled from `source` (in
-/// non-decreasing time order) over `instances` servers whose global ids
-/// start at `first_instance`, run through the shared FleetEngine on this
-/// shard's own clock — VirtualClock jumps between events (bit-exact,
-/// reproducible), SteadyClock paces them at their trace timestamps in real
-/// time, so recorded dispatch times and latencies include genuine scheduler
-/// jitter — that is the point of wall mode, not a defect. The only failure
-/// mode is cooperative cancellation via `sink->scope`.
+/// non-decreasing time order) over the shard's slice of the instance pool,
+/// run through the shared FleetEngine on this shard's own clock —
+/// VirtualClock jumps between events (bit-exact, reproducible), SteadyClock
+/// paces them at their trace timestamps in real time, so recorded dispatch
+/// times and latencies include genuine scheduler jitter — that is the point
+/// of wall mode, not a defect. An arrival the plan's admission gate sheds
+/// is counted in `*shed` instead of enqueued. The only failure mode is
+/// cooperative cancellation via `sink->scope`.
 StatusOr<ShardStats> run_shard(const ServiceModel& service,
-                               ShardSource& source,
+                               ShardSource& source, const ReplayPlan& plan,
+                               const ElasticSpec& elastic, int shard_index,
                                std::int64_t expected_requests,
-                               int shard_index, const ElasticSpec& elastic,
-                               const ShardElasticPlan& plan,
-                               const FleetOptions& options,
-                               std::uint64_t sketch_seed,
-                               ProgressSink* sink) {
+                               ProgressSink* sink, std::int64_t* shed) {
+  const FleetOptions& options = plan.options;
+  const ShardElasticPlan& shard_plan =
+      plan.shards[static_cast<std::size_t>(shard_index)];
   const util::RunScope* scope = sink->scope;
   const Request* first = source.peek();
   const std::unique_ptr<Clock> clock =
       make_clock(options.clock, first != nullptr ? first->arrival_us : 0);
-
-  FleetEngineConfig config;
-  config.policy = options.policy;
-  config.batch_timeout_us = options.batch_timeout_us;
-  config.switch_penalty_us = options.switch_penalty_us;
-  config.sla_bound_us = options.sla_bound_us;
-  config.progress_tail_pct = options.progress_tail_pct;
-  config.keep_records = options.keep_records;
-  config.shard_index = shard_index;
-  config.first_instance = plan.first_instance;
-  config.instances = plan.provisioned;
-  config.initial_active = plan.initial_active;
-  config.max_cells =
-      elastic.reshard_enabled() ? elastic.reshard.max_cells : 1;
-  config.expected_requests = expected_requests;
-  config.latency_mode = options.latency_mode;
-  config.sketch_seed = sketch_seed;
-  FleetEngine engine(service, config, clock.get());
-  engine.set_batch_hook([sink](const Batch& batch, int, double, double) {
-    sink->completed.fetch_add(
-        static_cast<std::int64_t>(batch.requests.size()),
-        std::memory_order_relaxed);
-  });
+  FleetEngine engine(service,
+                     shard_engine_config(options, elastic, shard_plan,
+                                         shard_index, expected_requests,
+                                         plan.sketch_seed),
+                     clock.get());
 
   // The controller exists whenever a policy or fault schedule has work to
   // do; its decisions are functions of shard-local state at virtual-time
   // readings, so its presence never couples shards or threads.
   std::optional<ElasticController> controller;
-  if (elastic.enabled() || !plan.faults.empty()) {
-    controller.emplace(elastic, plan, options.sla_bound_us);
+  if (elastic.enabled() || !shard_plan.faults.empty()) {
+    controller.emplace(elastic, shard_plan, options.sla_bound_us);
     engine.set_controller(&*controller);
   }
+  std::optional<RollingP99Window> admission;
+  if (plan.admission_window > 0) admission.emplace(plan.admission_window);
+
+  engine.set_batch_hook(
+      [sink, &admission](const Batch& batch, int, double, double finish_us) {
+        sink->completed.fetch_add(
+            static_cast<std::int64_t>(batch.requests.size()),
+            std::memory_order_relaxed);
+        if (!admission) return;
+        for (const Request& r : batch.requests) {
+          admission->add(finish_us - r.arrival_us);
+        }
+      });
 
   while (true) {
     if (scope != nullptr && scope->should_stop()) {
@@ -160,10 +182,16 @@ StatusOr<ShardStats> run_shard(const ServiceModel& service,
                                std::to_string(sink->completed.load()) + "/" +
                                std::to_string(sink->offered) + " requests");
     }
-    // Ingest every arrival due by the clock reading.
+    // Ingest (or shed) every arrival due by the clock reading.
     while (const Request* r = source.peek()) {
       if (r->arrival_us > engine.now_us()) break;
-      engine.enqueue(*r);
+      if (admission &&
+          admission_should_shed(*admission, plan.admission_bound_us,
+                                controller ? &*controller : nullptr)) {
+        ++*shed;
+      } else {
+        engine.enqueue(*r);
+      }
       source.pop();
     }
     const Request* upcoming = source.peek();
@@ -205,28 +233,6 @@ StatusOr<ShardStats> run_shard(const ServiceModel& service,
                  "fleet: lost requests in flight");
   return out;
 }
-
-/// Everything one replay needs, validated once: the resolved options, the
-/// derived workload, the elastic shard plans, the shard range this process
-/// owns, and the fingerprint that binds checkpoints and sketches to the run.
-struct ReplayPlan {
-  FleetOptions options;
-  /// The generated workload with `branches` derived from the service model
-  /// (streaming replays only; a trace replay ignores spec.workload).
-  WorkloadOptions workload;
-  std::vector<ShardElasticPlan> shards;
-  int provisioned_total = 0;
-  /// This process's contiguous shard range [shard_lo, shard_hi).
-  int shard_lo = 0;
-  int shard_hi = 0;
-  /// Requests the whole replay offers: the trace size or the stream target.
-  std::int64_t offered = 0;
-  /// The arrival-sorted per-shard slices of a trace replay (empty for a
-  /// streaming replay); run_replay moves each into its shard's stream.
-  std::vector<std::vector<Request>> trace_shards;
-  std::string fingerprint;
-  std::uint64_t sketch_seed = 0;
-};
 
 // ------------------------------------------------- checkpoint format (v3) --
 // Raw fixed-width fields (serving/binary_io.hpp, like the sketch's own
@@ -549,46 +555,12 @@ std::string replay_fingerprint(const ServiceModel& service,
 StatusOr<ReplayPlan> plan_replay(const ServiceModel& service,
                                  const ServeSpec& spec,
                                  const std::vector<Request>* trace) {
-  auto resolved = resolved_fleet_options(spec);
-  if (!resolved.is_ok()) return resolved.status();
+  auto validated = validated_fleet_options(service, spec);
+  if (!validated.is_ok()) return validated.status();
   ReplayPlan plan;
-  plan.options = *resolved;
+  plan.options = std::move(validated).value();
   const FleetOptions& options = plan.options;
-  if (options.instances < 1) {
-    return Status::invalid_argument("fleet: instances must be >= 1");
-  }
-  if (options.shards < 1 || options.shards > options.instances) {
-    return Status::invalid_argument(
-        "fleet: shards must be in [1, instances], got " +
-        std::to_string(options.shards));
-  }
-  if (Status s = validate_percentile(options.progress_tail_pct); !s.is_ok()) {
-    return Status::invalid_argument("fleet: progress_tail_pct: " +
-                                    s.message());
-  }
-  if (service.num_branches() < 1) {
-    return Status::invalid_argument("fleet: service model has no branches");
-  }
-  if (Status s = validate_scenario(spec.scenario); !s.is_ok()) return s;
-  if (Status s = validate_elastic(spec.elastic); !s.is_ok()) return s;
   const bool sketch_mode = options.latency_mode == LatencyMode::kSketch;
-  if (sketch_mode && options.keep_records) {
-    return Status::invalid_argument(
-        "fleet: keep_records requires latency_mode exact — a sketch-mode "
-        "shard keeps O(1) state and its checkpoint block carries no "
-        "per-request records");
-  }
-  if (options.process_count < 1 || options.process_count > options.shards) {
-    return Status::invalid_argument(
-        "fleet: process_count must be in [1, shards], got " +
-        std::to_string(options.process_count));
-  }
-  if (options.process_index < 0 ||
-      options.process_index >= options.process_count) {
-    return Status::invalid_argument(
-        "fleet: process_index must be in [0, process_count), got " +
-        std::to_string(options.process_index));
-  }
   if (options.process_count > 1 && trace != nullptr) {
     return Status::invalid_argument(
         "fleet: process sharding requires the streaming replay "
@@ -733,11 +705,13 @@ double final_tail_estimate(const std::vector<ShardStats>& shards,
 /// checkpoint, simulates the rest across the thread pool (checkpointing each
 /// as it finishes), folds cancellation, and merges the owned shards in
 /// shard-index order. A plan owning every shard returns the fleet-wide
-/// stats; a process-sharded one returns its owned shards' stats.
+/// stats; a process-sharded one returns its owned shards' stats. `shed`,
+/// when set, receives the requests the admission gate refused.
 StatusOr<ServingStats> run_replay(ReplayPlan plan,
                                   const ServiceModel& service,
                                   const ServeSpec& spec,
-                                  const util::RunScope* scope) {
+                                  const util::RunScope* scope,
+                                  std::int64_t* shed = nullptr) {
   const FleetOptions& options = plan.options;
   const int num_shards = options.shards;
 
@@ -775,6 +749,7 @@ StatusOr<ServingStats> run_replay(ReplayPlan plan,
   const int owned = plan.shard_hi - plan.shard_lo;
   std::vector<Status> shard_status(static_cast<std::size_t>(owned),
                                    Status::ok());
+  std::vector<std::int64_t> shard_shed(static_cast<std::size_t>(owned), 0);
   auto run_one = [&](std::int64_t i) {
     const int s = plan.shard_lo + static_cast<int>(i);
     const auto index = static_cast<std::size_t>(s);
@@ -790,9 +765,9 @@ StatusOr<ServingStats> run_replay(ReplayPlan plan,
       return;
     }
     ShardSource source(std::move(stream).value(), s, num_shards);
-    auto result = run_shard(service, source, expected, s, spec.elastic,
-                            plan.shards[index], options, plan.sketch_seed,
-                            &sink);
+    auto result =
+        run_shard(service, source, plan, spec.elastic, s, expected, &sink,
+                  &shard_shed[static_cast<std::size_t>(i)]);
     if (Status fs = source.finish_status(); !fs.is_ok()) {
       status = fs;
       return;
@@ -865,12 +840,15 @@ StatusOr<ServingStats> run_replay(ReplayPlan plan,
       merge_shard_stats(std::move(shards), service, options.sla_bound_us,
                         plan.provisioned_total, resumed);
 
+  const std::int64_t total_shed =
+      std::accumulate(shard_shed.begin(), shard_shed.end(), std::int64_t{0});
   FCAD_CHECK_MSG(stats.completed == stats.offered,
                  "fleet: lost requests in flight");
   if (owned == num_shards) {
-    FCAD_CHECK_MSG(stats.completed == plan.offered,
+    FCAD_CHECK_MSG(stats.completed + total_shed == plan.offered,
                    "fleet: replay ended short of its requests");
   }
+  if (shed != nullptr) *shed = total_shed;
 
   if (terminal_tick) sink.emit(stats.completed, final_tail);
 
@@ -931,13 +909,54 @@ StatusOr<FleetOptions> resolved_fleet_options(const ServeSpec& spec) {
   return options;
 }
 
+StatusOr<FleetOptions> validated_fleet_options(const ServiceModel& service,
+                                               const ServeSpec& spec) {
+  auto resolved = resolved_fleet_options(spec);
+  if (!resolved.is_ok()) return resolved.status();
+  const FleetOptions& options = *resolved;
+  if (options.instances < 1) {
+    return Status::invalid_argument("fleet: instances must be >= 1");
+  }
+  if (options.shards < 1 || options.shards > options.instances) {
+    return Status::invalid_argument(
+        "fleet: shards must be in [1, instances], got " +
+        std::to_string(options.shards));
+  }
+  if (Status s = validate_percentile(options.progress_tail_pct); !s.is_ok()) {
+    return Status::invalid_argument("fleet: progress_tail_pct: " +
+                                    s.message());
+  }
+  if (service.num_branches() < 1) {
+    return Status::invalid_argument("fleet: service model has no branches");
+  }
+  if (Status s = validate_scenario(spec.scenario); !s.is_ok()) return s;
+  if (Status s = validate_elastic(spec.elastic); !s.is_ok()) return s;
+  if (options.latency_mode == LatencyMode::kSketch && options.keep_records) {
+    return Status::invalid_argument(
+        "fleet: keep_records requires latency_mode exact — a sketch-mode "
+        "shard keeps O(1) state and its checkpoint block carries no "
+        "per-request records");
+  }
+  if (options.process_count < 1 || options.process_count > options.shards) {
+    return Status::invalid_argument(
+        "fleet: process_count must be in [1, shards], got " +
+        std::to_string(options.process_count));
+  }
+  if (options.process_index < 0 ||
+      options.process_index >= options.process_count) {
+    return Status::invalid_argument(
+        "fleet: process_index must be in [0, process_count), got " +
+        std::to_string(options.process_index));
+  }
+  return resolved;
+}
+
 StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
                                       const std::vector<Request>& requests,
                                       const ServeSpec& spec,
                                       const util::RunScope* scope) {
-  auto plan = plan_replay(service, spec, &requests);
-  if (!plan.is_ok()) return plan.status();
-  return run_replay(std::move(plan).value(), service, spec, scope);
+  return simulate_fleet_admitted(service, requests, spec, 0, 0, nullptr,
+                                 scope);
 }
 
 StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
@@ -951,6 +970,26 @@ StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
   auto requests = generate_scenario_workload(workload, spec.scenario);
   if (!requests.is_ok()) return requests.status();
   return simulate_fleet(service, *requests, spec, scope);
+}
+
+StatusOr<ServingStats> simulate_fleet_admitted(
+    const ServiceModel& service, const std::vector<Request>& trace,
+    const ServeSpec& spec, int admission_window, double admission_headroom,
+    std::int64_t* shed, const util::RunScope* scope) {
+  // A checkpoint block carries no shed count, so admitted + shed could not
+  // balance over a resumed or process-sharded run.
+  if (admission_window > 0 && (!spec.fleet.checkpoint_path.empty() ||
+                               spec.fleet.process_count > 1)) {
+    return Status::invalid_argument(
+        std::string("daemon: admission_enabled cannot be combined with ") +
+        (spec.fleet.checkpoint_path.empty() ? "process_count > 1"
+                                            : "checkpoint_path"));
+  }
+  auto plan = plan_replay(service, spec, &trace);
+  if (!plan.is_ok()) return plan.status();
+  plan->admission_window = admission_window;
+  plan->admission_bound_us = admission_headroom * plan->options.sla_bound_us;
+  return run_replay(std::move(plan).value(), service, spec, scope, shed);
 }
 
 StatusOr<ServingStats> simulate_fleet_stream(const ServiceModel& service,

@@ -246,9 +246,7 @@ int run_replay_cli(const ServiceModel& service, const ReplayJob& job) {
   if (merge_mode) {
     stats = merge_replay_checkpoints(service, spec, job.merge_paths);
   } else if (job.via_daemon) {
-    DaemonOptions daemon_options;
-    daemon_options.admission_enabled = job.admission;
-    const Daemon daemon(service, spec, daemon_options);
+    const Daemon daemon(service, spec, job.daemon);
     auto result = daemon.run_trace(*trace, &scope);
     if (result.is_ok()) {
       shed = result->shed;

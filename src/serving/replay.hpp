@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "serving/daemon.hpp"
 #include "serving/fleet.hpp"
 #include "serving/service.hpp"
 #include "util/args.hpp"
@@ -33,10 +34,10 @@ struct ReplayJob {
   /// between the daemon and simulate_fleet for replay/live parity.
   std::string decisions_path;
   std::string json_bench = "serving_replay";  ///< "bench" key in the JSON
-  /// Drive the trace through serving::Daemon's online submit path instead
-  /// of simulate_fleet. With admission off the outputs are identical.
+  /// Drive the trace through Daemon::run_trace instead of simulate_fleet.
+  /// With admission off the outputs are identical.
   bool via_daemon = false;
-  bool admission = false;  ///< daemon-path admission control (sheds load)
+  DaemonOptions daemon;  ///< the daemon path's admission settings
   /// Streaming replay (simulate_fleet_stream): the workload is generated
   /// lazily per shard instead of materialized up front — the
   /// billion-request path. Incompatible with via_daemon.
@@ -57,7 +58,7 @@ struct ReplayJob {
 /// clauses); both default to "none". --latency-mode exact|sketch selects
 /// the latency accounting; --process-shard i/N restricts a streaming run to
 /// process i's shard range; --merge folds the resulting checkpoints.
-/// Callers set via_daemon/admission themselves.
+/// Callers set via_daemon/daemon themselves.
 StatusOr<ReplayJob> replay_job_from_args(const ArgParser& args);
 
 /// Runs the job end to end against `service`: generate the workload, replay

@@ -50,14 +50,6 @@ Status validate_percentile(double pct) {
   return Status::ok();
 }
 
-StatusOr<double> percentile_checked(std::vector<double> samples, double pct) {
-  if (Status s = validate_percentile(pct); !s.is_ok()) return s;
-  if (samples.empty()) {
-    return Status::invalid_argument("percentile: empty sample set");
-  }
-  return percentile(std::move(samples), pct);
-}
-
 TailTracker::TailTracker(std::int64_t expected_total, double pct)
     : pct_(pct) {
   FCAD_CHECK_MSG(validate_percentile(pct).is_ok(),

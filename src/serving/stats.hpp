@@ -26,11 +26,6 @@ double percentile(std::vector<double> samples, double pct);
 /// it reaches the CHECKing `percentile()` above.
 Status validate_percentile(double pct);
 
-/// Validating twin of `percentile` for user-controlled inputs: returns
-/// Status::invalid_argument on an out-of-range rank or an empty sample set
-/// instead of crashing the process.
-StatusOr<double> percentile_checked(std::vector<double> samples, double pct);
-
 /// Streaming tracker of the upper tail of at most `expected_total` samples,
 /// so *partial* nearest-rank percentiles stay exact without re-scanning the
 /// whole stream: `partial()` costs O(tail) where the tail is the top

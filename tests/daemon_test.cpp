@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,6 +19,8 @@
 #include "serving/service.hpp"
 #include "serving/stats.hpp"
 #include "serving/workload.hpp"
+#include "serving_goldens.hpp"
+#include "util/run_control.hpp"
 
 namespace fcad::serving {
 namespace {
@@ -100,17 +104,44 @@ TEST(DaemonTest, RunTraceIsDeterministicAcrossThreadCounts) {
   spec.fleet.shards = 4;
   spec.fleet.keep_records = true;
 
-  const Daemon daemon(service, spec, {.admission_enabled = true});
-  spec.fleet.threads = 1;
-  const Daemon single(service, spec, {.admission_enabled = true});
-  auto a = single.run_trace(trace);
-  spec.fleet.threads = 4;
-  const Daemon pooled(service, spec, {.admission_enabled = true});
-  auto b = pooled.run_trace(trace);
-  ASSERT_TRUE(a.is_ok());
-  ASSERT_TRUE(b.is_ok());
-  EXPECT_EQ(a->shed, b->shed);
-  EXPECT_EQ(serving_csv_row({}, a->stats), serving_csv_row({}, b->stats));
+  // Goldens captured before the daemon shared fleet.cpp's shard loop. The
+  // default window never fills on these 75-request shards; a 16-completion
+  // window sheds, which pins which samples feed it and in what order.
+  struct Golden {
+    int window;
+    std::int64_t shed;
+    const char* csv;
+    const char* digest;
+  };
+  for (const Golden& golden :
+       {Golden{256, 0,
+               "300,300,904.7045,58270.0000,35000.0000,185000.0000,"
+               "206000.0000,212000.0000,203000.0000,225,1.0000,49.5507,76,"
+               "33333.3000,0.5433,0,0.6220,0,0,0,0,0",
+               "e7255f193ac98dc1fa40f605860b77e4"},
+        Golden{16, 115,
+               "185,185,1388.8889,25073.5135,23000.0000,59000.0000,"
+               "73000.0000,74600.0000,70000.0000,138,1.0000,29.9745,27,"
+               "33333.3000,0.2595,0,0.9478,0,0,0,0,0",
+               "fb839dd5c212a949eadc442320e6c27c"}}) {
+    const DaemonOptions options{.admission_enabled = true,
+                                .admission_window = golden.window};
+    spec.fleet.threads = 1;
+    const Daemon single(service, spec, options);
+    auto a = single.run_trace(trace);
+    spec.fleet.threads = 4;
+    const Daemon pooled(service, spec, options);
+    auto b = pooled.run_trace(trace);
+    ASSERT_TRUE(a.is_ok());
+    ASSERT_TRUE(b.is_ok());
+    EXPECT_EQ(a->shed, b->shed);
+    EXPECT_EQ(serving_csv_row({}, a->stats), serving_csv_row({}, b->stats));
+    for (const DaemonResult* run : {&*a, &*b}) {
+      EXPECT_EQ(run->shed, golden.shed) << golden.window;
+      EXPECT_EQ(csv_line(run->stats), golden.csv) << golden.window;
+      EXPECT_EQ(decisions_digest(run->stats), golden.digest) << golden.window;
+    }
+  }
 }
 
 // --------------------------------------------------------------- admission --
@@ -130,6 +161,7 @@ TEST(DaemonTest, AdmissionShedsUnderOverloadAndBalancesTheBooks) {
   ServeSpec spec;
   spec.fleet.instances = 1;
   spec.sla.p99_bound_us = 10000;
+  spec.fleet.keep_records = true;
 
   DaemonOptions options;
   options.admission_enabled = true;
@@ -144,6 +176,20 @@ TEST(DaemonTest, AdmissionShedsUnderOverloadAndBalancesTheBooks) {
   EXPECT_EQ(result->stats.completed + result->shed,
             static_cast<std::int64_t>(trace.size()));
   EXPECT_EQ(result->stats.offered, result->stats.completed);
+
+  // Goldens captured before the daemon shared fleet.cpp's shard loop.
+  EXPECT_EQ(result->shed, 371);
+  EXPECT_EQ(csv_line(result->stats),
+            "29,29,125.0000,92000.0000,92000.0000,170000.0000,176000.0000,"
+            "176000.0000,168000.0000,29,1.0000,10.5000,22,10000.0000,0.9655,"
+            "0,1.0000,0,0,0,0,0");
+  ASSERT_EQ(result->stats.records.size(), 29u);
+  EXPECT_EQ(decisions_digest(result->stats),
+            "edaceb499854c55a9fb84419e9d44b6f");
+  const RequestRecord& last = result->stats.records.back();
+  EXPECT_EQ(last.id, 28);
+  EXPECT_EQ(last.start_us, 224000.0);
+  EXPECT_EQ(last.finish_us, 232000.0);
 }
 
 TEST(DaemonTest, AdmissionOffNeverSheds) {
@@ -163,6 +209,173 @@ TEST(DaemonTest, AdmissionOffNeverSheds) {
 }
 
 // -------------------------------------------------------------- validation --
+TEST(DaemonTest, BothEntryPointsValidateAdmissionOptions) {
+  const ServiceModel service = make_service({{1, 2000.0}, {1, 2000.0}});
+  const std::vector<Request> trace = make_trace(20);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    DaemonOptions options;
+    const char* field;
+  };
+  const std::vector<Case> cases = {
+      {{.admission_enabled = true, .admission_window = 0},
+       "admission_window"},
+      {{.admission_enabled = true, .admission_window = -3},
+       "admission_window"},
+      {{.admission_enabled = true, .admission_headroom = nan},
+       "admission_headroom"},
+      {{.admission_enabled = true, .admission_headroom = inf},
+       "admission_headroom"},
+      {{.admission_enabled = true, .admission_headroom = 0},
+       "admission_headroom"},
+      {{.admission_headroom = -1}, "admission_headroom"},
+  };
+  for (const Case& c : cases) {
+    ServeSpec spec;
+    const Daemon replay(service, spec, c.options);
+    auto traced = replay.run_trace(trace);
+    ASSERT_FALSE(traced.is_ok()) << c.field;
+    EXPECT_EQ(traced.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(traced.status().message().find(c.field), std::string::npos)
+        << traced.status().message();
+
+    spec.clock = ClockKind::kSteady;
+    DaemonOptions live_options = c.options;
+    live_options.socket_path = "/tmp/fcad_daemon_invalid_admission.sock";
+    Daemon live(service, spec, live_options);
+    auto served = live.serve();
+    ASSERT_FALSE(served.is_ok()) << c.field;
+    EXPECT_EQ(served.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(served.status().message().find(c.field), std::string::npos)
+        << served.status().message();
+  }
+  // With admission off the window is unused and may be anything.
+  const Daemon off(service, ServeSpec{}, {.admission_window = 0});
+  EXPECT_TRUE(off.run_trace(trace).is_ok());
+}
+
+TEST(DaemonTest, AdmissionRejectsCheckpointAndProcessSharding) {
+  // A checkpoint carries no shed count, and a process range is a partial
+  // run: neither can balance admitted + shed against the trace.
+  const ServiceModel service = make_service({{1, 2000.0}, {1, 2000.0}});
+  const std::vector<Request> trace = make_trace(20);
+  ServeSpec checkpointed;
+  checkpointed.fleet.checkpoint_path =
+      (std::filesystem::path(::testing::TempDir()) / "fcad-daemon-adm.ckpt")
+          .string();
+  ServeSpec process_sharded;
+  process_sharded.fleet.instances = 2;
+  process_sharded.fleet.shards = 2;
+  process_sharded.fleet.process_count = 2;
+  for (const auto& [spec, setting] :
+       {std::pair{checkpointed, "checkpoint_path"},
+        std::pair{process_sharded, "process_count"}}) {
+    const Daemon daemon(service, spec, {.admission_enabled = true});
+    auto result = daemon.run_trace(trace);
+    ASSERT_FALSE(result.is_ok()) << setting;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    const std::string& message = result.status().message();
+    EXPECT_NE(message.find("admission_enabled"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find(setting), std::string::npos) << message;
+  }
+  EXPECT_FALSE(std::filesystem::exists(checkpointed.fleet.checkpoint_path));
+}
+
+TEST(DaemonTest, RunTraceHonoursEveryReplayOption) {
+  // run_trace is simulate_fleet's replay: every option behaves the same way
+  // through both entry points.
+  const ServiceModel service = make_service({{2, 3000.0}, {1, 4000.0}});
+  const std::vector<Request> trace = make_trace(400);
+  ServeSpec base;
+  base.fleet.instances = 4;
+  base.fleet.shards = 2;
+  base.fleet.threads = 1;
+
+  // Sketch latency accounting.
+  ServeSpec sketch = base;
+  sketch.fleet.latency_mode = LatencyMode::kSketch;
+  auto reference = simulate_fleet(service, trace, sketch);
+  ASSERT_TRUE(reference.is_ok());
+  auto live = Daemon(service, sketch).run_trace(trace);
+  ASSERT_TRUE(live.is_ok());
+  EXPECT_EQ(live->stats.latency_mode, LatencyMode::kSketch);
+  EXPECT_EQ(serving_csv_row({}, *reference), serving_csv_row({}, live->stats));
+
+  // Invalid specs are rejected exactly like simulate_fleet rejects them.
+  ServeSpec records_in_sketch = sketch;
+  records_in_sketch.fleet.keep_records = true;
+  ServeSpec process_range = base;
+  process_range.fleet.process_count = 2;
+  ServeSpec zero_tail = base;
+  zero_tail.fleet.progress_tail_pct = 0;
+  for (const ServeSpec& bad : {records_in_sketch, process_range, zero_tail}) {
+    auto replayed = simulate_fleet(service, trace, bad);
+    auto traced = Daemon(service, bad).run_trace(trace);
+    ASSERT_FALSE(replayed.is_ok());
+    ASSERT_FALSE(traced.is_ok());
+    EXPECT_EQ(traced.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(traced.status().message(), replayed.status().message());
+  }
+
+  // Progress ticks, cancellation, and checkpoint resume. The shards run
+  // one after the other, and at 300 of 400 completions one has finished
+  // whichever ran first (they hold 240 and 160 requests).
+  ServeSpec checkpointed = base;
+  checkpointed.fleet.checkpoint_path =
+      (std::filesystem::path(::testing::TempDir()) / "fcad-daemon-trace.ckpt")
+          .string();
+  std::filesystem::remove(checkpointed.fleet.checkpoint_path);
+  util::RunControl control;
+  int ticks = 0;
+  control.on_progress = [&](const util::ProgressEvent& event) {
+    ++ticks;
+    if (event.step >= 300) control.cancel.request_cancel();
+  };
+  const Daemon daemon(service, checkpointed);
+  {
+    const util::RunScope scope(control);
+    auto cancelled = daemon.run_trace(trace, &scope);
+    ASSERT_FALSE(cancelled.is_ok());
+    EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+  }
+  EXPECT_GT(ticks, 0);
+  ASSERT_TRUE(std::filesystem::exists(checkpointed.fleet.checkpoint_path));
+  auto resumed = daemon.run_trace(trace);
+  ASSERT_TRUE(resumed.is_ok());
+  EXPECT_GT(resumed->stats.resumed_shards, 0);
+  auto plain = simulate_fleet(service, trace, base);
+  ASSERT_TRUE(plain.is_ok());
+  EXPECT_EQ(serving_csv_row({}, *plain), serving_csv_row({}, resumed->stats));
+  std::filesystem::remove(checkpointed.fleet.checkpoint_path);
+}
+
+TEST(DaemonTest, ServeRejectsWhatALiveSocketCannotHonour) {
+  const ServiceModel service = make_service({{1, 2000.0}});
+  DaemonOptions options;
+  options.socket_path = "/tmp/fcad_daemon_unhonoured.sock";
+  ServeSpec live;
+  live.clock = ClockKind::kSteady;
+  ServeSpec checkpointed = live;
+  checkpointed.fleet.checkpoint_path = "/tmp/fcad_daemon_unhonoured.ckpt";
+  ServeSpec process_range = live;
+  process_range.fleet.process_count = 2;
+  ServeSpec zero_tail = live;
+  zero_tail.fleet.progress_tail_pct = 0;
+  for (const auto& [spec, field] :
+       {std::pair{checkpointed, "checkpoint_path"},
+        std::pair{process_range, "process_count"},
+        std::pair{zero_tail, "progress_tail_pct"}}) {
+    Daemon daemon(service, spec, options);
+    auto result = daemon.serve();
+    ASSERT_FALSE(result.is_ok()) << field;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find(field), std::string::npos)
+        << result.status().message();
+  }
+}
+
 TEST(DaemonTest, ServeRequiresSteadyClockAndSocketPath) {
   const ServiceModel service = make_service({{1, 2000.0}});
   {
@@ -324,6 +537,36 @@ TEST(DaemonTest, ServeRejectsMalformedAndOutOfRangeLines) {
 
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   EXPECT_EQ(result->stats.completed, 1);  // only the well-formed request
+}
+
+TEST(DaemonTest, ServeHonoursSketchLatencyMode) {
+  const ServiceModel service = make_service({{1, 1000.0}});
+  const std::string socket_path = "/tmp/fcad_daemon_sketch_test.sock";
+
+  ServeSpec spec;
+  spec.clock = ClockKind::kSteady;
+  spec.fleet.batch_timeout_us = 500;
+  spec.fleet.latency_mode = LatencyMode::kSketch;
+
+  DaemonOptions options;
+  options.socket_path = socket_path;
+
+  Daemon daemon(service, spec, options);
+  StatusOr<DaemonResult> result = Status::internal("serve never ran");
+  std::thread server([&] { result = daemon.serve(); });
+
+  const int fd = connect_with_retry(socket_path);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, "req 0 0\nreq 1 0\nreq 2 0\n"));
+  EXPECT_EQ(read_lines(fd, 3).size(), 3u);
+  ASSERT_TRUE(send_all(fd, "shutdown\n"));
+  server.join();
+  ::close(fd);
+
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result->stats.latency_mode, LatencyMode::kSketch);
+  EXPECT_EQ(result->stats.completed, 3);
+  EXPECT_GT(result->stats.latency.p99, 0);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "serving/scenario.hpp"
 #include "serving/stats.hpp"
 #include "serving/workload.hpp"
+#include "serving_goldens.hpp"
 
 namespace fcad::serving {
 namespace {
@@ -413,18 +414,48 @@ TEST(ElasticDaemonTest, ShedsOnlyAfterScaleUpHeadroomIsExhausted) {
   admission.admission_enabled = true;
   admission.admission_window = 64;
 
-  const Daemon static_daemon(service, flash_spec(), admission);
+  ServeSpec static_spec = flash_spec();
+  static_spec.fleet.keep_records = true;
+  const Daemon static_daemon(service, static_spec, admission);
   auto static_run = static_daemon.run_trace(trace);
   ASSERT_TRUE(static_run.is_ok());
   EXPECT_GT(static_run->shed, 0);
 
-  ServeSpec elastic_spec = flash_spec();
+  ServeSpec elastic_spec = static_spec;
   elastic_spec.elastic = scale_policy();
   const Daemon elastic_daemon(service, elastic_spec, admission);
   auto elastic_run = elastic_daemon.run_trace(trace);
   ASSERT_TRUE(elastic_run.is_ok());
   EXPECT_LT(elastic_run->shed, static_run->shed);
   EXPECT_GT(elastic_run->stats.scale_up_events, 0);
+
+  // Goldens captured before the daemon shared fleet.cpp's shard loop.
+  EXPECT_EQ(static_run->shed, 5890);
+  EXPECT_EQ(csv_line(static_run->stats),
+            "1238,1238,938.9438,8214.4939,7565.6806,18052.2796,22614.7620,"
+            "26249.2464,18846.9414,653,0.7109,3.9572,33,25000.0000,0.0032,1,"
+            "0.4795,0,0,0,0,0");
+  EXPECT_EQ(static_run->stats.records.size(), 1238u);
+  EXPECT_EQ(decisions_digest(static_run->stats),
+            "4cb2d077d80e47e6ea2180126f36070e");
+  EXPECT_EQ(elastic_run->shed, 0);
+  EXPECT_EQ(csv_line(elastic_run->stats),
+            "7128,7128,1777.9753,5707.6812,5432.3747,9000.0000,11773.1093,"
+            "19591.4684,8107.4528,3210,0.8327,3.0362,27,25000.0000,0.0000,1,"
+            "0.2533,6,6,0,0,0");
+  EXPECT_EQ(elastic_run->stats.records.size(), 7128u);
+  EXPECT_EQ(decisions_digest(elastic_run->stats),
+            "986837e1d1af7cfbe8c1b1a3c0774a6e");
+
+  // Grow first: while scale-up headroom remains nothing is shed, even with
+  // the gate's bound at half the SLA (its window is far above it).
+  DaemonOptions tight = admission;
+  tight.admission_headroom = 0.5;
+  auto tight_run = Daemon(service, elastic_spec, tight).run_trace(trace);
+  ASSERT_TRUE(tight_run.is_ok());
+  EXPECT_EQ(tight_run->shed, 0);
+  EXPECT_EQ(decisions_digest(tight_run->stats),
+            "986837e1d1af7cfbe8c1b1a3c0774a6e");
 }
 
 }  // namespace
