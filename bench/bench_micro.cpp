@@ -15,6 +15,9 @@ namespace {
 
 using namespace fcad;
 
+/// The paper's default datapath: a pipelined int8 MAC array.
+const arch::Datapath kPipelinedInt8{};
+
 const arch::ReorganizedModel& decoder_model() {
   static const arch::ReorganizedModel model = [] {
     auto m = arch::reorganize(nn::zoo::avatar_decoder());
@@ -58,8 +61,8 @@ void BM_InBranchOptimize(benchmark::State& state) {
   const dse::ResourceBudget slice{1200, 900, 6.0};
   for (auto _ : state) {
     benchmark::DoNotOptimize(dse::in_branch_optimize(
-        model, /*branch=*/1, slice, /*batch_target=*/2, nn::DataType::kInt8,
-        nn::DataType::kInt8, /*freq_mhz=*/200));
+        model, /*branch=*/1, slice, /*batch_target=*/2, kPipelinedInt8,
+        /*freq_mhz=*/200));
   }
 }
 BENCHMARK(BM_InBranchOptimize);

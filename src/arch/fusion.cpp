@@ -1,6 +1,6 @@
 #include "arch/fusion.hpp"
 
-#include <map>
+#include <vector>
 
 namespace fcad::arch {
 
@@ -44,39 +44,47 @@ StatusOr<FusedGraph> fuse(const nn::Graph& graph,
   FCAD_CHECK(profile.layers.size() == graph.size());
   FusedGraph fg;
 
-  // layer id -> stage index currently producing that layer's value.
-  // Structural layers map to the stage of their (first) input, or -1 when the
-  // value comes straight from network inputs.
-  std::map<nn::LayerId, int> producer;
+  // layer id (0..n-1) -> stage index currently producing that layer's
+  // value. Structural layers map to the stage of their (first) input, or -1
+  // when the value comes straight from network inputs; kUnset marks a layer
+  // not yet visited.
+  constexpr int kUnset = -2;
+  std::vector<int> producer(graph.size(), kUnset);
+  const auto producer_of = [&](nn::LayerId id) {
+    FCAD_CHECK(id >= 0 && static_cast<std::size_t>(id) < producer.size());
+    const int p = producer[static_cast<std::size_t>(id)];
+    FCAD_CHECK(p != kUnset);
+    return p;
+  };
 
   for (const nn::Layer& layer : graph.layers()) {
     const analysis::LayerProfile& lp =
         profile.layers[static_cast<std::size_t>(layer.id)];
+    int& own = producer[static_cast<std::size_t>(layer.id)];
 
     if (is_structural(layer)) {
       if (layer.kind == nn::LayerKind::kInput) {
-        producer[layer.id] = -1;
+        own = -1;
       } else if (layer.kind == nn::LayerKind::kConcat) {
         // All concat inputs must come from network inputs (concatenating two
         // intermediate streams would need a join unit the elastic
         // architecture does not define).
         int p = -1;
         for (nn::LayerId in : layer.inputs) {
-          auto it = producer.find(in);
-          FCAD_CHECK(it != producer.end());
-          if (it->second != -1) {
-            if (p != -1 && p != it->second) {
+          const int q = producer_of(in);
+          if (q != -1) {
+            if (p != -1 && p != q) {
               return Status::invalid_argument(
                   "fuse: concat '" + layer.name +
                   "' joins two intermediate streams; unsupported");
             }
-            p = it->second;
+            p = q;
           }
         }
-        producer[layer.id] = p;
+        own = p;
       } else {
         // Reshape / Output inherit their input's producer.
-        producer[layer.id] = producer.at(layer.inputs[0]);
+        own = producer_of(layer.inputs[0]);
       }
       continue;
     }
@@ -121,15 +129,15 @@ StatusOr<FusedGraph> fuse(const nn::Graph& graph,
       const int idx = static_cast<int>(fg.stages.size());
       fg.stages.push_back(std::move(st));
       fg.stage_inputs.emplace_back();
-      const int p = producer.at(layer.inputs[0]);
+      const int p = producer_of(layer.inputs[0]);
       if (p != -1) fg.stage_inputs.back().push_back(p);
-      producer[layer.id] = idx;
+      own = idx;
       continue;
     }
 
     FCAD_CHECK(is_foldable_postop(layer));
     const nn::LayerId in_id = layer.inputs[0];
-    const int p = producer.at(in_id);
+    const int p = producer_of(in_id);
     if (p == -1) {
       return Status::invalid_argument(
           "fuse: post-op '" + layer.name +
@@ -162,12 +170,12 @@ StatusOr<FusedGraph> fuse(const nn::Graph& graph,
     st.final_ch = layer.out_shape.ch;
     st.final_h = layer.out_shape.h;
     st.final_w = layer.out_shape.w;
-    producer[layer.id] = p;
+    own = p;
   }
 
   // Map graph outputs to stages.
   for (nn::LayerId out : graph.output_ids()) {
-    const int p = producer.at(out);
+    const int p = producer_of(out);
     if (p == -1) {
       return Status::invalid_argument(
           "fuse: output '" + graph.layer(out).name +

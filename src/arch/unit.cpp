@@ -26,14 +26,10 @@ std::vector<int> divisors(int n) {
   return out;
 }
 
-struct LaneEntry {
-  std::int64_t lanes;
-  UnitConfig cfg;
-};
-
 /// All divisor-triple configs of a (InCh, OutCh, Hmax) stage signature,
-/// deduplicated per lane count, sorted ascending by lanes. get_pf is called
-/// hundreds of thousands of times by the DSE, so the tables are memoized.
+/// deduplicated per lane count, sorted ascending by lanes. Memoized: every
+/// DSE search reads them once per stage (dse/in_branch.hpp), and the
+/// baselines' get_pf_2d once per layer.
 const std::vector<LaneEntry>& lane_table(int in_ch, int out_ch, int h_max) {
   using Key = std::tuple<int, int, int>;
   static std::mutex mutex;
@@ -90,6 +86,10 @@ bool fits_stage(const UnitConfig& cfg, const FusedStage& stage) {
   return cfg.cpf >= 1 && cfg.kpf >= 1 && cfg.h >= 1 &&
          cfg.cpf <= stage.max_cpf() && cfg.kpf <= stage.max_kpf() &&
          cfg.h <= stage.max_h();
+}
+
+const std::vector<LaneEntry>& lane_entries(const FusedStage& stage) {
+  return lane_table(stage.max_cpf(), stage.max_kpf(), stage.max_h());
 }
 
 std::int64_t max_lanes(const FusedStage& stage) {

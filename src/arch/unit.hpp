@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "arch/datapath.hpp"
 #include "arch/fusion.hpp"
@@ -31,6 +32,20 @@ bool fits_stage(const UnitConfig& cfg, const FusedStage& stage);
 
 /// Largest parallelism a stage can absorb.
 std::int64_t max_lanes(const FusedStage& stage);
+
+/// One entry of GetPF's lane table: the preferred divisor-triple config for
+/// one reachable lane count (lowest h, then lowest kpf, among the triples).
+struct LaneEntry {
+  std::int64_t lanes = 0;
+  UnitConfig cfg;
+};
+
+/// The lane table get_pf searches for `stage`: one entry per lane count some
+/// divisor triple reaches, ascending by lanes, starting at (1,1,1). get_pf(t)
+/// is the first entry with lanes >= t, or the last entry when t exceeds them
+/// all. Memoized per stage signature; the reference stays valid for the
+/// process lifetime.
+const std::vector<LaneEntry>& lane_entries(const FusedStage& stage);
 
 /// GetPF (Algorithm 2, line 15): factorizes a scalar parallelism target into
 /// (cpf, kpf, h) for this stage. Searches divisor triples of the stage

@@ -64,30 +64,33 @@ ResourceDistribution demand_proportional_distribution(
 }
 
 DistributionEval evaluate_distribution(const arch::ReorganizedModel& model,
+                                       const std::vector<BranchTable>& tables,
                                        const ResourceBudget& budget,
                                        const ResourceDistribution& rd,
                                        const Customization& cust,
                                        const CrossBranchOptions& opt,
                                        SearchTrace& trace,
                                        FitnessCache* cache) {
+  FCAD_CHECK(tables.size() == static_cast<std::size_t>(model.num_branches()));
   DistributionEval ce;
   ce.config.datapath = cust.resolved_datapath();
   ce.config.freq_mhz = opt.freq_mhz;
+  ce.config.branches.reserve(tables.size());
 
   int unmet = 0;
   std::uint64_t met_mask = 0;
   for (int b = 0; b < model.num_branches(); ++b) {
     const ResourceBudget slice = rd.slice(budget, b);
-    const InBranchResult ib = in_branch_optimize(
-        model, b, slice, cust.batch_sizes[static_cast<std::size_t>(b)],
-        ce.config.datapath, opt.freq_mhz);
+    InBranchResult ib = in_branch_optimize(
+        tables[static_cast<std::size_t>(b)], slice,
+        cust.batch_sizes[static_cast<std::size_t>(b)], opt.freq_mhz);
     ++trace.evaluations;
     if (ib.met_batch_target) {
       met_mask |= std::uint64_t{1} << (b % 64);
     } else {
       ++unmet;
     }
-    ce.config.branches.push_back(ib.config);
+    ce.config.branches.push_back(std::move(ib.config));
   }
 
   // Nearby distributions quantize to the same discrete config; once one of
@@ -95,24 +98,24 @@ DistributionEval evaluate_distribution(const arch::ReorganizedModel& model,
   FitnessCache::Key key;
   if (cache) {
     key = FitnessCache::config_key(ce.config, met_mask, opt.eval_mode);
-    if (auto entry = cache->find(key)) {
-      ce.eval = entry->eval;
+    if (const auto entry = cache->find(key)) {
       ce.fitness = entry->fitness;
       ce.feasible = entry->feasible;
       return ce;
     }
   }
 
-  ce.eval = arch::evaluate(model, ce.config, opt.eval_mode);
+  const arch::AcceleratorEval eval =
+      arch::evaluate(model, ce.config, opt.eval_mode);
   // A candidate must also respect the global budget once quantization and
   // cross-branch caps are accounted for.
-  if (!ce.eval.within(static_cast<int>(budget.c), static_cast<int>(budget.m),
-                      budget.bw, static_cast<int>(budget.l))) {
+  if (!eval.within(static_cast<int>(budget.c), static_cast<int>(budget.m),
+                   budget.bw, static_cast<int>(budget.l))) {
     ++unmet;
   }
   std::vector<double> fps;
-  fps.reserve(ce.eval.branches.size());
-  for (const arch::BranchEval& be : ce.eval.branches) fps.push_back(be.fps);
+  fps.reserve(eval.branches.size());
+  for (const arch::BranchEval& be : eval.branches) fps.push_back(be.fps);
   if (opt.objective.empty()) {
     ce.fitness = fitness_score(fps, cust.priorities, unmet, opt.fitness);
   } else {
@@ -120,16 +123,27 @@ DistributionEval evaluate_distribution(const arch::ReorganizedModel& model,
     input.fps = std::move(fps);
     input.priorities = cust.priorities;
     input.unmet_targets = unmet;
-    input.min_fps = ce.eval.min_fps;
-    input.dsps = ce.eval.dsps;
-    input.brams = ce.eval.brams;
-    input.bw_gbps = ce.eval.bw_gbps;
-    input.accuracy_proxy = ce.eval.accuracy_proxy;
+    input.min_fps = eval.min_fps;
+    input.dsps = eval.dsps;
+    input.brams = eval.brams;
+    input.bw_gbps = eval.bw_gbps;
+    input.accuracy_proxy = eval.accuracy_proxy;
     ce.fitness = opt.objective.score(input);
   }
   ce.feasible = unmet == 0;
-  if (cache) cache->insert(key, {ce.eval, ce.fitness, ce.feasible});
+  if (cache) cache->insert(key, {ce.fitness, ce.feasible});
   return ce;
+}
+
+DistributionEval evaluate_distribution(const arch::ReorganizedModel& model,
+                                       const ResourceBudget& budget,
+                                       const ResourceDistribution& rd,
+                                       const Customization& cust,
+                                       const CrossBranchOptions& opt,
+                                       SearchTrace& trace) {
+  return evaluate_distribution(
+      model, build_branch_tables(model, cust.resolved_datapath()), budget, rd,
+      cust, opt, trace);
 }
 
 SearchResult cross_branch_search(const arch::ReorganizedModel& model,

@@ -89,10 +89,10 @@ SearchResult cross_branch_search(const arch::ReorganizedModel& model,
 /// configuration (Algorithm 2) per branch + fitness. The shared strategy
 /// loop (dse/strategy.hpp) scores every proposed candidate through this one
 /// function, so all strategies optimize exactly the same objective as
-/// Algorithm 1.
+/// Algorithm 1. The full arch::AcceleratorEval of a candidate is not kept:
+/// the loop evaluates the winner once, into SearchResult::eval.
 struct DistributionEval {
   arch::AcceleratorConfig config;
-  arch::AcceleratorEval eval;
   double fitness = 0;
   bool feasible = false;
 };
@@ -100,17 +100,27 @@ struct DistributionEval {
 class FitnessCache;
 
 /// Pure function of (model, budget, rd, customization, options); safe to
-/// call concurrently from pool workers. When `cache` is non-null, the
-/// post-quantization evaluation + fitness are memoized by discrete-config
-/// hash (see dse/fitness_cache.hpp); the cache must belong to this search
-/// context.
+/// call concurrently from pool workers. `tables` are the model's branch
+/// tables on the customization's datapath (build_branch_tables). When
+/// `cache` is non-null, the post-quantization fitness is memoized by
+/// discrete-config hash (see dse/fitness_cache.hpp); the cache must belong
+/// to this search context.
 DistributionEval evaluate_distribution(const arch::ReorganizedModel& model,
+                                       const std::vector<BranchTable>& tables,
                                        const ResourceBudget& budget,
                                        const ResourceDistribution& rd,
                                        const Customization& customization,
                                        const CrossBranchOptions& options,
                                        SearchTrace& trace,
                                        FitnessCache* cache = nullptr);
+
+/// As above, building the branch tables for this one call.
+DistributionEval evaluate_distribution(const arch::ReorganizedModel& model,
+                                       const ResourceBudget& budget,
+                                       const ResourceDistribution& rd,
+                                       const Customization& customization,
+                                       const CrossBranchOptions& options,
+                                       SearchTrace& trace);
 
 /// The demand-proportional warm-start distribution used to seed Algorithm
 /// 1's swarm (compute ∝ owned MACs x batch, memory ∝ minimum-parallelism

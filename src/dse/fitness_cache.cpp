@@ -28,9 +28,9 @@ FitnessCache::Key FitnessCache::config_key(const arch::AcceleratorConfig& config
   return Key{h.lo, h.hi};
 }
 
-std::shared_ptr<const FitnessCache::Entry> FitnessCache::find(const Key& key) {
+std::optional<FitnessCache::Entry> FitnessCache::find(const Key& key) {
   Shard& shard = shard_for(key);
-  std::shared_ptr<const Entry> entry;
+  std::optional<Entry> entry;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.map.find(key);
@@ -46,15 +46,10 @@ std::shared_ptr<const FitnessCache::Entry> FitnessCache::find(const Key& key) {
   return entry;
 }
 
-std::shared_ptr<const FitnessCache::Entry> FitnessCache::insert(const Key& key,
-                                                                Entry entry) {
+FitnessCache::Entry FitnessCache::insert(const Key& key, const Entry& entry) {
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto [it, inserted] = shard.map.try_emplace(key, nullptr);
-  if (inserted) {
-    it->second = std::make_shared<const Entry>(std::move(entry));
-  }
-  return it->second;
+  return shard.map.try_emplace(key, entry).first->second;
 }
 
 }  // namespace fcad::dse

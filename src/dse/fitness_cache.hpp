@@ -4,8 +4,10 @@
 // the in-branch greedy pass (Algorithm 2) quantizes each candidate into a
 // *discrete* accelerator configuration — and as a swarm converges, many
 // distinct distributions collapse onto the same configuration. Caching the
-// evaluation + fitness behind a hash of that discrete configuration makes
-// repeated configs across generations free.
+// fitness and feasibility behind a hash of that discrete configuration makes
+// repeated configs across generations free. Only those two scalars are
+// kept: the search re-evaluates its winner once at the end, so a full
+// evaluation per distinct config would only cost memory.
 //
 // Thread-safety and determinism: the cache is sharded behind mutexes so
 // concurrent candidate evaluations can share it. Every entry is a pure
@@ -18,8 +20,8 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "arch/elastic.hpp"
@@ -40,7 +42,6 @@ class FitnessCache {
   };
 
   struct Entry {
-    arch::AcceleratorEval eval;
     double fitness = 0;
     bool feasible = false;
   };
@@ -52,14 +53,14 @@ class FitnessCache {
   static Key config_key(const arch::AcceleratorConfig& config,
                         std::uint64_t met_mask, arch::EvalMode mode);
 
-  /// Returns the cached entry or nullptr, bumping the hit/miss counters
+  /// Returns the cached entry or nothing, bumping the hit/miss counters
   /// (this cache's own, plus the process-wide totals under
   /// `dse.fitness_cache.*` in obs::MetricsRegistry::global()).
-  std::shared_ptr<const Entry> find(const Key& key);
+  std::optional<Entry> find(const Key& key);
 
   /// Inserts `entry` unless the key is already resident (first writer wins —
   /// both writers computed identical values) and returns the resident entry.
-  std::shared_ptr<const Entry> insert(const Key& key, Entry entry);
+  Entry insert(const Key& key, const Entry& entry);
 
   std::int64_t hits() const { return hits_.value(); }
   std::int64_t misses() const { return misses_.value(); }
@@ -72,7 +73,7 @@ class FitnessCache {
   };
   struct Shard {
     std::mutex mutex;
-    std::unordered_map<Key, std::shared_ptr<const Entry>, KeyHash> map;
+    std::unordered_map<Key, Entry, KeyHash> map;
   };
 
   Shard& shard_for(const Key& key) {

@@ -2,85 +2,109 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 namespace fcad::dse {
-namespace {
 
-struct StageDemand {
-  const arch::FusedStage* stage = nullptr;
-  double ops = 0;           ///< op_k: MACs (the Eq. 4 work term)
-  double stream_bytes = 0;  ///< per-frame DDR bytes (GetReuse numerator)
-  arch::UnitStreamContext ctx;
-};
+std::size_t BranchTable::Stage::lookup(std::int64_t pf_target) const {
+  FCAD_CHECK(pf_target >= 1);
+  const auto it = std::lower_bound(lanes.begin(), lanes.end(), pf_target);
+  // A target beyond the largest lane count clamps to it, as get_pf does.
+  if (it == lanes.end()) return lanes.size() - 1;
+  return static_cast<std::size_t>(it - lanes.begin());
+}
 
-}  // namespace
+BranchTable build_branch_table(const arch::ReorganizedModel& model,
+                               int branch, const arch::Datapath& dp) {
+  FCAD_CHECK(branch >= 0 && branch < model.num_branches());
+  const arch::BranchPipeline& br =
+      model.branches[static_cast<std::size_t>(branch)];
+  BranchTable table;
+  table.stages.reserve(br.stages.size());
+  // Lines 4-7: layer-wise compute demand and data-reuse characteristics,
+  // plus every configuration GetPF (line 15) can return for the stage.
+  for (int s : br.stages) {
+    const arch::FusedStage& stage = model.stage(s);
+    arch::UnitStreamContext ctx;
+    ctx.reads_external_input =
+        model.fused.stage_inputs[static_cast<std::size_t>(s)].empty();
+    ctx.writes_external_output =
+        !model.fused.stage_outputs[static_cast<std::size_t>(s)].empty();
 
-InBranchResult in_branch_optimize(const arch::ReorganizedModel& model,
-                                  int branch, const ResourceBudget& rd,
-                                  int batch_target, nn::DataType dw,
-                                  nn::DataType ww, double freq_mhz) {
-  return in_branch_optimize(model, branch, rd, batch_target,
-                            arch::Datapath{arch::MacStyle::kPipelined, dw, ww},
-                            freq_mhz);
+    const std::vector<arch::LaneEntry>& entries = arch::lane_entries(stage);
+    FCAD_CHECK(!entries.empty() && entries.front().lanes == 1);
+    BranchTable::Stage& t = table.stages.emplace_back();
+    t.ops = static_cast<double>(stage.macs);
+    t.max_lanes = arch::max_lanes(stage);
+    t.lanes.reserve(entries.size());
+    t.configs.reserve(entries.size());
+    t.resources.reserve(entries.size());
+    t.cycles.reserve(entries.size());
+    for (const arch::LaneEntry& e : entries) {
+      t.lanes.push_back(e.lanes);
+      t.configs.push_back(e.cfg);
+      t.resources.push_back(arch::unit_resources(stage, e.cfg, dp, ctx));
+      t.cycles.push_back(arch::cycles_analytical(stage, e.cfg, dp));
+    }
+    // The first entry is the (1,1,1) unit: its traffic is the stage's
+    // unit-parallelism stream demand.
+    t.stream_bytes =
+        static_cast<double>(t.resources.front().total_stream_bytes());
+  }
+  return table;
+}
+
+std::vector<BranchTable> build_branch_tables(
+    const arch::ReorganizedModel& model, const arch::Datapath& dp) {
+  std::vector<BranchTable> tables;
+  tables.reserve(static_cast<std::size_t>(model.num_branches()));
+  for (int b = 0; b < model.num_branches(); ++b) {
+    tables.push_back(build_branch_table(model, b, dp));
+  }
+  return tables;
 }
 
 InBranchResult in_branch_optimize(const arch::ReorganizedModel& model,
                                   int branch, const ResourceBudget& rd,
                                   int batch_target, const arch::Datapath& dp,
                                   double freq_mhz) {
-  FCAD_CHECK(branch >= 0 && branch < model.num_branches());
+  return in_branch_optimize(build_branch_table(model, branch, dp), rd,
+                            batch_target, freq_mhz);
+}
+
+InBranchResult in_branch_optimize(const BranchTable& table,
+                                  const ResourceBudget& rd, int batch_target,
+                                  double freq_mhz) {
   FCAD_CHECK(batch_target >= 1);
-  const arch::BranchPipeline& br =
-      model.branches[static_cast<std::size_t>(branch)];
+  const std::vector<BranchTable::Stage>& demands = table.stages;
   const double freq_hz = freq_mhz * 1e6;
   const double bw_bytes = rd.bw * 1e9;
 
   InBranchResult result;
   result.config.batch = 1;
-  if (br.stages.empty()) {
+  if (demands.empty()) {
     // Branch owns nothing (fully shared into another branch); trivially met.
     result.met_batch_target = true;
     result.config.batch = batch_target;
     return result;
   }
 
-  // Lines 4-7: layer-wise compute demand and data-reuse characteristics.
-  std::vector<StageDemand> demands;
-  demands.reserve(br.stages.size());
-  for (int s : br.stages) {
-    StageDemand d;
-    d.stage = &model.stage(s);
-    d.ops = static_cast<double>(d.stage->macs);
-    d.ctx.reads_external_input =
-        model.fused.stage_inputs[static_cast<std::size_t>(s)].empty();
-    d.ctx.writes_external_output =
-        !model.fused.stage_outputs[static_cast<std::size_t>(s)].empty();
-    const arch::UnitResources probe = arch::unit_resources(
-        *d.stage, arch::UnitConfig{1, 1, 1}, dp, d.ctx);
-    d.stream_bytes = static_cast<double>(probe.total_stream_bytes());
-    demands.push_back(d);
-  }
-
   // Lines 8-12: most optimistic parallelism targets that just exhaust the
   // allocated bandwidth. norm_param_k = bytes/op (GetReuse); the closed form
   // reduces to pf_k = BW * op_k / (freq * sum bytes).
   double op_min = demands[0].ops;
-  double total_bytes = 0;
-  for (const StageDemand& d : demands) {
+  for (const BranchTable::Stage& d : demands) {
     op_min = std::min(op_min, std::max(d.ops, 1.0));
-    total_bytes += d.stream_bytes;
   }
   op_min = std::max(op_min, 1.0);
   double norm_bw = 0;  // bytes/s at unit parallelism scale
-  for (const StageDemand& d : demands) {
+  for (const BranchTable::Stage& d : demands) {
     const double norm_param = d.stream_bytes / std::max(d.ops, 1.0);
     norm_bw += (d.ops / op_min) * norm_param * freq_hz;
   }
 
   std::vector<std::int64_t> pf(demands.size(), 1);
   for (std::size_t k = 0; k < demands.size(); ++k) {
-    const std::int64_t cap = arch::max_lanes(*demands[k].stage);
+    const std::int64_t cap = demands[k].max_lanes;
     double target;
     if (norm_bw > 0) {
       target = std::ceil(bw_bytes / norm_bw * (demands[k].ops / op_min));
@@ -90,9 +114,25 @@ InBranchResult in_branch_optimize(const arch::ReorganizedModel& model,
     pf[k] = std::clamp<std::int64_t>(static_cast<std::int64_t>(target), 1, cap);
   }
 
-  // Lines 13-24: greedy halving until the batch target fits.
+  // Lines 13-24: greedy halving until the batch target fits. Each step
+  // reads the table entry GetPF picks for every stage.
+  std::vector<std::size_t> picked(demands.size(), 0);
+  const auto finish = [&](int batch, bool met, double c_sum, double m_sum,
+                          double param_bytes, double feature_bytes,
+                          double waves_per_s, double max_lat) {
+    result.config.batch = batch;
+    result.config.units.reserve(demands.size());
+    for (std::size_t k = 0; k < demands.size(); ++k) {
+      result.config.units.push_back(demands[k].configs[picked[k]]);
+    }
+    result.met_batch_target = met;
+    result.c_used = c_sum * batch;
+    result.m_used = m_sum * batch;
+    result.bw_used =
+        (param_bytes + feature_bytes * batch) * waves_per_s * 1e-9;
+    result.bottleneck_cycles = max_lat;
+  };
   while (true) {
-    std::vector<arch::UnitConfig> cfgs(demands.size());
     double c_sum = 0;
     double l_sum = 0;
     double m_sum = 0;
@@ -100,16 +140,15 @@ InBranchResult in_branch_optimize(const arch::ReorganizedModel& model,
     double feature_bytes = 0;
     double max_lat = 0;
     for (std::size_t k = 0; k < demands.size(); ++k) {
-      cfgs[k] = arch::get_pf(pf[k], *demands[k].stage);
-      const arch::UnitResources res = arch::unit_resources(
-          *demands[k].stage, cfgs[k], dp, demands[k].ctx);
+      const BranchTable::Stage& d = demands[k];
+      picked[k] = d.lookup(pf[k]);
+      const arch::UnitResources& res = d.resources[picked[k]];
       c_sum += res.dsps;
       l_sum += res.luts;
       m_sum += res.brams;
       param_bytes += static_cast<double>(res.param_stream_bytes);
       feature_bytes += static_cast<double>(res.feature_stream_bytes);
-      max_lat = std::max(
-          max_lat, arch::cycles_analytical(*demands[k].stage, cfgs[k], dp));
+      max_lat = std::max(max_lat, d.cycles[picked[k]]);
     }
 
     // Line 18: how many pipeline copies fit the slice. Parameters are
@@ -137,14 +176,8 @@ InBranchResult in_branch_optimize(const arch::ReorganizedModel& model,
       bool can_halve = false;
       for (std::int64_t p : pf) can_halve = can_halve || p > 1;
       if (!can_halve) {
-        result.config.batch = std::max(batch, 1);
-        result.config.units = std::move(cfgs);
-        result.met_batch_target = false;
-        result.c_used = c_sum * result.config.batch;
-        result.m_used = m_sum * result.config.batch;
-        result.bw_used = (param_bytes + feature_bytes * result.config.batch) *
-                         waves_per_s * 1e-9;
-        result.bottleneck_cycles = max_lat;
+        finish(std::max(batch, 1), false, c_sum, m_sum, param_bytes,
+               feature_bytes, waves_per_s, max_lat);
         return result;
       }
       for (std::int64_t& p : pf) p = std::max<std::int64_t>(1, p / 2);
@@ -153,14 +186,8 @@ InBranchResult in_branch_optimize(const arch::ReorganizedModel& model,
     }
 
     // Line 22: clamp to the requested batch and stop.
-    result.config.batch = batch_target;
-    result.config.units = std::move(cfgs);
-    result.met_batch_target = true;
-    result.c_used = c_sum * batch_target;
-    result.m_used = m_sum * batch_target;
-    result.bw_used =
-        (param_bytes + feature_bytes * batch_target) * waves_per_s * 1e-9;
-    result.bottleneck_cycles = max_lat;
+    finish(batch_target, true, c_sum, m_sum, param_bytes, feature_bytes,
+           waves_per_s, max_lat);
     return result;
   }
 }

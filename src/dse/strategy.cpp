@@ -43,7 +43,6 @@ void consider(const DistributionEval& ce, const ResourceDistribution& rd,
   if (ce.fitness > result.fitness) {
     result.fitness = ce.fitness;
     result.config = ce.config;
-    result.eval = ce.eval;
     result.distribution = rd;
     result.feasible = ce.feasible;
     result.trace.convergence_iteration = iteration;
@@ -385,6 +384,9 @@ SearchResult run_strategy(Strategy& strategy, const StrategyContext& ctx,
              static_cast<std::size_t>(ctx.model.num_branches()));
   const auto t0 = std::chrono::steady_clock::now();
   util::ThreadPool& pool = util::ThreadPool::shared(options.threads);
+  // Algorithm 2's candidate-independent half, built once for the search.
+  const std::vector<BranchTable> tables = build_branch_tables(
+      ctx.model, ctx.customization.resolved_datapath());
   FitnessCache cache;
 
   SearchResult result;
@@ -426,9 +428,9 @@ SearchResult run_strategy(Strategy& strategy, const StrategyContext& ctx,
         pool.parallel_map<DistributionEval>(
             static_cast<std::int64_t>(proposed.size()), [&](std::int64_t i) {
               const auto idx = static_cast<std::size_t>(i);
-              return evaluate_distribution(ctx.model, ctx.budget,
-                                           proposed[idx], ctx.customization,
-                                           options, local_traces[idx], &cache);
+              return evaluate_distribution(
+                  ctx.model, tables, ctx.budget, proposed[idx],
+                  ctx.customization, options, local_traces[idx], &cache);
             });
     for (const SearchTrace& local : local_traces) {
       result.trace.evaluations += local.evaluations;
@@ -453,9 +455,11 @@ SearchResult run_strategy(Strategy& strategy, const StrategyContext& ctx,
     }
   }
 
-  // Report the winner under quantized evaluation — what the generated RTL
-  // would actually do. (Divisor-exact configs make this a no-op; non-divisor
-  // factors would surface their ceil waste here.)
+  // Evaluate the winner under quantized evaluation — what the generated RTL
+  // would actually do. Candidates carry no evaluation, so this is the one
+  // that SearchResult::eval reports. (Divisor-exact configs match the
+  // analytical numbers; non-divisor factors would surface their ceil waste
+  // here.)
   if (!result.config.branches.empty()) {
     result.eval = arch::evaluate(ctx.model, result.config,
                                  arch::EvalMode::kQuantized);

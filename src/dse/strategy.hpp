@@ -11,10 +11,11 @@
 //   finish(ctx, result)              post-loop trace fixups
 //
 // The framework owns everything a strategy should not reimplement: the
-// thread-pool fan-out over candidates, the per-search FitnessCache, the
-// RunControl contract (cancellation/deadline polling between rounds, one
-// ProgressEvent per round), evaluation accounting, the final quantized
-// re-evaluation of the winner, and wall-clock timing. Candidate evaluation
+// thread-pool fan-out over candidates, the per-search branch tables
+// (dse/in_branch.hpp) and FitnessCache, the RunControl contract
+// (cancellation/deadline polling between rounds, one ProgressEvent per
+// round), evaluation accounting, the final quantized evaluation of the
+// winner into SearchResult::eval, and wall-clock timing. Candidate evaluation
 // order never affects results: evaluations are pure functions of the
 // proposed distribution and accept() sees them in proposal order.
 //
@@ -64,8 +65,9 @@ class Strategy {
                                                     int round) = 0;
 
   /// The scored batch, in proposal order. Implementations update internal
-  /// state and fold improvements into `result` (config/eval/distribution/
-  /// fitness/feasible and the trace fields the strategy owns).
+  /// state and fold improvements into `result` (config/distribution/
+  /// fitness/feasible and the trace fields the strategy owns); the loop
+  /// fills `result.eval` from the final config after finish().
   virtual void accept(const StrategyContext& ctx, int round,
                       const std::vector<ResourceDistribution>& proposed,
                       const std::vector<DistributionEval>& evals,

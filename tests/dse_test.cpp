@@ -11,6 +11,9 @@
 namespace fcad::dse {
 namespace {
 
+/// The paper's default datapath: a pipelined int8 MAC array.
+const arch::Datapath kPipelinedInt8{};
+
 const arch::ReorganizedModel& decoder_model() {
   static const arch::ReorganizedModel model = [] {
     auto m = arch::reorganize(nn::zoo::avatar_decoder());
@@ -135,8 +138,7 @@ TEST(FitnessTest, InfeasibleNeverBeatsFeasible) {
 TEST(InBranchTest, GenerousBudgetMeetsBatchTarget) {
   const ResourceBudget slice{2000, 1500, 10.0};
   const InBranchResult r =
-      in_branch_optimize(decoder_model(), 0, slice, 2, nn::DataType::kInt8,
-                         nn::DataType::kInt8, 200.0);
+      in_branch_optimize(decoder_model(), 0, slice, 2, kPipelinedInt8, 200.0);
   EXPECT_TRUE(r.met_batch_target);
   EXPECT_EQ(r.config.batch, 2);
   EXPECT_EQ(r.config.units.size(), 6u);
@@ -148,8 +150,7 @@ TEST(InBranchTest, GenerousBudgetMeetsBatchTarget) {
 TEST(InBranchTest, StarvedBudgetReportsUnmet) {
   const ResourceBudget slice{4, 10, 0.01};
   const InBranchResult r =
-      in_branch_optimize(decoder_model(), 1, slice, 2, nn::DataType::kInt8,
-                         nn::DataType::kInt8, 200.0);
+      in_branch_optimize(decoder_model(), 1, slice, 2, kPipelinedInt8, 200.0);
   EXPECT_FALSE(r.met_batch_target);
   // Even then the config is structurally valid (>= 1 parallelism).
   for (const arch::UnitConfig& u : r.config.units) {
@@ -161,19 +162,16 @@ TEST(InBranchTest, TighterBudgetNeverFaster) {
   const ResourceBudget big{2000, 1200, 12.8};
   const ResourceBudget small{200, 400, 1.0};
   const auto rb = in_branch_optimize(decoder_model(), 1, big, 1,
-                                     nn::DataType::kInt8,
-                                     nn::DataType::kInt8, 200.0);
+                                     kPipelinedInt8, 200.0);
   const auto rs = in_branch_optimize(decoder_model(), 1, small, 1,
-                                     nn::DataType::kInt8,
-                                     nn::DataType::kInt8, 200.0);
+                                     kPipelinedInt8, 200.0);
   EXPECT_LE(rb.bottleneck_cycles, rs.bottleneck_cycles);
 }
 
 TEST(InBranchTest, HalvingLoopConvergesOnTightBudget) {
   const ResourceBudget slice{64, 400, 0.5};
   const InBranchResult r =
-      in_branch_optimize(decoder_model(), 1, slice, 1, nn::DataType::kInt8,
-                         nn::DataType::kInt8, 200.0);
+      in_branch_optimize(decoder_model(), 1, slice, 1, kPipelinedInt8, 200.0);
   EXPECT_GT(r.halvings, 0);  // the greedy search actually had to back off
   EXPECT_LE(r.c_used, slice.c);
 }
@@ -197,10 +195,94 @@ TEST(InBranchTest, EmptyBranchIsTriviallyFeasible) {
   const ResourceBudget slice{10, 10, 0.1};
   int empty_branch = model->branches[0].stages.empty() ? 0 : 1;
   const InBranchResult r =
-      in_branch_optimize(*model, empty_branch, slice, 3, nn::DataType::kInt8,
-                         nn::DataType::kInt8, 200.0);
+      in_branch_optimize(*model, empty_branch, slice, 3, kPipelinedInt8,
+                         200.0);
   EXPECT_TRUE(r.met_batch_target);
   EXPECT_EQ(r.c_used, 0);
+}
+
+TEST(InBranchTest, BranchTablesMatchGetPfAndTheUnitModels) {
+  // Oracle for Algorithm 2's per-search tables, on every decoder stage and
+  // every registered datapath: for every pf in [1, max_lanes] the table
+  // picks get_pf's config, and each entry's resources and cycles are
+  // unit_resources' and cycles_analytical's at that config.
+  const arch::ReorganizedModel& model = decoder_model();
+  std::vector<arch::Datapath> datapaths;
+  std::vector<std::vector<BranchTable>> tables;  // per datapath
+  for (const std::string& name : arch::registered_datapath_names()) {
+    auto dp = arch::datapath_from_string(name);
+    ASSERT_TRUE(dp.is_ok()) << name;
+    datapaths.push_back(*dp);
+    tables.push_back(build_branch_tables(model, *dp));
+    ASSERT_EQ(tables.back().size(),
+              static_cast<std::size_t>(model.num_branches()));
+  }
+  std::size_t stages_checked = 0;
+  for (int b = 0; b < model.num_branches(); ++b) {
+    const arch::BranchPipeline& br =
+        model.branches[static_cast<std::size_t>(b)];
+    for (std::size_t i = 0; i < br.stages.size(); ++i) {
+      const int s = br.stages[i];
+      const arch::FusedStage& stage = model.stage(s);
+      arch::UnitStreamContext ctx;
+      ctx.reads_external_input =
+          model.fused.stage_inputs[static_cast<std::size_t>(s)].empty();
+      ctx.writes_external_output =
+          !model.fused.stage_outputs[static_cast<std::size_t>(s)].empty();
+      const std::int64_t max_lanes = arch::max_lanes(stage);
+      // lookup() reads only the lane counts, which with the configs are
+      // the same on every datapath; sweep every pf on the first.
+      const BranchTable::Stage& first =
+          tables.front()[static_cast<std::size_t>(b)].stages[i];
+      for (const std::vector<BranchTable>& per_dp : tables) {
+        const BranchTable::Stage& t =
+            per_dp[static_cast<std::size_t>(b)].stages[i];
+        EXPECT_EQ(t.lanes, first.lanes) << stage.name;
+        EXPECT_EQ(t.configs, first.configs) << stage.name;
+      }
+      std::int64_t wrong_picks = 0;
+      for (std::int64_t pf = 1; pf <= max_lanes + 1; ++pf) {
+        if (first.configs[first.lookup(pf)] != arch::get_pf(pf, stage)) {
+          ++wrong_picks;
+        }
+      }
+      EXPECT_EQ(wrong_picks, 0) << stage.name;
+
+      for (std::size_t d = 0; d < datapaths.size(); ++d) {
+        SCOPED_TRACE(stage.name + " on " +
+                     arch::datapath_to_string(datapaths[d]));
+        const BranchTable::Stage& t =
+            tables[d][static_cast<std::size_t>(b)].stages[i];
+        EXPECT_EQ(t.ops, static_cast<double>(stage.macs));
+        EXPECT_EQ(t.max_lanes, max_lanes);
+        EXPECT_EQ(t.stream_bytes,
+                  static_cast<double>(
+                      arch::unit_resources(stage, arch::UnitConfig{1, 1, 1},
+                                           datapaths[d], ctx)
+                          .total_stream_bytes()));
+        ASSERT_EQ(t.configs.size(), t.lanes.size());
+        ASSERT_EQ(t.resources.size(), t.lanes.size());
+        ASSERT_EQ(t.cycles.size(), t.lanes.size());
+        for (std::size_t e = 0; e < t.lanes.size(); ++e) {
+          const arch::UnitConfig& cfg = t.configs[e];
+          EXPECT_EQ(t.lanes[e], cfg.lanes());
+          const arch::UnitResources want =
+              arch::unit_resources(stage, cfg, datapaths[d], ctx);
+          EXPECT_EQ(t.resources[e].dsps, want.dsps);
+          EXPECT_EQ(t.resources[e].luts, want.luts);
+          EXPECT_EQ(t.resources[e].brams, want.brams);
+          EXPECT_EQ(t.resources[e].param_stream_bytes,
+                    want.param_stream_bytes);
+          EXPECT_EQ(t.resources[e].feature_stream_bytes,
+                    want.feature_stream_bytes);
+          EXPECT_EQ(t.cycles[e],
+                    arch::cycles_analytical(stage, cfg, datapaths[d]));
+        }
+      }
+      ++stages_checked;
+    }
+  }
+  EXPECT_EQ(stages_checked, model.fused.stages.size());
 }
 
 // ----------------------------------------------------------- cross-branch --

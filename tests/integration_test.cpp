@@ -17,6 +17,9 @@
 namespace fcad {
 namespace {
 
+/// The paper's default datapath: a pipelined int8 MAC array.
+const arch::Datapath kPipelinedInt8{};
+
 /// input -> conv(k3, tied bias) -> output: one stage, everything resident.
 arch::ReorganizedModel tiny_model(int ch = 16, int hw = 32) {
   nn::GraphBuilder b("tiny");
@@ -68,15 +71,13 @@ TEST(IntegrationTest, InBranchIsBandwidthAware) {
   const auto model = tiny_model();
   const dse::ResourceBudget starved{10000, 10000, 0.001};  // 1 MB/s
   const auto r = dse::in_branch_optimize(model, 0, starved, 1,
-                                         nn::DataType::kInt8,
-                                         nn::DataType::kInt8, 200.0);
+                                         kPipelinedInt8, 200.0);
   EXPECT_FALSE(r.met_batch_target);
   // A slice with just enough bandwidth for one pipeline is feasible, and the
   // greedy loop backs parallelism off until the traffic fits.
   const dse::ResourceBudget tight{10000, 10000, 0.004};  // 4 MB/s
   const auto rt = dse::in_branch_optimize(model, 0, tight, 1,
-                                          nn::DataType::kInt8,
-                                          nn::DataType::kInt8, 200.0);
+                                          kPipelinedInt8, 200.0);
   EXPECT_TRUE(rt.met_batch_target);
   EXPECT_LE(rt.bw_used, 0.004 + 1e-9);
 }
@@ -85,8 +86,7 @@ TEST(IntegrationTest, InBranchExploitsAmpleBandwidth) {
   const auto model = tiny_model();
   const dse::ResourceBudget ample{100000, 100000, 1000.0};
   const auto r = dse::in_branch_optimize(model, 0, ample, 1,
-                                         nn::DataType::kInt8,
-                                         nn::DataType::kInt8, 200.0);
+                                         kPipelinedInt8, 200.0);
   ASSERT_TRUE(r.met_batch_target);
   // Nothing constrains the stage: the greedy search should reach max
   // parallelism (16*16*32 lanes).

@@ -8,6 +8,7 @@
 #include <set>
 #include <vector>
 
+#include "arch/config_io.hpp"
 #include "arch/platform.hpp"
 #include "dse/fitness_cache.hpp"
 #include "dse/search_driver.hpp"
@@ -19,6 +20,7 @@
 #include "serving/fleet.hpp"
 #include "serving/stats.hpp"
 #include "serving/workload.hpp"
+#include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fcad::dse {
@@ -155,6 +157,53 @@ TEST(ParallelDeterminismTest, ParticleSwarmMatchesPreRefactorGolden) {
     EXPECT_EQ(r.config.branches[0].batch, 1);
     EXPECT_EQ(r.config.branches[1].batch, 2);
     EXPECT_EQ(r.config.branches[2].batch, 2);
+  }
+}
+
+TEST(ParallelDeterminismTest, TableOneSearchesMatchPreTableGolden) {
+  // The five Table-I cases (P = 200, N = 20, seed 1, batches {1,2,2}) at one
+  // thread, where the fitness cache's hit/miss split is deterministic.
+  // Captured before Algorithm 2 became table-driven and the cache kept only
+  // fitness: the same cache keys must give the same winners (fitness and
+  // config text, by digest) and the same hit and miss counts.
+  struct Case {
+    const char* name;
+    arch::Platform platform;
+    const char* datapath;
+    double fitness;
+    std::int64_t hits;
+    std::int64_t misses;
+    const char* config_digest;
+  };
+  const std::vector<Case> cases = {
+      {"Z7045 int8", arch::platform_z7045(), "pipelined-int8",
+       93.717738500232855, 3194, 806, "98e316732c649f0f410410ba6f97da91"},
+      {"ZU17EG int8", arch::platform_zu17eg(), "pipelined-int8",
+       165.47112156533532, 3281, 719, "382cbea2f925bc36149e897fe590dfb3"},
+      {"ZU17EG int16", arch::platform_zu17eg(), "pipelined-int16",
+       68.244530049003203, 3167, 833, "a85f0f24804038c748ac3caff90d33e5"},
+      {"ZU9CG int8", arch::platform_zu9cg(), "pipelined-int8",
+       306.66310915056567, 3278, 722, "ec0cc3df44ed9ac2c3006cc5874998e5"},
+      {"ZU9CG int16", arch::platform_zu9cg(), "pipelined-int16",
+       165.47112156533532, 3027, 973, "4976d85b54639dd84e7c0f79792d724f"}};
+  for (const Case& c : cases) {
+    SearchSpec spec;
+    spec.customization.datapath = c.datapath;
+    spec.customization.batch_sizes = {1, 2, 2};
+    spec.search.population = 200;
+    spec.search.iterations = 20;
+    spec.search.seed = 1;
+    spec.control.threads = 1;
+    auto outcome = SearchDriver(decoder_model(), c.platform).run(spec);
+    ASSERT_TRUE(outcome.is_ok()) << c.name;
+    const SearchResult& r = outcome->search;
+    util::Hash128 digest;
+    digest.absorb_string(arch::config_to_text(decoder_model(), r.config));
+    EXPECT_TRUE(r.feasible) << c.name;
+    EXPECT_EQ(r.fitness, c.fitness) << c.name;
+    EXPECT_EQ(r.trace.cache_hits, c.hits) << c.name;
+    EXPECT_EQ(r.trace.cache_misses, c.misses) << c.name;
+    EXPECT_EQ(digest.hex(), c.config_digest) << c.name;
   }
 }
 

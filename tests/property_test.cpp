@@ -17,6 +17,9 @@
 namespace fcad {
 namespace {
 
+/// The paper's default datapath: a pipelined int8 MAC array.
+const arch::Datapath kPipelinedInt8{};
+
 const arch::ReorganizedModel& decoder_model() {
   static const arch::ReorganizedModel model = [] {
     auto m = arch::reorganize(nn::zoo::avatar_decoder());
@@ -76,11 +79,9 @@ TEST_P(InBranchMonotonicity, MoreComputeNeverSlower) {
   dse::ResourceBudget big = small;
   big.c *= 2;
   const auto rs = dse::in_branch_optimize(decoder_model(), branch, small, 1,
-                                          nn::DataType::kInt8,
-                                          nn::DataType::kInt8, 200.0);
+                                          kPipelinedInt8, 200.0);
   const auto rb = dse::in_branch_optimize(decoder_model(), branch, big, 1,
-                                          nn::DataType::kInt8,
-                                          nn::DataType::kInt8, 200.0);
+                                          kPipelinedInt8, 200.0);
   EXPECT_LE(rb.bottleneck_cycles, rs.bottleneck_cycles * 1.0001);
   if (rs.met_batch_target) {
     EXPECT_TRUE(rb.met_batch_target);

@@ -182,7 +182,6 @@ class OneShotRandomStrategy : public Strategy {
       if (evals[i].fitness > result.fitness) {
         result.fitness = evals[i].fitness;
         result.config = evals[i].config;
-        result.eval = evals[i].eval;
         result.distribution = proposed[i];
         result.feasible = evals[i].feasible;
         result.trace.convergence_iteration = round + 1;

@@ -168,6 +168,45 @@ TEST(StreamTest, StreamingFleetMatchesMaterializedBitForBit) {
   }
 }
 
+TEST(StreamTest, StreamingFleetRecordsMatchMaterializedRecords) {
+  // With keep_records on, the stream replay must also emit the materialized
+  // replay's per-request records: the same ids in the same order, each on
+  // the same instance at the same times.
+  const ServiceModel service = test_service();
+  ServeSpec spec;
+  spec.workload = stream_workload(20000, 5);
+  spec.fleet.instances = 4;
+  spec.fleet.shards = 4;
+  spec.fleet.latency_mode = LatencyMode::kExact;
+  spec.fleet.keep_records = true;
+  spec.scenario = shaped_scenario();
+
+  auto trace = generate_scenario_workload(spec.workload, spec.scenario);
+  ASSERT_TRUE(trace.is_ok());
+  auto materialized = simulate_fleet(service, *trace, spec);
+  ASSERT_TRUE(materialized.is_ok());
+  ASSERT_EQ(materialized->records.size(), trace->size());
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    spec.fleet.threads = threads;
+    auto streamed = simulate_fleet_stream(service, spec);
+    ASSERT_TRUE(streamed.is_ok());
+    ASSERT_EQ(streamed->records.size(), materialized->records.size());
+    for (std::size_t i = 0; i < streamed->records.size(); ++i) {
+      const RequestRecord& got = streamed->records[i];
+      const RequestRecord& want = materialized->records[i];
+      ASSERT_EQ(got.id, want.id) << "at " << i;
+      ASSERT_EQ(got.user, want.user) << "at " << i;
+      ASSERT_EQ(got.branch, want.branch) << "at " << i;
+      ASSERT_EQ(got.instance, want.instance) << "at " << i;
+      ASSERT_EQ(got.arrival_us, want.arrival_us) << "at " << i;
+      ASSERT_EQ(got.start_us, want.start_us) << "at " << i;
+      ASSERT_EQ(got.finish_us, want.finish_us) << "at " << i;
+    }
+    EXPECT_EQ(stats_text(*streamed), stats_text(*materialized));
+  }
+}
+
 TEST(StreamTest, SketchReplayTracksExactReplayWithinBound) {
   // Cross-check at scale: the sketch-mode replay's p50/p95/p99 within 0.5%
   // of the exact-mode replay on the same million-request workload.
