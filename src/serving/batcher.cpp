@@ -25,6 +25,7 @@ void BatchAggregator::enqueue(const Request& request) {
       request.branch >= 0 && request.branch < num_branches(),
       "BatchAggregator: request branch out of range");
   queues_[static_cast<std::size_t>(request.branch)].push_back(request);
+  ++pending_;
 }
 
 int BatchAggregator::ready_branch(double now_us) const {
@@ -50,21 +51,19 @@ int BatchAggregator::ready_branch(double now_us) const {
   return best;
 }
 
-std::optional<Batch> BatchAggregator::pop_ready(double now_us) {
+bool BatchAggregator::pop_ready(double now_us, Batch& out) {
   const int branch = ready_branch(now_us);
-  if (branch < 0) return std::nullopt;
+  if (branch < 0) return false;
   auto& q = queues_[static_cast<std::size_t>(branch)];
-  Batch batch;
-  batch.branch = branch;
-  batch.formed_us = now_us;
   const int take = std::min<int>(capacity_[static_cast<std::size_t>(branch)],
                                  static_cast<int>(q.size()));
-  batch.requests.reserve(static_cast<std::size_t>(take));
-  for (int i = 0; i < take; ++i) {
-    batch.requests.push_back(q.front());
-    q.pop_front();
-  }
-  return batch;
+  const auto end = q.begin() + take;
+  out.branch = branch;
+  out.formed_us = now_us;
+  out.requests.assign(q.begin(), end);
+  q.erase(q.begin(), end);
+  pending_ -= static_cast<std::size_t>(take);
+  return true;
 }
 
 double BatchAggregator::next_deadline_us() const {
@@ -83,17 +82,6 @@ double BatchAggregator::head_arrival_us(int branch) const {
   FCAD_CHECK(branch >= 0 && branch < num_branches());
   const auto& q = queues_[static_cast<std::size_t>(branch)];
   return q.empty() ? kInf : q.front().arrival_us;
-}
-
-std::size_t BatchAggregator::pending() const {
-  std::size_t n = 0;
-  for (const auto& q : queues_) n += q.size();
-  return n;
-}
-
-int BatchAggregator::pending_in(int branch) const {
-  FCAD_CHECK(branch >= 0 && branch < num_branches());
-  return static_cast<int>(queues_[static_cast<std::size_t>(branch)].size());
 }
 
 }  // namespace fcad::serving

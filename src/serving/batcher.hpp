@@ -6,10 +6,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <vector>
 
-#include "serving/clock.hpp"
 #include "serving/workload.hpp"
 
 namespace fcad::serving {
@@ -49,9 +47,12 @@ class BatchAggregator {
   /// dispatch order is fair across branches (no branch starves).
   int ready_branch(double now_us) const;
 
-  /// Pops the ready batch with the oldest head-of-line request; capped at
-  /// the branch capacity. Returns nullopt when nothing is ready.
-  std::optional<Batch> pop_ready(double now_us);
+  /// Pops the ready batch with the oldest head-of-line request, capped at
+  /// the branch capacity, into `out` (its request buffer is reused, so a
+  /// caller popping into one Batch allocates nothing once it has grown to
+  /// the largest capacity). Returns false, leaving `out` untouched, when
+  /// nothing is ready.
+  bool pop_ready(double now_us, Batch& out);
 
   /// Earliest future time a queue becomes ready by timeout alone, or
   /// +infinity when every queue is empty (or no timeout is configured).
@@ -61,19 +62,7 @@ class BatchAggregator {
   /// queue is empty) — the cross-cell fairness key in FleetEngine.
   double head_arrival_us(int branch) const;
 
-  /// Clock-threaded twins: timeout handling against an injected
-  /// serving::Clock reading instead of a caller-supplied timestamp. Event
-  /// loops that must make several decisions at one instant (ready check →
-  /// pick → pop) snapshot clock.now_us() once and use the double overloads;
-  /// these are for single-decision callers.
-  bool has_ready(Clock& clock) const { return has_ready(clock.now_us()); }
-  int ready_branch(Clock& clock) const { return ready_branch(clock.now_us()); }
-  std::optional<Batch> pop_ready(Clock& clock) {
-    return pop_ready(clock.now_us());
-  }
-
-  std::size_t pending() const;
-  int pending_in(int branch) const;
+  std::size_t pending() const { return pending_; }
   int num_branches() const { return static_cast<int>(queues_.size()); }
   int capacity(int branch) const {
     return capacity_[static_cast<std::size_t>(branch)];
@@ -84,6 +73,7 @@ class BatchAggregator {
   double timeout_us_ = 0;
   bool closed_ = false;
   std::vector<std::deque<Request>> queues_;
+  std::size_t pending_ = 0;  ///< requests across all queues
 };
 
 }  // namespace fcad::serving

@@ -1,6 +1,7 @@
 #include "serving/dispatch.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace fcad::serving {
 
@@ -8,11 +9,49 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
+Dispatcher::LoadTree::LoadTree(int instances)
+    : nodes_(2 * static_cast<std::size_t>(instances), kAbsent) {}
+
+int Dispatcher::LoadTree::min_index() const {
+  if (nodes_.size() < 2) return -1;
+  const int k = nodes_[1].index;
+  return k == kAbsent.index ? -1 : k;
+}
+
+void Dispatcher::LoadTree::insert(int k, double busy_us) {
+  const Key key{busy_us, k};
+  std::size_t i = nodes_.size() / 2 + static_cast<std::size_t>(k);
+  nodes_[i] = key;
+  // Only this leaf got smaller, so each ancestor becomes min(itself, key);
+  // the first ancestor that already beats `key` ends the walk.
+  for (i /= 2; i >= 1 && less(key, nodes_[i]); i /= 2) nodes_[i] = key;
+}
+
+void Dispatcher::LoadTree::erase(int k) {
+  std::size_t i = nodes_.size() / 2 + static_cast<std::size_t>(k);
+  nodes_[i] = kAbsent;
+  // Only the ancestors `k` won change, and they are a prefix of its path.
+  for (i /= 2; i >= 1 && nodes_[i].index == k; i /= 2) {
+    const Key& a = nodes_[2 * i];
+    const Key& b = nodes_[2 * i + 1];
+    nodes_[i] = less(b, a) ? b : a;
+  }
+}
+
 Dispatcher::Dispatcher(DispatchPolicy policy, int instances, int branches,
                        int initially_active)
     : policy_(policy),
       instances_(static_cast<std::size_t>(instances)),
-      free_by_branch_(static_cast<std::size_t>(branches)) {
+      free_words_((static_cast<std::size_t>(instances) + 63) / 64, 0),
+      free_by_load_(policy == DispatchPolicy::kRoundRobin ? 0 : instances) {
+  std::vector<std::pair<double, int>> heap;
+  heap.reserve(static_cast<std::size_t>(instances));
+  busy_ = decltype(busy_)(std::greater<std::pair<double, int>>(),
+                          std::move(heap));
+  if (policy == DispatchPolicy::kBranchAffinity) {
+    free_by_branch_.assign(static_cast<std::size_t>(branches),
+                           LoadTree(instances));
+  }
   const int active =
       initially_active < 0 ? instances : std::min(initially_active, instances);
   for (int k = 0; k < active; ++k) insert_free(k);
@@ -28,25 +67,25 @@ double Dispatcher::next_free_us(double now_us) {
 
 bool Dispatcher::any_free(double now_us) {
   refresh(now_us);
-  return !free_by_index_.empty();
+  return free_count_ > 0;
 }
 
 int Dispatcher::pick(int branch, double now_us) {
   refresh(now_us);
   switch (policy_) {
     case DispatchPolicy::kRoundRobin: {
-      if (free_by_index_.empty()) return -1;
-      auto it = free_by_index_.lower_bound(cursor_);
-      const int k = it != free_by_index_.end() ? *it : *free_by_index_.begin();
+      if (free_count_ == 0) return -1;
+      int k = first_free_from(cursor_);
+      if (k < 0) k = first_free_from(0);
       cursor_ = (k + 1) % static_cast<int>(instances_.size());
       return k;
     }
     case DispatchPolicy::kLeastLoaded:
-      return free_by_load_.empty() ? -1 : free_by_load_.begin()->second;
+      return free_by_load_.min_index();
     case DispatchPolicy::kBranchAffinity: {
-      const auto& affine = free_by_branch_[static_cast<std::size_t>(branch)];
-      if (!affine.empty()) return affine.begin()->second;
-      return free_by_load_.empty() ? -1 : free_by_load_.begin()->second;
+      const int k =
+          free_by_branch_[static_cast<std::size_t>(branch)].min_index();
+      return k >= 0 ? k : free_by_load_.min_index();
     }
   }
   return -1;
@@ -56,7 +95,7 @@ double Dispatcher::dispatch(int k, int branch, double now_us,
                             double base_pass_us, double switch_penalty_us,
                             std::int64_t requests) {
   InstanceState& inst = instances_[static_cast<std::size_t>(k)];
-  erase_free(k);  // keyed on the pre-dispatch busy_us / last_branch
+  erase_free(k);  // leaves the pre-dispatch last_branch's tree
   double pass_us = base_pass_us;
   if (inst.last_branch >= 0 && inst.last_branch != branch) {
     pass_us += switch_penalty_us;
@@ -82,7 +121,7 @@ void Dispatcher::set_active(int k, bool on, double now_us) {
     // instance has no pending heap entry and joins the free sets now; a
     // still-busy one is re-inserted when its batch finishes.
     if (inst.free_at_us <= now_us) insert_free(k);
-  } else if (free_by_index_.count(k) > 0) {
+  } else {
     erase_free(k);
   }
 }
@@ -103,23 +142,41 @@ void Dispatcher::refresh(double now_us) {
   }
 }
 
+int Dispatcher::first_free_from(int from) const {
+  const auto words = free_words_.size();
+  std::size_t w = static_cast<std::size_t>(from) / 64;
+  if (w >= words) return -1;
+  // Mask off the bits below `from` in its word, then scan whole words.
+  std::uint64_t bits = free_words_[w] & (~std::uint64_t{0} << (from % 64));
+  while (bits == 0) {
+    if (++w == words) return -1;
+    bits = free_words_[w];
+  }
+  return static_cast<int>(w * 64) + std::countr_zero(bits);
+}
+
 void Dispatcher::insert_free(int k) {
   const InstanceState& inst = instances_[static_cast<std::size_t>(k)];
-  free_by_index_.insert(k);
-  free_by_load_.insert({inst.busy_us, k});
-  if (inst.last_branch >= 0) {
+  free_words_[static_cast<std::size_t>(k) / 64] |= std::uint64_t{1} << (k % 64);
+  ++free_count_;
+  if (policy_ == DispatchPolicy::kRoundRobin) return;
+  free_by_load_.insert(k, inst.busy_us);
+  if (policy_ == DispatchPolicy::kBranchAffinity && inst.last_branch >= 0) {
     free_by_branch_[static_cast<std::size_t>(inst.last_branch)].insert(
-        {inst.busy_us, k});
+        k, inst.busy_us);
   }
 }
 
 void Dispatcher::erase_free(int k) {
+  if (!is_free(k)) return;
   const InstanceState& inst = instances_[static_cast<std::size_t>(k)];
-  free_by_index_.erase(k);
-  free_by_load_.erase({inst.busy_us, k});
-  if (inst.last_branch >= 0) {
-    free_by_branch_[static_cast<std::size_t>(inst.last_branch)].erase(
-        {inst.busy_us, k});
+  free_words_[static_cast<std::size_t>(k) / 64] &=
+      ~(std::uint64_t{1} << (k % 64));
+  --free_count_;
+  if (policy_ == DispatchPolicy::kRoundRobin) return;
+  free_by_load_.erase(k);
+  if (policy_ == DispatchPolicy::kBranchAffinity && inst.last_branch >= 0) {
+    free_by_branch_[static_cast<std::size_t>(inst.last_branch)].erase(k);
   }
 }
 

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <limits>
 #include <queue>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -28,11 +27,14 @@ struct InstanceState {
   bool active = true;
 };
 
-/// Dispatch bookkeeping in O(log K) per event instead of the former O(K)
-/// scans: busy instances live in a free-time min-heap (one live entry each —
-/// pushed on dispatch, popped once expired), free instances in ordered sets
-/// keyed the way each policy picks (index order for round-robin, (busy_us,
-/// index) for least-loaded, the same per last-branch for affinity). Every
+/// Dispatch bookkeeping in O(log K) per event with no allocation once
+/// constructed. Busy instances live in a free-time min-heap (one live entry
+/// each — pushed on dispatch, popped once expired); free instances are a
+/// bitmask of 64-bit words (round-robin searches it from the cursor) plus,
+/// for the load-aware policies, array-backed tournament trees holding the
+/// minimum (busy_us, index) over free instances — one over all of them
+/// (least-loaded, and affinity's fallback) and one per last-run branch
+/// (branch-affinity). One implementation serves every instance count. Every
 /// pick reproduces the linear-scan decisions exactly, ties still breaking
 /// toward the lowest index.
 class Dispatcher {
@@ -73,7 +75,41 @@ class Dispatcher {
                   double switch_penalty_us, std::int64_t requests);
 
  private:
+  /// Minimum (busy_us, index) over a subset of the instances: leaves at
+  /// [K, 2K) (an absent instance holds the (+inf, max int) sentinel), node
+  /// i the lesser of nodes 2i and 2i+1, the minimum at node 1.
+  class LoadTree {
+   public:
+    explicit LoadTree(int instances);
+    /// Adds absent instance `k`; erase removes present instance `k`.
+    void insert(int k, double busy_us);
+    void erase(int k);
+    /// Index of the minimum, or -1 when the subset is empty.
+    int min_index() const;
+
+   private:
+    struct Key {
+      double busy_us;
+      int index;
+    };
+    static constexpr Key kAbsent = {std::numeric_limits<double>::infinity(),
+                                    std::numeric_limits<int>::max()};
+    /// std::pair order on (busy_us, index): equal loads go to the lower
+    /// index.
+    static bool less(const Key& a, const Key& b) {
+      return a.busy_us < b.busy_us ||
+             (a.busy_us == b.busy_us && a.index < b.index);
+    }
+
+    std::vector<Key> nodes_;
+  };
+
   void refresh(double now_us);
+  bool is_free(int k) const {
+    return (free_words_[static_cast<std::size_t>(k) / 64] >> (k % 64)) & 1U;
+  }
+  /// Lowest free index >= `from`, or -1.
+  int first_free_from(int from) const;
   void insert_free(int k);
   void erase_free(int k);
 
@@ -84,9 +120,12 @@ class Dispatcher {
                       std::vector<std::pair<double, int>>,
                       std::greater<std::pair<double, int>>>
       busy_;
-  std::set<int> free_by_index_;
-  std::set<std::pair<double, int>> free_by_load_;  ///< (busy_us, index)
-  std::vector<std::set<std::pair<double, int>>> free_by_branch_;
+  std::vector<std::uint64_t> free_words_;  ///< bit k: instance k is free
+  int free_count_ = 0;
+  /// Free instances by load (least-loaded and branch-affinity only).
+  LoadTree free_by_load_;
+  /// Free instances by the branch they last ran (branch-affinity only).
+  std::vector<LoadTree> free_by_branch_;
   int cursor_ = 0;
 };
 

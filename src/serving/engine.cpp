@@ -63,9 +63,11 @@ FleetEngine::FleetEngine(const ServiceModel& service,
             config.progress_tail_pct),
       first_arrival_us_(kInf) {
   cells_.reserve(static_cast<std::size_t>(std::max(1, config.max_cells)));
+  const std::vector<int> capacities = service.capacities();
   cells_.push_back(Cell{0, std::numeric_limits<int>::max(), -1,
-                        BatchAggregator(service.capacities(),
-                                        config.batch_timeout_us)});
+                        BatchAggregator(capacities, config.batch_timeout_us)});
+  batch_.requests.reserve(static_cast<std::size_t>(
+      *std::max_element(capacities.begin(), capacities.end())));
   // Resolved once per engine; every span below carries clock-reading µs, so
   // a virtual-time replay's emitted timeline is identical for any thread
   // count.
@@ -152,7 +154,8 @@ void FleetEngine::dispatch_ready() {
     const int k = dispatcher_.pick(branch, now_us);
     if (k < 0) break;
     BatchAggregator& aggregator = cells_[cell_index].agg;
-    Batch batch = *aggregator.pop_ready(now_us);
+    aggregator.pop_ready(now_us, batch_);
+    const Batch& batch = batch_;
 
     const double finish_us = dispatcher_.dispatch(
         k, branch, now_us,
@@ -318,6 +321,7 @@ void FleetEngine::advance_to(double t_us) {
 }
 
 ShardStats FleetEngine::take_stats() {
+  stats_.instances.reserve(static_cast<std::size_t>(config_.instances));
   for (int k = 0; k < config_.instances; ++k) {
     const InstanceState& inst =
         dispatcher_.instances()[static_cast<std::size_t>(k)];
@@ -354,21 +358,21 @@ ServingStats merge_shard_stats(std::vector<ShardStats> shards,
       shards.front().latency_mode == LatencyMode::kSketch;
   stats.latency_mode =
       sketch_mode ? LatencyMode::kSketch : LatencyMode::kExact;
-  std::size_t total = 0;
+  std::size_t latency_total = 0;
+  std::size_t wait_total = 0;
   std::size_t record_total = 0;
+  std::size_t instance_total = 0;
   for (const ShardStats& shard : shards) {
-    total += shard.latencies.size();
+    latency_total += shard.latencies.size();
+    wait_total += shard.waits.size();
     record_total += shard.records.size();
+    instance_total += shard.instances.size();
   }
-  std::vector<double> latencies;
-  std::vector<double> waits;
-  latencies.reserve(total);
-  waits.reserve(total);
   stats.records.reserve(record_total);
   QuantileSketch latency_sketch;
   QuantileSketch wait_sketch;
   // Exact-mode histograms are bound up front and fed from the same append
-  // pass that builds the merged streams — no second traversal. The registry
+  // passes that build the merged streams — no extra traversal. The registry
   // snapshot is name-sorted, so binding order never shows in the export.
   obs::Histogram* latency_hist = nullptr;
   obs::Histogram* wait_hist = nullptr;
@@ -380,6 +384,23 @@ ServingStats merge_shard_stats(std::vector<ShardStats> shards,
     latency_hist = &reg.histogram("serving.latency_us", kLatencyBounds);
     wait_hist = &reg.histogram("serving.queue_wait_us", kLatencyBounds);
   }
+  // Appends one exact stream of every shard in shard order, freeing each
+  // source as it is consumed.
+  const auto merge_stream = [&shards](std::vector<double> ShardStats::*field,
+                                      std::size_t total,
+                                      obs::Histogram* hist) {
+    std::vector<double> merged;
+    merged.reserve(total);
+    for (ShardStats& shard : shards) {
+      std::vector<double>& source = shard.*field;
+      if (hist != nullptr) {
+        for (double v : source) hist->observe(v);
+      }
+      merged.insert(merged.end(), source.begin(), source.end());
+      std::vector<double>().swap(source);
+    }
+    return merged;
+  };
   double fill_sum = 0;
   double depth_integral_us = 0;
   double makespan_us = 0;
@@ -410,20 +431,7 @@ ServingStats merge_shard_stats(std::vector<ShardStats> shards,
                 wait_sketch.merge(shard.wait_sketch).is_ok(),
             "merge_shard_stats: shard sketches disagree on seed/alpha");
       }
-    } else {
-      for (double v : shard.latencies) {
-        if (latency_hist != nullptr) latency_hist->observe(v);
-        latencies.push_back(v);
-      }
-      for (double v : shard.waits) {
-        if (wait_hist != nullptr) wait_hist->observe(v);
-        waits.push_back(v);
-      }
     }
-    // Free each consumed stream as we go so peak memory stays ~1x the
-    // merged streams rather than source + destination together.
-    std::vector<double>().swap(shard.latencies);
-    std::vector<double>().swap(shard.waits);
     for (std::size_t j = 0; j < shard.branch_completed.size(); ++j) {
       stats.branch_completed[j] += shard.branch_completed[j];
     }
@@ -445,8 +453,13 @@ ServingStats merge_shard_stats(std::vector<ShardStats> shards,
         latency_sketch.compactions() + wait_sketch.compactions();
     stats.sketch_buckets = latency_sketch.buckets() + wait_sketch.buckets();
   } else {
-    stats.latency = summarize(std::move(latencies));
-    stats.queue_wait = summarize(std::move(waits));
+    // One merged stream at a time: the latencies are summarized and freed
+    // before the waits are built, so peak memory is the shard streams plus
+    // one merged stream rather than plus both.
+    stats.latency = summarize(
+        merge_stream(&ShardStats::latencies, latency_total, latency_hist));
+    stats.queue_wait =
+        summarize(merge_stream(&ShardStats::waits, wait_total, wait_hist));
   }
   stats.mean_batch_fill =
       stats.batches > 0 ? fill_sum / static_cast<double>(stats.batches) : 0;
@@ -460,6 +473,7 @@ ServingStats merge_shard_stats(std::vector<ShardStats> shards,
   stats.sla_met = stats.latency.p99 <= sla_bound_us;
 
   double busy_sum = 0;
+  stats.instances.reserve(instance_total);
   for (const ShardStats& shard : shards) {
     for (const InstanceStats& shard_inst : shard.instances) {
       InstanceStats is = shard_inst;

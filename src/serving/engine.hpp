@@ -229,6 +229,9 @@ class FleetEngine {
   Clock* clock_;
   obs::Tracer* tracer_;
   std::vector<Cell> cells_;
+  /// dispatch_ready()'s batch, popped into in place so its request buffer
+  /// is allocated once per engine rather than once per batch.
+  Batch batch_;
   Dispatcher dispatcher_;
   TailTracker tail_;
   ShardStats stats_;
@@ -241,9 +244,11 @@ class FleetEngine {
 /// Index-ordered merge of per-shard streams into the final ServingStats:
 /// concatenation and sums over shards 0..S-1, utilization filled from the
 /// global makespan — a pure function of the shard results, never of thread
-/// timing. Takes the shards by value: the exact-mode latency/wait/record
-/// streams are appended in one pre-sized pass and each source freed as it
-/// is consumed, so peak memory stays ~1x the merged streams instead of 2x.
+/// timing. Takes the shards by value: each exact-mode stream (records,
+/// then latencies, then waits) is appended in a pre-sized pass that frees
+/// each source as it is consumed, and the merged latencies are summarized
+/// and freed before the waits are merged, so peak memory stays ~1x one
+/// merged stream over the shard streams.
 /// In sketch mode the per-shard sketches fold instead (order-independent,
 /// byte-stable). Also exports the obs metrics for the run (request/batch/
 /// SLA counters always; histograms and gauges under

@@ -1,8 +1,9 @@
 // Compact golden forms of a serving run for bit-for-bit expectations: the
-// stats CSV row as one line, and a 128-bit digest of every per-request
-// decision.
+// stats CSV row as one line, a 128-bit digest of the full stats text, and a
+// 128-bit digest of every per-request decision.
 #pragma once
 
+#include <sstream>
 #include <string>
 
 #include "serving/stats.hpp"
@@ -18,6 +19,16 @@ inline std::string csv_line(const ServingStats& stats) {
     line += cell;
   }
   return line;
+}
+
+/// Digest of serving_stats_to_text: every field bit-exact, per-instance
+/// rows and retained records included.
+inline std::string stats_text_digest(const ServingStats& stats) {
+  std::ostringstream text;
+  serving_stats_to_text(text, stats);
+  util::Hash128 h;
+  h.absorb_string(text.str());
+  return h.hex();
 }
 
 /// Digest of the records in order: (id, instance, start_us, finish_us),

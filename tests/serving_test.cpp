@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <sstream>
 
 #include "arch/platform.hpp"
@@ -16,6 +18,7 @@
 #include "serving/service.hpp"
 #include "serving/stats.hpp"
 #include "serving/workload.hpp"
+#include "serving_goldens.hpp"
 
 namespace fcad::serving {
 namespace {
@@ -238,7 +241,10 @@ TEST(WorkloadTest, ProcessNamesRoundTrip) {
 TEST(BatcherTest, EmptyQueueIsNeverReady) {
   BatchAggregator agg({4}, 1000);
   EXPECT_FALSE(agg.has_ready(1e9));
-  EXPECT_FALSE(agg.pop_ready(1e9).has_value());
+  Batch batch;
+  batch.branch = 7;
+  EXPECT_FALSE(agg.pop_ready(1e9, batch));
+  EXPECT_EQ(batch.branch, 7);  // untouched when nothing is ready
   EXPECT_EQ(agg.next_deadline_us(), std::numeric_limits<double>::infinity());
   EXPECT_EQ(agg.pending(), 0u);
 }
@@ -250,10 +256,11 @@ TEST(BatcherTest, SingleRequestWaitsForTimeout) {
   EXPECT_FALSE(agg.has_ready(1499));
   EXPECT_EQ(agg.next_deadline_us(), 1500);
   ASSERT_TRUE(agg.has_ready(1500));
-  auto batch = agg.pop_ready(1500);
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->requests.size(), 1u);
-  EXPECT_EQ(batch->branch, 0);
+  Batch batch;
+  ASSERT_TRUE(agg.pop_ready(1500, batch));
+  EXPECT_EQ(batch.requests.size(), 1u);
+  EXPECT_EQ(batch.branch, 0);
+  EXPECT_EQ(batch.formed_us, 1500);
   EXPECT_EQ(agg.pending(), 0u);
 }
 
@@ -270,14 +277,18 @@ TEST(BatcherTest, OverflowPopsAreCappedAndFifo) {
   for (int i = 0; i < 5; ++i) {
     agg.enqueue(make_request(i, 0, static_cast<double>(i)));
   }
-  auto first = agg.pop_ready(10);
-  ASSERT_TRUE(first.has_value());
-  ASSERT_EQ(first->requests.size(), 2u);
-  EXPECT_EQ(first->requests[0].id, 0);
-  EXPECT_EQ(first->requests[1].id, 1);
-  auto second = agg.pop_ready(10);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->requests[0].id, 2);
+  Batch batch;
+  ASSERT_TRUE(agg.pop_ready(10, batch));
+  ASSERT_EQ(batch.requests.size(), 2u);
+  EXPECT_EQ(batch.requests[0].id, 0);
+  EXPECT_EQ(batch.requests[1].id, 1);
+  // Popping into the same Batch replaces its requests, reusing the buffer.
+  const Request* buffer = batch.requests.data();
+  ASSERT_TRUE(agg.pop_ready(10, batch));
+  ASSERT_EQ(batch.requests.size(), 2u);
+  EXPECT_EQ(batch.requests[0].id, 2);
+  EXPECT_EQ(batch.requests[1].id, 3);
+  EXPECT_EQ(batch.requests.data(), buffer);
   // Two popped batches leave one stranded request below the cap.
   EXPECT_EQ(agg.pending(), 1u);
   EXPECT_FALSE(agg.has_ready(10));
@@ -290,7 +301,9 @@ TEST(BatcherTest, CloseDrainsPartialBatches) {
   EXPECT_FALSE(agg.has_ready(1e12));
   agg.close();
   ASSERT_TRUE(agg.has_ready(6));
-  EXPECT_EQ(agg.pop_ready(6)->requests.size(), 1u);
+  Batch batch;
+  ASSERT_TRUE(agg.pop_ready(6, batch));
+  EXPECT_EQ(batch.requests.size(), 1u);
 }
 
 TEST(BatcherTest, ReadyTieBreaksTowardOldestHeadOfLine) {
@@ -298,9 +311,9 @@ TEST(BatcherTest, ReadyTieBreaksTowardOldestHeadOfLine) {
   agg.enqueue(make_request(0, 1, 20));  // branch 1, older? no: arrives at 20
   agg.enqueue(make_request(1, 0, 10));  // branch 0 head is older
   EXPECT_EQ(agg.ready_branch(50), 0);
-  auto batch = agg.pop_ready(50);
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->branch, 0);
+  Batch batch;
+  ASSERT_TRUE(agg.pop_ready(50, batch));
+  EXPECT_EQ(batch.branch, 0);
   EXPECT_EQ(agg.ready_branch(50), 1);
 }
 
@@ -470,6 +483,41 @@ TEST(StatsTest, SummarizeComputesMeanMaxAndTails) {
   EXPECT_EQ(s.p99, 99);
   EXPECT_EQ(s.max, 100);
   EXPECT_EQ(summarize(std::vector<double>{}).count, 0);
+
+  // Seeded random sets, sizes 1..2000 with heavy duplication (values drawn
+  // from a handful of levels, plus a few distinct ones): every field must
+  // equal the sort-based nearest-rank reference bit for bit.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::mt19937_64 rng(20210308);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = trial < 20 ? static_cast<std::size_t>(trial + 1)
+                                     : 1 + rng() % 2000;
+    const std::uint64_t levels = 1 + rng() % 8;
+    std::vector<double> values(n);
+    for (double& v : values) {
+      v = rng() % 16 == 0 ? static_cast<double>(rng() % 1000000) * 0.37
+                          : 1000.0 * static_cast<double>(rng() % levels);
+    }
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    const auto rank = [&](double pct) {
+      const auto r = static_cast<std::size_t>(
+          std::ceil(pct / 100.0 * static_cast<double>(n)));
+      return sorted[std::max<std::size_t>(r, 1) - 1];
+    };
+    double sum = 0;
+    for (double v : values) sum += v;
+    const LatencySummary got = summarize(values);
+    ASSERT_EQ(got.count, static_cast<std::int64_t>(n)) << "trial " << trial;
+    EXPECT_EQ(bits(got.mean), bits(sum / static_cast<double>(n)))
+        << "trial " << trial;
+    EXPECT_EQ(bits(got.p50), bits(rank(50))) << "trial " << trial;
+    EXPECT_EQ(bits(got.p95), bits(rank(95))) << "trial " << trial;
+    EXPECT_EQ(bits(got.p99), bits(rank(99))) << "trial " << trial;
+    EXPECT_EQ(bits(got.max), bits(sorted.back())) << "trial " << trial;
+    EXPECT_EQ(bits(percentile(values, 99)), bits(rank(99)))
+        << "trial " << trial;
+  }
 }
 
 // ------------------------------------------------------------------ fleet --
@@ -747,6 +795,66 @@ TEST(FleetTest, DispatchDecisionsMatchPreHeapGoldens) {
     std::int64_t switches = 0;
     for (const auto& inst : stats->instances) switches += inst.branch_switches;
     EXPECT_EQ(switches, golden.switches) << name;
+  }
+}
+
+TEST(FleetTest, LargeFleetDispatchMatchesSetBasedGoldens) {
+  // 1 shard x 256 instances at ~56% utilization, so every policy keeps a
+  // large free set to choose from (affinity settles on 197 instances, the
+  // other two spread over all 256). Captured from the std::set dispatcher
+  // before its array rewrite: the whole stats text (per-instance rows and
+  // records included) and the per-request decisions must match bit for bit.
+  WorkloadOptions wl;
+  wl.users = 200;
+  wl.branches = 3;
+  wl.frame_rate_hz = 30;
+  wl.duration_s = 1.0;
+  wl.seed = 2021;
+  auto workload = generate_workload(wl);
+  ASSERT_TRUE(workload.is_ok());
+  ASSERT_EQ(workload->size(), 18297u);
+  const ServiceModel service =
+      make_service({{2, 16000.0}, {1, 10000.0}, {4, 24000.0}});
+
+  struct Golden {
+    DispatchPolicy policy;
+    const char* csv;
+    const char* text_digest;
+    const char* decisions_digest;
+  };
+  const std::vector<Golden> goldens = {
+      {DispatchPolicy::kRoundRobin,
+       "18297,18297,17852.9729,16880.7590,16109.8974,24711.7674,25102.6508,"
+       "25800.0000,920.6770,10677,0.9996,1.9795,7,100000.0000,0.0000,1,"
+       "0.5617,0,0,0,0,0",
+       "46856eaec91b49e38ac621482034c413", "01bf9480fd3003a284362208216fa189"},
+      {DispatchPolicy::kLeastLoaded,
+       "18297,18297,17852.9729,16965.0679,16300.0000,24780.4620,25146.3946,"
+       "25800.0000,920.6770,10677,0.9996,1.9795,7,100000.0000,0.0000,1,"
+       "0.5648,0,0,0,0,0",
+       "6f9b3b90363398f01e2816cea6128a86", "ff5800fbf5347a80b85c731ce5bbdddf"},
+      {DispatchPolicy::kBranchAffinity,
+       "18297,18297,17858.2003,16777.5453,16000.0289,24523.6381,24903.9044,"
+       "25500.0000,920.6770,10677,0.9996,1.9801,7,100000.0000,0.0000,1,"
+       "0.5584,0,0,0,0,0",
+       "33a11c41563be94aa33ab40ecbadfbb0", "87db1e4de4a67f86c4ad0299edc78869"},
+  };
+  for (const Golden& golden : goldens) {
+    FleetOptions options;
+    options.instances = 256;
+    options.shards = 1;
+    options.threads = 1;
+    options.policy = golden.policy;
+    options.batch_timeout_us = 1500;
+    options.switch_penalty_us = 300;
+    options.sla_bound_us = 100000;
+    options.keep_records = true;
+    auto stats = run_fleet(service, *workload, options);
+    ASSERT_TRUE(stats.is_ok());
+    const char* name = to_string(golden.policy);
+    EXPECT_EQ(csv_line(*stats), golden.csv) << name;
+    EXPECT_EQ(stats_text_digest(*stats), golden.text_digest) << name;
+    EXPECT_EQ(decisions_digest(*stats), golden.decisions_digest) << name;
   }
 }
 
