@@ -53,7 +53,7 @@ std::vector<DatapathRow> g_datapath_rows;
 
 dse::SearchSpec base_spec() {
   dse::SearchSpec spec;
-  spec.customization.quantization = nn::DataType::kInt8;
+  spec.customization.datapath = "pipelined-int8";
   spec.customization.batch_sizes = {1, 2, 2};
   spec.search.population = 100;
   spec.search.iterations = 15;

@@ -73,15 +73,14 @@ int main(int argc, char** argv) {
   struct Case {
     const char* name;
     arch::Platform platform;
-    nn::DataType dtype;
+    const char* datapath;
   };
   std::vector<Case> cases = {
-      {"Case 1: Z7045 (8-bit)", arch::platform_z7045(), nn::DataType::kInt8},
-      {"Case 2: ZU17EG (8-bit)", arch::platform_zu17eg(), nn::DataType::kInt8},
-      {"Case 3: ZU17EG (16-bit)", arch::platform_zu17eg(),
-       nn::DataType::kInt16},
-      {"Case 4: ZU9CG (8-bit)", arch::platform_zu9cg(), nn::DataType::kInt8},
-      {"Case 5: ZU9CG (16-bit)", arch::platform_zu9cg(), nn::DataType::kInt16},
+      {"Case 1: Z7045 (8-bit)", arch::platform_z7045(), "pipelined-int8"},
+      {"Case 2: ZU17EG (8-bit)", arch::platform_zu17eg(), "pipelined-int8"},
+      {"Case 3: ZU17EG (16-bit)", arch::platform_zu17eg(), "pipelined-int16"},
+      {"Case 4: ZU9CG (8-bit)", arch::platform_zu9cg(), "pipelined-int8"},
+      {"Case 5: ZU9CG (16-bit)", arch::platform_zu9cg(), "pipelined-int16"},
   };
   if (case_limit >= 1 && case_limit < static_cast<int>(cases.size())) {
     cases.resize(static_cast<std::size_t>(case_limit));
@@ -105,7 +104,7 @@ int main(int argc, char** argv) {
     dse::SearchSpec spec;
     spec.kind = dse::SearchKind::kConvergence;
     spec.strategy = strategy;
-    spec.customization.quantization = c.dtype;
+    spec.customization.datapath = c.datapath;
     spec.customization.batch_sizes = {1, 2, 2};
     spec.search.population = population;
     spec.search.iterations = iterations;

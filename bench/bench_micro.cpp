@@ -31,7 +31,7 @@ const arch::AcceleratorConfig& sample_config() {
   static const arch::AcceleratorConfig config = [] {
     const arch::ReorganizedModel& model = decoder_model();
     dse::Customization cust;
-    cust.quantization = nn::DataType::kInt8;
+    cust.datapath = "pipelined-int8";
     cust.batch_sizes = {1, 2, 2};
     cust.priorities = {1, 1, 1};
     dse::CrossBranchOptions options;
@@ -70,7 +70,7 @@ BENCHMARK(BM_InBranchOptimize);
 void BM_CrossBranchIteration(benchmark::State& state) {
   const auto& model = decoder_model();
   dse::Customization cust;
-  cust.quantization = nn::DataType::kInt8;
+  cust.datapath = "pipelined-int8";
   cust.batch_sizes = {1, 2, 2};
   cust.priorities = {1, 1, 1};
   dse::CrossBranchOptions options;

@@ -29,7 +29,7 @@ int main() {
     const dse::DesignSpaceStats stats = dse::design_space_stats(*model);
 
     dse::SearchSpec search_spec;
-    search_spec.customization.quantization = nn::DataType::kInt8;
+    search_spec.customization.datapath = "pipelined-int8";
     search_spec.search.population = 100;
     search_spec.search.iterations = 12;
     search_spec.search.seed = 31;

@@ -1,7 +1,8 @@
-// Quantization x frequency co-exploration (our extension): the paper fixes
-// 200 MHz and treats quantization Q as a per-run customization; this bench
-// explores the grid on ZU9CG and prints the (min-FPS, DSP) Pareto frontier,
-// the deployment view an HMD architect actually needs.
+// Datapath x frequency co-exploration (our extension): the paper fixes
+// 200 MHz and treats the precision (its quantization Q, here the datapath)
+// as a per-run customization; this bench explores the pipelined-int8/int16 x
+// clock grid on ZU9CG and prints the (min-FPS, DSP) Pareto frontier, the
+// deployment view an HMD architect actually needs.
 //
 //   bench_sweep [--threads N] [--strategy name] [--csv out.csv]
 //               [--json out.json] [--artifact-cache DIR]
@@ -14,6 +15,7 @@
 #include <cstdio>
 #include <string>
 
+#include "arch/datapath.hpp"
 #include "arch/platform.hpp"
 #include "core/pipeline.hpp"
 #include "nn/zoo/avatar_decoder.hpp"
@@ -23,6 +25,17 @@
 #include "util/format.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
+
+namespace {
+
+/// The CSV/JSON `quantization` column: the weight width of the datapath.
+std::string weight_width(const std::string& datapath) {
+  auto dp = fcad::arch::datapath_from_string(datapath);
+  FCAD_CHECK_MSG(dp.is_ok(), dp.status().message());
+  return fcad::nn::to_string(dp->ww);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace fcad;
@@ -94,7 +107,7 @@ int main(int argc, char** argv) {
                    "pareto"});
     for (const dse::SweepPoint& p : points) {
       const arch::AcceleratorEval& eval = p.result.eval;
-      csv.add_row({p.datapath, nn::to_string(p.quantization),
+      csv.add_row({p.datapath, weight_width(p.datapath),
                    format_fixed(p.freq_mhz, 0),
                    format_fixed(eval.min_fps, 3), std::to_string(eval.dsps),
                    std::to_string(eval.brams), format_fixed(eval.bw_gbps, 3),
@@ -120,7 +133,7 @@ int main(int argc, char** argv) {
       const arch::AcceleratorEval& eval = p.result.eval;
       json.begin_object();
       json.key("datapath").value(p.datapath);
-      json.key("quantization").value(nn::to_string(p.quantization));
+      json.key("quantization").value(weight_width(p.datapath));
       json.key("freq_mhz").value(p.freq_mhz);
       json.key("min_fps").value(eval.min_fps);
       json.key("dsps").value(eval.dsps);

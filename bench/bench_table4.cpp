@@ -18,20 +18,19 @@ int main() {
   struct Case {
     const char* name;
     arch::Platform platform;
-    nn::DataType dtype;
+    const char* datapath;
   };
   const std::vector<Case> cases = {
-      {"Case 1: Z7045 (8-bit)", arch::platform_z7045(), nn::DataType::kInt8},
-      {"Case 2: ZU17EG (8-bit)", arch::platform_zu17eg(), nn::DataType::kInt8},
-      {"Case 3: ZU17EG (16-bit)", arch::platform_zu17eg(),
-       nn::DataType::kInt16},
-      {"Case 4: ZU9CG (8-bit)", arch::platform_zu9cg(), nn::DataType::kInt8},
-      {"Case 5: ZU9CG (16-bit)", arch::platform_zu9cg(), nn::DataType::kInt16},
+      {"Case 1: Z7045 (8-bit)", arch::platform_z7045(), "pipelined-int8"},
+      {"Case 2: ZU17EG (8-bit)", arch::platform_zu17eg(), "pipelined-int8"},
+      {"Case 3: ZU17EG (16-bit)", arch::platform_zu17eg(), "pipelined-int16"},
+      {"Case 4: ZU9CG (8-bit)", arch::platform_zu9cg(), "pipelined-int8"},
+      {"Case 5: ZU9CG (16-bit)", arch::platform_zu9cg(), "pipelined-int16"},
   };
 
   for (const Case& c : cases) {
     core::PipelineOptions options;
-    options.spec.customization.quantization = c.dtype;
+    options.spec.customization.datapath = c.datapath;
     options.spec.customization.batch_sizes = {1, 2, 2};
     options.spec.search.population = 200;  // P
     options.spec.search.iterations = 20;   // N

@@ -30,9 +30,9 @@ int main() {
   const baselines::HybridDnnResult hybrid =
       baselines::run_hybriddnn(*mimic_model, zu9cg, nn::DataType::kInt16);
 
-  auto run_fcad = [&](nn::DataType dtype) {
+  auto run_fcad = [&](const char* datapath) {
     core::PipelineOptions options;
-    options.spec.customization.quantization = dtype;
+    options.spec.customization.datapath = datapath;
     options.spec.customization.batch_sizes = {1, 1, 1};  // fair batch
     options.spec.search.population = 200;
     options.spec.search.iterations = 20;
@@ -42,8 +42,8 @@ int main() {
     FCAD_CHECK_MSG(result.is_ok(), result.status().message());
     return result.value().search.eval;
   };
-  const arch::AcceleratorEval fcad8 = run_fcad(nn::DataType::kInt8);
-  const arch::AcceleratorEval fcad16 = run_fcad(nn::DataType::kInt16);
+  const arch::AcceleratorEval fcad8 = run_fcad("pipelined-int8");
+  const arch::AcceleratorEval fcad16 = run_fcad("pipelined-int16");
 
   TablePrinter t(
       {"", "DNNBuilder", "HybridDNN", "F-CAD (8-bit)", "F-CAD (16-bit)"});

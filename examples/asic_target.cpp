@@ -38,7 +38,7 @@ int main() {
         arch::make_asic(c.name, c.mac_units, c.buffer_mib, c.bw_gbps,
                         c.freq_mhz);
     core::PipelineOptions options;
-    options.spec.customization.quantization = nn::DataType::kInt8;
+    options.spec.customization.datapath = "pipelined-int8";
     options.spec.customization.batch_sizes = {1, 2, 2};
     options.spec.search.population = 100;
     options.spec.search.iterations = 12;

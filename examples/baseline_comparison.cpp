@@ -30,7 +30,7 @@ int main() {
 
   // F-CAD runs the real decoder, with simulator validation.
   core::PipelineOptions options;
-  options.spec.customization.quantization = nn::DataType::kInt8;
+  options.spec.customization.datapath = "pipelined-int8";
   options.spec.customization.batch_sizes = {1, 1, 1};  // match the baselines
   options.spec.search.population = 150;
   options.spec.search.iterations = 15;

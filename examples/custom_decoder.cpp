@@ -92,7 +92,7 @@ void explore(core::Pipeline& pipeline, const char* label,
   // The pipeline caches its analysis/construction artifacts, so each
   // priority scenario re-runs only the optimization stage.
   dse::SearchSpec spec;
-  spec.customization.quantization = nn::DataType::kInt8;
+  spec.customization.datapath = "pipelined-int8";
   spec.customization.batch_sizes = {1, 2, 2, 1};
   spec.customization.priorities = std::move(priorities);
   spec.search.population = 100;

@@ -1,7 +1,7 @@
 // fcad_cli — the command-line front end of the framework, driving the
 // staged core::Pipeline.
 //
-//   fcad_cli --model decoder.fcad --platform zu9cg --quant int8
+//   fcad_cli --model decoder.fcad --platform zu9cg --datapath pipelined-int8
 //            --batches 1,2,2 --priorities 1,1,1
 //            --population 200 --iterations 20 --seed 1 --simulate --json
 //
@@ -43,12 +43,11 @@ void usage() {
       "  --asic-buffer-mib <f> ASIC on-chip buffer (MiB)\n"
       "  --asic-bw <f>         ASIC DRAM bandwidth (GB/s)\n"
       "  --asic-freq <f>       ASIC clock (MHz)\n"
-      "  --quant int8|int16    quantization Q (deprecated: sets "
-      "--datapath pipelined-<Q>)\n"
-      "  --datapath <name>     precision x MAC datapath, e.g. "
-      "pipelined-int8 (default),\n"
-      "                        staged-int8x4; overrides --quant (see "
-      "--list-datapaths)\n"
+      "  --datapath <name>     precision x MAC datapath (the paper's "
+      "quantization Q),\n"
+      "                        e.g. pipelined-int8 (default) or "
+      "staged-int8x4\n"
+      "                        (see --list-datapaths)\n"
       "  --list-datapaths      print the registered datapath names and "
       "exit\n"
       "  --search-datapath     joint datapath x batch-scale sweep over "
@@ -265,6 +264,13 @@ void print_sweep_table(const dse::SearchOutcome& outcome) {
 }
 
 int run(const ArgParser& args) {
+  if (args.has("quant")) {
+    // Removed flag: ArgParser ignores unknown flags, so reject it by name.
+    std::fprintf(stderr,
+                 "error: --quant was removed; use --datapath pipelined-<Q> "
+                 "(e.g. --datapath pipelined-int16)\n");
+    return 1;
+  }
   // Installed before any pipeline stage so spans cover the whole run; torn
   // down without writing on the error paths (dtor), written via finish() on
   // the reporting paths.
@@ -286,15 +292,6 @@ int run(const ArgParser& args) {
   }
 
   dse::SearchSpec spec;
-  const std::string quant = args.get("quant", "int8");
-  if (quant == "int8") {
-    spec.customization.quantization = nn::DataType::kInt8;
-  } else if (quant == "int16") {
-    spec.customization.quantization = nn::DataType::kInt16;
-  } else {
-    std::fprintf(stderr, "error: --quant must be int8 or int16\n");
-    return 1;
-  }
   if (args.has("datapath")) {
     auto dp = arch::datapath_from_string(args.get("datapath", ""));
     if (!dp.is_ok()) {

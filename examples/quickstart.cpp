@@ -36,10 +36,11 @@ int main() {
                                        profile.decomposition)
                   .c_str());
 
-  // 3. The optimization stage: 8-bit quantization, batch {1, 2, 2} (Br.2/3
-  //    render one HD texture per eye), equal priorities, ZU9CG budget.
+  // 3. The optimization stage: pipelined 8-bit datapath, batch {1, 2, 2}
+  //    (Br.2/3 render one HD texture per eye), equal priorities, ZU9CG
+  //    budget.
   dse::SearchSpec spec;
-  spec.customization.quantization = nn::DataType::kInt8;
+  spec.customization.datapath = "pipelined-int8";
   spec.customization.batch_sizes = {1, 2, 2};
   spec.search.population = 100;  // lighter than the paper's 200 for a demo
   spec.search.iterations = 12;

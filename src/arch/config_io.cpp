@@ -102,14 +102,6 @@ StatusOr<AcceleratorConfig> config_from_text(const ReorganizedModel& model,
             return parse_error(line_no, "unknown datapath '" + value + "'");
           }
           config.datapath = *dp;
-        } else if (key == "dw" || key == "ww") {
-          // Deprecated quantization-era keys (one release): widths on the
-          // default pipelined MAC.
-          auto dtype = nn::data_type_from_string(value);
-          if (!dtype.is_ok()) {
-            return parse_error(line_no, "unknown dtype '" + value + "'");
-          }
-          (key == "dw" ? config.datapath.dw : config.datapath.ww) = *dtype;
         } else if (key == "freq_mhz") {
           try {
             config.freq_mhz = std::stod(value);

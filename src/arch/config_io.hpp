@@ -3,7 +3,7 @@
 // artifact a downstream RTL generator would consume).
 //
 // Format:
-//   accelerator dw=<int8|int16> ww=<int8|int16> freq_mhz=<f>
+//   accelerator datapath=<name> freq_mhz=<f>   (arch/datapath.hpp grammar)
 //   branch <index> batch=<n>
 //   unit <stage-name> cpf=<n> kpf=<n> h=<n>
 //   ...
@@ -11,7 +11,7 @@
 
 #include <string>
 
-#include "arch/elastic.hpp"
+#include "arch/evaluate.hpp"
 #include "arch/reorg.hpp"
 #include "util/status.hpp"
 

@@ -89,8 +89,4 @@ std::vector<std::string> registered_datapath_names() {
   return names;
 }
 
-Datapath datapath_from_quantization(nn::DataType q) {
-  return Datapath{MacStyle::kPipelined, q, q};
-}
-
 }  // namespace fcad::arch

@@ -1,7 +1,7 @@
 // The datapath layer: precision x MAC microarchitecture as one first-class
 // value type, so every model that prices or times a multiply-accumulate array
-// (arch/unit, arch/resource_model, perf/*, the DSE stack) asks one oracle
-// instead of re-deriving packing constants from nn::DataType.
+// (arch/unit, arch/resource_model, arch/evaluate, the DSE stack) asks one
+// oracle instead of re-deriving packing constants from nn::DataType.
 //
 // Two MAC styles:
 //   * kPipelined — fully pipelined MAC array, initiation interval 1. The
@@ -84,9 +84,5 @@ const std::vector<Datapath>& registered_datapaths();
 
 /// Canonical names of registered_datapaths(), same order.
 std::vector<std::string> registered_datapath_names();
-
-/// The legacy quantization shim: Q sets DW = WW on a pipelined MAC. This is
-/// what `Customization::quantization` (deprecated) maps through.
-Datapath datapath_from_quantization(nn::DataType q);
 
 }  // namespace fcad::arch

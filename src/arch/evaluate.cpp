@@ -1,4 +1,4 @@
-#include "arch/elastic.hpp"
+#include "arch/evaluate.hpp"
 
 #include <algorithm>
 #include <limits>
@@ -106,8 +106,7 @@ AcceleratorEval evaluate(const ReorganizedModel& model,
     // Delivered MAC work only (2 ops per MAC), matching Eq. 3's peak, so a
     // perfectly balanced pipeline tops out at 100%.
     be.gops = 2.0 * static_cast<double>(br.macs_owned) * be.fps * 1e-9;
-    be.efficiency =
-        be.dsps > 0 ? be.gops * 1e9 / (beta * be.dsps * freq_hz) : 0.0;
+    be.efficiency = efficiency_eq3(be.gops, beta, be.dsps, freq_hz);
     // Traffic: parameters fetched once per frame wave (fps / batch waves per
     // second, broadcast to copies), features per delivered frame.
     const double waves_per_s = be.batch > 0 ? be.fps / be.batch : 0.0;
@@ -130,9 +129,7 @@ AcceleratorEval evaluate(const ReorganizedModel& model,
   for (const BranchEval& be : eval.branches) {
     eval.min_fps = std::min(eval.min_fps, be.fps);
   }
-  eval.efficiency = eval.dsps > 0
-                        ? total_gops * 1e9 / (beta * eval.dsps * freq_hz)
-                        : 0.0;
+  eval.efficiency = efficiency_eq3(total_gops, beta, eval.dsps, freq_hz);
   eval.accuracy_proxy = config.datapath.accuracy_proxy();
   return eval;
 }

@@ -85,4 +85,11 @@ struct AcceleratorEval {
 AcceleratorEval evaluate(const ReorganizedModel& model,
                          const AcceleratorConfig& config, EvalMode mode);
 
+/// Eq. 3: EFFI = GOPS / (beta * DSPs * FREQ), with beta the datapath's ops
+/// per DSP per cycle (Datapath::beta_ops_per_dsp). 0 when no DSPs are used.
+inline double efficiency_eq3(double gops, double beta, int dsps,
+                             double freq_hz) {
+  return dsps > 0 ? gops * 1e9 / (beta * dsps * freq_hz) : 0.0;
+}
+
 }  // namespace fcad::arch

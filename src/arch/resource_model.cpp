@@ -108,12 +108,4 @@ UnitResources unit_resources(const FusedStage& stage, const UnitConfig& cfg,
   return r;
 }
 
-UnitResources unit_resources(const FusedStage& stage, const UnitConfig& cfg,
-                             nn::DataType dw, nn::DataType ww,
-                             const UnitStreamContext& ctx,
-                             const ResourceModelParams& params) {
-  return unit_resources(stage, cfg, Datapath{MacStyle::kPipelined, dw, ww},
-                        ctx, params);
-}
-
 }  // namespace fcad::arch

@@ -74,12 +74,4 @@ UnitResources unit_resources(const FusedStage& stage, const UnitConfig& cfg,
                              const UnitStreamContext& ctx = {},
                              const ResourceModelParams& params = {});
 
-/// Deprecated quantization-era overload (one release): prices a pipelined
-/// MAC at the given widths. Identical to the Datapath overload with
-/// {kPipelined, dw, ww}.
-UnitResources unit_resources(const FusedStage& stage, const UnitConfig& cfg,
-                             nn::DataType dw, nn::DataType ww,
-                             const UnitStreamContext& ctx = {},
-                             const ResourceModelParams& params = {});
-
 }  // namespace fcad::arch

@@ -18,6 +18,7 @@ struct Allocation {
 /// the heaviest layer), quantized through get_pf_2d and capped per layer.
 Allocation allocate(const arch::ReorganizedModel& model, double lambda,
                     nn::DataType dtype) {
+  const arch::Datapath datapath{arch::MacStyle::kPipelined, dtype, dtype};
   Allocation alloc;
   std::int64_t max_macs = 1;
   for (const arch::FusedStage& st : model.fused.stages) {
@@ -41,7 +42,7 @@ Allocation allocate(const arch::ReorganizedModel& model, double lambda,
         model.fused.stage_inputs[s].empty();
     ctx.writes_external_output = !model.fused.stage_outputs[s].empty();
     const arch::UnitResources res =
-        arch::unit_resources(st, layer.cfg, dtype, dtype, ctx);
+        arch::unit_resources(st, layer.cfg, datapath, ctx);
     layer.dsps = res.dsps;
     layer.brams = res.brams;
     layer.cycles =
@@ -103,8 +104,7 @@ DnnBuilderResult run_dnnbuilder(const arch::ReorganizedModel& model,
   result.gops = static_cast<double>(total_mac_ops) * result.fps * 1e-9;
   const double beta = nn::beta_ops_per_dsp(dtype);
   result.efficiency =
-      result.dsps > 0 ? result.gops * 1e9 / (beta * result.dsps * freq_hz)
-                      : 0.0;
+      arch::efficiency_eq3(result.gops, beta, result.dsps, freq_hz);
   return result;
 }
 

@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "arch/elastic.hpp"
+#include "arch/evaluate.hpp"
 #include "arch/platform.hpp"
 
 namespace fcad::baselines {

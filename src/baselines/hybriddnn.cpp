@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "arch/evaluate.hpp"
+
 namespace fcad::baselines {
 namespace {
 
@@ -125,8 +127,7 @@ HybridDnnResult run_hybriddnn(const arch::ReorganizedModel& model,
   result.gops = static_cast<double>(total_mac_ops) * result.fps * 1e-9;
   const double beta = nn::beta_ops_per_dsp(dtype);
   result.efficiency =
-      result.dsps > 0 ? result.gops * 1e9 / (beta * result.dsps * freq_hz)
-                      : 0.0;
+      arch::efficiency_eq3(result.gops, beta, result.dsps, freq_hz);
   return result;
 }
 

@@ -1,5 +1,7 @@
 #include "core/calibration.hpp"
 
+#include <utility>
+
 #include "arch/platform.hpp"
 #include "arch/reorg.hpp"
 #include "dse/search_driver.hpp"
@@ -11,16 +13,18 @@ namespace fcad::core {
 std::vector<CalibrationPoint> run_calibration() {
   std::vector<CalibrationPoint> points;
   const arch::Platform ku115 = arch::platform_ku115();
-  const nn::DataType dtypes[] = {nn::DataType::kInt16, nn::DataType::kInt8};
+  // Datapath and the precision shown in the point's label.
+  const std::pair<const char*, const char*> datapaths[] = {
+      {"pipelined-int16", "int16"}, {"pipelined-int8", "int8"}};
 
   int index = 1;
-  for (nn::DataType dtype : dtypes) {
+  for (const auto& [datapath, precision] : datapaths) {
     for (nn::Graph& net : nn::zoo::calibration_benchmarks()) {
       auto model = arch::reorganize(net);
       FCAD_CHECK_MSG(model.is_ok(), model.status().message());
 
       dse::SearchSpec spec;
-      spec.customization.quantization = dtype;
+      spec.customization.datapath = datapath;
       spec.search.population = 40;  // single branch: small swarm suffices
       spec.search.iterations = 8;
       spec.search.seed = 1234 + index;
@@ -32,8 +36,8 @@ std::vector<CalibrationPoint> run_calibration() {
           sim::simulate(*model, search->config, ku115);
 
       CalibrationPoint p;
-      p.name = std::to_string(index) + ": " + net.name() + " (" +
-               nn::to_string(dtype) + ")";
+      p.name = std::to_string(index) + ": " + net.name() + " (" + precision +
+               ")";
       // Analytical estimate: smooth Eq. 4/5 + Eq. 3 on the winning config.
       const arch::AcceleratorEval analytical = arch::evaluate(
           *model, search->config, arch::EvalMode::kAnalytical);

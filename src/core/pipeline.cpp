@@ -348,12 +348,11 @@ StatusOr<SearchArtifact> search_artifact_from_text(const ReorgArtifact& reorg,
         return Status::invalid_argument(
             "search artifact: malformed sweep_point line");
       }
-      auto dp = arch::datapath_from_string(point.datapath);
-      if (!dp.is_ok()) {
+      if (auto dp = arch::datapath_from_string(point.datapath);
+          !dp.is_ok()) {
         return Status::invalid_argument("search artifact: " +
                                         dp.status().message());
       }
-      point.quantization = dp->ww;
       point.pareto_optimal = pareto == "1";
       auto result = parse_search_block(reorg, in);
       if (!result.is_ok()) return result.status();

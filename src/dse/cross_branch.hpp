@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "arch/elastic.hpp"
+#include "arch/evaluate.hpp"
 #include "dse/design_space.hpp"
 #include "dse/fitness.hpp"
 #include "dse/in_branch.hpp"

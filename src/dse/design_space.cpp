@@ -41,21 +41,14 @@ Status Customization::normalize(int num_branches) {
           ")");
     }
   }
-  if (datapath.empty()) {
-    datapath = arch::datapath_to_string(
-        arch::datapath_from_quantization(quantization));
-  } else {
-    auto dp = arch::datapath_from_string(datapath);
-    if (!dp.is_ok()) {
-      return Status::invalid_argument("customization: " +
-                                      dp.status().message());
-    }
+  if (auto dp = arch::datapath_from_string(datapath); !dp.is_ok()) {
+    return Status::invalid_argument("customization: " +
+                                    dp.status().message());
   }
   return Status::ok();
 }
 
 arch::Datapath Customization::resolved_datapath() const {
-  if (datapath.empty()) return arch::datapath_from_quantization(quantization);
   auto dp = arch::datapath_from_string(datapath);
   FCAD_CHECK_MSG(dp.is_ok(), dp.status().message());
   return *dp;

@@ -1,7 +1,8 @@
 // The multi-branch dynamic design space (Table III): per-branch batch size
-// and per-stage 3D parallelism factors, with user customization (quantization
-// Q, branch-wise target batch sizes, branch priorities) and the three global
-// resource budgets {Cmax, Mmax, BWmax}.
+// and per-stage 3D parallelism factors, with user customization (the
+// datapath, which carries the paper's quantization Q, branch-wise target
+// batch sizes, branch priorities) and the three global resource budgets
+// {Cmax, Mmax, BWmax}.
 #pragma once
 
 #include <cstdint>
@@ -11,32 +12,24 @@
 #include "arch/datapath.hpp"
 #include "arch/platform.hpp"
 #include "arch/reorg.hpp"
-#include "nn/dtype.hpp"
 #include "util/status.hpp"
 
 namespace fcad::dse {
 
 /// User customization (Table III, bottom rows, plus the datapath axis).
 struct Customization {
-  /// Deprecated (kept one release): the quantization shim Q, which maps to
-  /// datapath "pipelined-<Q>" when `datapath` is empty. Code setting Q keeps
-  /// working unchanged; new code should set `datapath` instead.
-  nn::DataType quantization = nn::DataType::kInt8;
   /// Precision x MAC microarchitecture in the canonical grammar of
-  /// arch/datapath.hpp ("pipelined-int8", "staged-int8x4", ...). Empty
-  /// derives from `quantization`; when both are set, `datapath` wins.
-  std::string datapath;
+  /// arch/datapath.hpp ("pipelined-int8", "staged-int8x4", ...).
+  std::string datapath = "pipelined-int8";
   std::vector<int> batch_sizes;     ///< BatchSize_1..B (default all 1)
   std::vector<double> priorities;   ///< P_1..B (default all 1.0)
 
-  /// Expands defaults for a model with `num_branches` branches and
-  /// canonicalizes `datapath` (filling it from the quantization shim when
-  /// empty); fails when a user-supplied vector has the wrong arity or
-  /// non-positive entries, or when `datapath` is not a registered name.
+  /// Expands defaults for a model with `num_branches` branches; fails when a
+  /// user-supplied vector has the wrong arity or non-positive entries, or
+  /// when `datapath` is not a registered name.
   Status normalize(int num_branches);
 
-  /// The datapath this customization evaluates under: `datapath` when set,
-  /// else pipelined-<quantization>. Checks that a non-empty string parses.
+  /// The parsed `datapath`. Checks that the name is registered.
   arch::Datapath resolved_datapath() const;
 };
 

@@ -24,7 +24,7 @@
 #include <optional>
 #include <unordered_map>
 
-#include "arch/elastic.hpp"
+#include "arch/evaluate.hpp"
 #include "obs/metrics.hpp"
 
 namespace fcad::dse {

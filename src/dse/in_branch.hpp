@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "arch/elastic.hpp"
+#include "arch/evaluate.hpp"
 #include "dse/design_space.hpp"
 
 namespace fcad::dse {

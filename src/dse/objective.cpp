@@ -71,12 +71,6 @@ Objective::Term Objective::dsp_cost() {
           }};
 }
 
-Objective::Term Objective::bram_cost() {
-  return {"brams", 1.0, [](const ObjectiveInput& in) {
-            return -static_cast<double>(in.brams);
-          }};
-}
-
 Objective::Term Objective::bandwidth_cost() {
   return {"bandwidth", 1.0,
           [](const ObjectiveInput& in) { return -in.bw_gbps; }};

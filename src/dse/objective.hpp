@@ -77,7 +77,6 @@ class Objective {
   /// DSPs" and "less bandwidth" are higher term values — which is also the
   /// orientation dse::extract_frontier expects.
   static Term dsp_cost();        ///< -DSPs consumed
-  static Term bram_cost();       ///< -BRAM18Ks consumed
   static Term bandwidth_cost();  ///< -GB/s consumed
   /// Precision cost, negated like the resource terms: higher (closer to 0)
   /// means a more accurate datapath.

@@ -210,9 +210,8 @@ StatusOr<SearchOutcome> SearchDriver::run_convergence(
 
 StatusOr<SearchOutcome> SearchDriver::run_sweep(
     const SearchSpec& spec, const RunContext& run) const {
-  const bool datapath_grid = !spec.sweep.datapaths.empty();
-  if ((!datapath_grid && spec.sweep.quantizations.empty()) ||
-      spec.sweep.frequencies_mhz.empty() || spec.sweep.batch_scales.empty()) {
+  if (spec.sweep.datapaths.empty() || spec.sweep.frequencies_mhz.empty() ||
+      spec.sweep.batch_scales.empty()) {
     return Status::invalid_argument("SearchSpec.sweep: empty grid");
   }
   for (double f : spec.sweep.frequencies_mhz) {
@@ -227,25 +226,18 @@ StatusOr<SearchOutcome> SearchDriver::run_sweep(
     }
   }
 
-  // Resolve the precision axis up front: either the explicit datapath names
-  // or the legacy quantization list as "pipelined-<Q>" (which keeps legacy
-  // grids bit-identical to the pre-datapath sweep).
-  std::vector<arch::Datapath> axis;
-  if (datapath_grid) {
-    axis.reserve(spec.sweep.datapaths.size());
-    for (const std::string& name : spec.sweep.datapaths) {
-      auto dp = arch::datapath_from_string(name);
-      if (!dp.is_ok()) {
-        return Status::invalid_argument("SearchSpec.sweep: " +
-                                        dp.status().message());
-      }
-      axis.push_back(*dp);
+  // The default frontier's cost axis follows from the grid: DSPs when every
+  // datapath is pipelined on DSP multipliers, else the precision penalty,
+  // because LUT-fabric int4 consumes zero DSPs and would otherwise dominate
+  // every other datapath.
+  bool dsp_axis = true;
+  for (const std::string& name : spec.sweep.datapaths) {
+    auto dp = arch::datapath_from_string(name);
+    if (!dp.is_ok()) {
+      return Status::invalid_argument("SearchSpec.sweep: " +
+                                      dp.status().message());
     }
-  } else {
-    axis.reserve(spec.sweep.quantizations.size());
-    for (nn::DataType q : spec.sweep.quantizations) {
-      axis.push_back(arch::datapath_from_quantization(q));
-    }
+    dsp_axis &= dp->mac == arch::MacStyle::kPipelined && !dp->lut_multipliers();
   }
 
   SearchOutcome outcome;
@@ -254,12 +246,11 @@ StatusOr<SearchOutcome> SearchDriver::run_sweep(
   // Grid points are independent searches: run them across the pool and
   // collect into grid-ordered slots.
   std::vector<SweepPoint> grid;
-  for (const arch::Datapath& dp : axis) {
+  for (const std::string& datapath : spec.sweep.datapaths) {
     for (double freq : spec.sweep.frequencies_mhz) {
       for (int scale : spec.sweep.batch_scales) {
         SweepPoint point;
-        point.datapath = arch::datapath_to_string(dp);
-        point.quantization = dp.ww;
+        point.datapath = datapath;
         point.freq_mhz = freq;
         point.batch_scale = scale;
         grid.push_back(point);
@@ -272,11 +263,7 @@ StatusOr<SearchOutcome> SearchDriver::run_sweep(
       static_cast<std::int64_t>(grid.size()), [&](std::int64_t i) {
         const SweepPoint& point = grid[static_cast<std::size_t>(i)];
         Customization cust = run.customization;
-        // normalize() already canonicalized cust.datapath from the driver's
-        // customization, so the per-point datapath must be set explicitly
-        // (quantization rides along for legacy consumers).
         cust.datapath = point.datapath;
-        cust.quantization = point.quantization;
         for (int& b : cust.batch_sizes) b *= point.batch_scale;
         CrossBranchOptions opt = run.options;
         opt.freq_mhz = point.freq_mhz;
@@ -299,16 +286,13 @@ StatusOr<SearchOutcome> SearchDriver::run_sweep(
     points[i].result = std::move(results[i]);
   }
 
-  // Default frontier: maximize min-FPS against the grid's natural cost axis.
-  // Legacy quantization grids keep (min FPS up, DSPs down); datapath grids
-  // trade min FPS against the precision penalty instead — LUT-fabric int4
-  // consumes zero DSPs and would otherwise dominate every other datapath.
+  // Default frontier: maximize min-FPS against the cost axis chosen above.
   // Infeasible points never make the frontier. Callers wanting other axes
   // re-extract from the outcome with any Objective term pair
   // (dse/frontier.hpp).
   const std::vector<FrontierPoint> frontier = extract_frontier(
       outcome, Objective::min_throughput(),
-      datapath_grid ? Objective::accuracy_proxy() : Objective::dsp_cost());
+      dsp_axis ? Objective::dsp_cost() : Objective::accuracy_proxy());
   for (const FrontierPoint& point : frontier) {
     points[point.index].pareto_optimal = point.on_frontier;
   }

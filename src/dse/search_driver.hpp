@@ -1,6 +1,6 @@
 // The unified DSE entry point: every optimization scenario — the plain
 // cross-branch search, SLA-aware traffic search, maximum-batch probing, the
-// quantization x frequency sweep, and the repeated-search convergence study
+// datapath x frequency sweep, and the repeated-search convergence study
 // — is one SearchDriver::run(SearchSpec) call. The spec carries the shared
 // pieces exactly once (customization, swarm options, a pluggable Objective,
 // and a RunControl with progress/cancellation/deadline/threads), replacing
@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "arch/platform.hpp"
@@ -15,7 +16,6 @@
 #include "dse/objective.hpp"
 #include "dse/run_control.hpp"
 #include "dse/strategy.hpp"
-#include "nn/dtype.hpp"
 #include "serving/fleet.hpp"
 #include "serving/stats.hpp"
 #include "serving/workload.hpp"
@@ -55,20 +55,14 @@ struct TrafficSpec {
   bool use_simulator = false;
 };
 
-/// Grid for SearchKind::kSweep. Two ways to span the precision axis:
-///  - legacy: `quantizations` (each entry means "pipelined-<Q>"), or
-///  - datapath-first: `datapaths` holds canonical arch::Datapath names
-///    ("staged-int8", "pipelined-int8x4", ...; see arch/datapath.hpp).
-/// When `datapaths` is non-empty it REPLACES the quantization axis; when it
-/// is empty the grid is derived from `quantizations` and results are
-/// bit-identical to the pre-datapath sweep. `batch_scales` multiplies every
-/// branch's batch target per point (default {1} — no scaling), making the
-/// sweep a joint precision x microarchitecture x batch grid.
+/// Grid for SearchKind::kSweep: `datapaths` holds canonical arch::Datapath
+/// names ("pipelined-int8", "staged-int8x4", ...; see arch/datapath.hpp).
+/// `batch_scales` multiplies every branch's batch target per point (default
+/// {1}: no scaling), making the sweep a joint precision x microarchitecture
+/// x batch grid.
 struct SweepGrid {
-  std::vector<nn::DataType> quantizations = {nn::DataType::kInt8,
-                                             nn::DataType::kInt16};
+  std::vector<std::string> datapaths = {"pipelined-int8", "pipelined-int16"};
   std::vector<double> frequencies_mhz = {150, 200, 300};
-  std::vector<std::string> datapaths;   ///< canonical names; empty = legacy
   std::vector<int> batch_scales = {1};  ///< per-point batch multipliers (>= 1)
 };
 
@@ -97,20 +91,16 @@ struct TrafficSearchResult {
 
 /// One kSweep grid point.
 struct SweepPoint {
-  /// Canonical datapath name of the point ("pipelined-int8", ...). For
-  /// legacy quantization grids this is the derived "pipelined-<Q>" name.
+  /// Canonical datapath name of the point ("pipelined-int8", ...).
   std::string datapath;
-  /// Weight width of the point's datapath — kept so legacy consumers keyed
-  /// on the quantization axis keep working one release.
-  nn::DataType quantization = nn::DataType::kInt8;
   double freq_mhz = 200.0;
   int batch_scale = 1;  ///< batch multiplier applied to every branch target
   SearchResult result;
   /// On the grid's default frontier, marked via dse::extract_frontier: min
-  /// FPS up vs DSPs down for legacy quantization grids, min FPS up vs
-  /// accuracy penalty down for datapath grids (where 0-DSP LUT-fabric int4
-  /// would otherwise dominate the resource axis). Other term pairs can be
-  /// extracted from the same outcome (dse/frontier.hpp).
+  /// FPS up vs DSPs down when every datapath on the axis is pipelined on DSP
+  /// multipliers, else min FPS up vs accuracy penalty down (where 0-DSP
+  /// LUT-fabric int4 would otherwise dominate the resource axis). Other term
+  /// pairs can be extracted from the same outcome (dse/frontier.hpp).
   bool pareto_optimal = false;
 };
 
@@ -125,7 +115,7 @@ struct SearchSpec {
   /// under the selected strategy; unknown names are rejected by run().
   /// "" selects the default.
   std::string strategy = "particle-swarm";
-  /// User customization (quantization, batch targets, priorities).
+  /// User customization (datapath, batch targets, priorities).
   /// Normalized by the driver; arity mismatches are rejected.
   Customization customization;
   /// Swarm parameters. `freq_mhz` and `threads` are resolved by the driver

@@ -1,25 +1,13 @@
 #include "dse/spec_hash.hpp"
 
-#include "arch/datapath.hpp"
-
 namespace fcad::dse {
 namespace {
 
 void absorb_customization(util::Hash128& h, const Customization& cust) {
-  h.absorb(static_cast<std::uint64_t>(cust.quantization));
-  // The canonical resolved datapath, so a spec saying quantization=int8 and
-  // one saying datapath="pipelined-int8" hash identically — they run the
-  // same search. Specs are hashed before normalization, so an unparseable
-  // name hashes as its raw string (the run itself rejects it later).
-  if (cust.datapath.empty()) {
-    h.absorb_string(arch::datapath_to_string(
-        arch::datapath_from_quantization(cust.quantization)));
-  } else if (auto dp = arch::datapath_from_string(cust.datapath);
-             dp.is_ok()) {
-    h.absorb_string(arch::datapath_to_string(*dp));
-  } else {
-    h.absorb_string(cust.datapath);
-  }
+  // Registered datapath names are canonical (arch/datapath.hpp), so the
+  // name itself identifies the datapath. An unregistered name hashes as its
+  // raw string; the run itself rejects it.
+  h.absorb_string(cust.datapath);
   h.absorb(cust.batch_sizes.size());
   for (int b : cust.batch_sizes) h.absorb(static_cast<std::uint64_t>(b));
   h.absorb(cust.priorities.size());
@@ -95,10 +83,6 @@ util::Hash128 spec_hash(const SearchSpec& spec) {
       h.absorb(static_cast<std::uint64_t>(spec.batch_probe_limit));
       break;
     case SearchKind::kSweep:
-      h.absorb(spec.sweep.quantizations.size());
-      for (nn::DataType q : spec.sweep.quantizations) {
-        h.absorb(static_cast<std::uint64_t>(q));
-      }
       h.absorb(spec.sweep.frequencies_mhz.size());
       for (double f : spec.sweep.frequencies_mhz) h.absorb_double(f);
       h.absorb(spec.sweep.datapaths.size());

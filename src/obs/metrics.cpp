@@ -10,10 +10,6 @@ namespace {
 
 std::atomic<bool> g_collection{false};
 
-std::string bucket_label(const std::vector<double>& bounds, std::size_t i) {
-  return i < bounds.size() ? "le_" + std::to_string(bounds[i]) : "overflow";
-}
-
 }  // namespace
 
 HistogramSnapshot merge(const HistogramSnapshot& a,
@@ -161,24 +157,6 @@ void metrics_json(JsonWriter& json, const MetricsSnapshot& snapshot) {
   }
   json.end_object();
   json.end_object();
-}
-
-CsvWriter metrics_csv(const MetricsSnapshot& snapshot) {
-  CsvWriter csv({"kind", "name", "key", "value"});
-  for (const auto& [name, value] : snapshot.counters) {
-    csv.add_row({"counter", name, "value", std::to_string(value)});
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    csv.add_row({"gauge", name, "value", std::to_string(value)});
-  }
-  for (const auto& [name, h] : snapshot.histograms) {
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      csv.add_row({"histogram", name, bucket_label(h.bounds, i),
-                   std::to_string(h.counts[i])});
-    }
-    csv.add_row({"histogram", name, "total", std::to_string(h.total)});
-  }
-  return csv;
 }
 
 bool write_metrics_json(const std::string& path,

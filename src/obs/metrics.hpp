@@ -32,7 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/csv.hpp"
 #include "util/json.hpp"
 
 namespace fcad::obs {
@@ -143,9 +142,6 @@ bool metrics_collection();
 /// {"counters":{...},"gauges":{...},"histograms":{name:{bounds,counts,
 /// total,sum}}}.
 void metrics_json(JsonWriter& json, const MetricsSnapshot& snapshot);
-
-/// Flat export: one (kind, name, key, value) row per scalar / bucket.
-CsvWriter metrics_csv(const MetricsSnapshot& snapshot);
 
 /// Writes {"schema_version":1, "counters":..., ...} to `path`; false on I/O
 /// error.

@@ -45,6 +45,10 @@ Status validate_daemon_options(const DaemonOptions& options) {
   return Status::ok();
 }
 
+/// Longest unterminated line the receiver buffers per connection; a request
+/// line ("req <user> <branch>") is a few dozen bytes.
+constexpr std::size_t kMaxLineBytes = 4096;
+
 /// One parsed unit of receiver -> serving-loop traffic.
 struct Incoming {
   int fd = -1;
@@ -251,11 +255,16 @@ StatusOr<DaemonResult> Daemon::serve() {
         const int fd = pfds[i].fd;
         char buf[4096];
         const ssize_t n = ::read(fd, buf, sizeof(buf));
+        bool drop = n == 0 || (n < 0 && errno != EINTR);
         if (n > 0) {
           std::string& buffer = buffers[fd];
           buffer.append(buf, static_cast<std::size_t>(n));
           stop = parse_lines(fd, buffer, next_id, events) || stop;
-        } else if (n == 0 || errno != EINTR) {
+          // An unterminated line past the cap is a misbehaving client: stop
+          // reading it instead of buffering without bound.
+          drop = buffer.size() > kMaxLineBytes;
+        }
+        if (drop) {
           Incoming gone;
           gone.fd = fd;
           gone.disconnect = true;

@@ -16,7 +16,8 @@
 //    A client line "shutdown\n" — or request_shutdown(), which is safe to
 //    call from a signal handler — stops intake, drains every in-flight
 //    batch on the batching-timeout schedule, answers the stragglers, and
-//    returns the final stats.
+//    returns the final stats. A connection that sends more than 4 KiB
+//    without a newline is no longer read and counts as disconnected.
 #pragma once
 
 #include <cstdint>

@@ -959,19 +959,6 @@ StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
                                  scope);
 }
 
-StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
-                                      const ServeSpec& spec,
-                                      const util::RunScope* scope) {
-  WorkloadOptions workload = spec.workload;
-  const WorkloadOptions workload_defaults;
-  if (workload.branches == workload_defaults.branches) {
-    workload.branches = service.num_branches();
-  }
-  auto requests = generate_scenario_workload(workload, spec.scenario);
-  if (!requests.is_ok()) return requests.status();
-  return simulate_fleet(service, *requests, spec, scope);
-}
-
 StatusOr<ServingStats> simulate_fleet_admitted(
     const ServiceModel& service, const std::vector<Request>& trace,
     const ServeSpec& spec, int admission_window, double admission_headroom,

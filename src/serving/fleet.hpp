@@ -129,9 +129,9 @@ struct ServeSpec {
   SlaOptions sla;
   ClockKind clock = ClockKind::kVirtual;
   /// Traffic drift shaped over the workload (diurnal/flash/churn) and the
-  /// instance fault schedule. The workload-generating simulate_fleet
-  /// overload applies the arrival shapes; the fault schedule applies in
-  /// every mode (trace-driven included).
+  /// instance fault schedule. generate_scenario_workload and
+  /// simulate_fleet_stream apply the arrival shapes; the fault schedule
+  /// applies in every mode (trace-driven included).
   ScenarioSpec scenario;
   /// Elastic policies: autoscaling over the provisioned pool
   /// (fleet.instances active initially, autoscale.max_instances the cap)
@@ -164,13 +164,6 @@ StatusOr<FleetOptions> resolved_fleet_options(const ServeSpec& spec);
 /// changes the stats.
 StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
                                       const std::vector<Request>& requests,
-                                      const ServeSpec& spec,
-                                      const util::RunScope* scope = nullptr);
-
-/// Workload-generating twin: generates `spec.workload` (with `branches`
-/// derived from the service model when left at its default of 1) and
-/// replays it through the trace-driven overload.
-StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
                                       const ServeSpec& spec,
                                       const util::RunScope* scope = nullptr);
 

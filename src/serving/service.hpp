@@ -5,7 +5,7 @@
 
 #include <vector>
 
-#include "arch/elastic.hpp"
+#include "arch/evaluate.hpp"
 #include "sim/simulator.hpp"
 
 namespace fcad::serving {

@@ -149,12 +149,4 @@ StatusOr<std::vector<Request>> generate_workload(
   return workload;
 }
 
-double offered_rate_rps(const std::vector<Request>& workload) {
-  if (workload.empty()) return 0;
-  const double span_us =
-      workload.back().arrival_us - workload.front().arrival_us;
-  if (span_us <= 0) return 0;
-  return static_cast<double>(workload.size()) / (span_us * 1e-6);
-}
-
 }  // namespace fcad::serving

@@ -107,7 +107,4 @@ struct UserStream {
   double phase_end_us = 0;
 };
 
-/// Offered load in requests/second of `workload` over its span.
-double offered_rate_rps(const std::vector<Request>& workload);
-
 }  // namespace fcad::serving

@@ -149,8 +149,7 @@ SimResult simulate(const arch::ReorganizedModel& model,
       bs.fps = period > 0 ? batch * freq_hz / period : 0.0;
       bs.gops = 2.0 * static_cast<double>(br.macs_owned) * bs.fps * 1e-9;
       const int dsps = res_eval.branches[b].dsps;
-      bs.efficiency =
-          dsps > 0 ? bs.gops * 1e9 / (beta * dsps * freq_hz) : 0.0;
+      bs.efficiency = arch::efficiency_eq3(bs.gops, beta, dsps, freq_hz);
       total_gops += bs.gops;
 
       // Sustained DDR demand at the simulated rate.
@@ -168,9 +167,7 @@ SimResult simulate(const arch::ReorganizedModel& model,
       result.min_fps = std::min(result.min_fps, bs.fps);
     }
     result.efficiency =
-        res_eval.dsps > 0
-            ? total_gops * 1e9 / (beta * res_eval.dsps * freq_hz)
-            : 0.0;
+        arch::efficiency_eq3(total_gops, beta, res_eval.dsps, freq_hz);
     result.ddr_demand_gbps = demand_bytes_per_s * 1e-9;
     result.ddr_congestion = congestion;
 

@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "arch/elastic.hpp"
+#include "arch/evaluate.hpp"
 #include "arch/platform.hpp"
 
 namespace fcad::sim {

@@ -68,18 +68,6 @@ LogLevel log_level_from_name(const std::string& name, LogLevel fallback) {
   return fallback;
 }
 
-const char* to_string(LogLevel level) {
-  switch (level) {
-    case LogLevel::kTrace: return "trace";
-    case LogLevel::kDebug: return "debug";
-    case LogLevel::kInfo: return "info";
-    case LogLevel::kWarn: return "warn";
-    case LogLevel::kError: return "error";
-    case LogLevel::kOff: return "off";
-  }
-  return "?";
-}
-
 namespace detail {
 
 void log_emit(LogLevel level, const std::string& msg) {

@@ -39,8 +39,6 @@ LogLevel log_level();
 LogLevel log_level_from_name(const std::string& name,
                              LogLevel fallback = LogLevel::kWarn);
 
-const char* to_string(LogLevel level);
-
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg);
 

@@ -64,7 +64,7 @@ TEST(ConfigIoTest, MissingHeaderRejected) {
 
 TEST(ConfigIoTest, UnknownStageRejected) {
   const std::string text =
-      "accelerator dw=int8 ww=int8 freq_mhz=200\n"
+      "accelerator datapath=pipelined-int8 freq_mhz=200\n"
       "branch 0 batch=1\n"
       "unit nonexistent_conv cpf=1 kpf=1 h=1\n";
   auto parsed = config_from_text(fixture().model, text);
@@ -76,7 +76,7 @@ TEST(ConfigIoTest, UnknownStageRejected) {
 TEST(ConfigIoTest, WrongBranchRejected) {
   // br1_l1_conv belongs to branch 0, not branch 1.
   const std::string text =
-      "accelerator dw=int8 ww=int8 freq_mhz=200\n"
+      "accelerator datapath=pipelined-int8 freq_mhz=200\n"
       "branch 1 batch=1\n"
       "unit br1_l1_conv cpf=1 kpf=1 h=1\n";
   auto parsed = config_from_text(fixture().model, text);
@@ -105,14 +105,6 @@ TEST(ConfigIoTest, MissingUnitRejected) {
   EXPECT_NE(parsed.status().message().find("missing unit"), std::string::npos);
 }
 
-TEST(ConfigIoTest, BadDtypeRejected) {
-  auto parsed = config_from_text(
-      fixture().model, "accelerator dw=fp32 ww=int8 freq_mhz=200\n");
-  ASSERT_FALSE(parsed.is_ok());
-  EXPECT_NE(parsed.status().message().find("unknown dtype"),
-            std::string::npos);
-}
-
 TEST(ConfigIoTest, BadDatapathRejected) {
   auto parsed = config_from_text(
       fixture().model, "accelerator datapath=warped-int8 freq_mhz=200\n");
@@ -121,17 +113,21 @@ TEST(ConfigIoTest, BadDatapathRejected) {
             std::string::npos);
 }
 
-TEST(ConfigIoTest, DeprecatedDwWwKeysStillParse) {
-  // One-release back-compat: the pre-datapath "dw=/ww=" keys must keep
-  // loading as a pipelined datapath at those widths.
+TEST(ConfigIoTest, RemovedDwWwKeysRejected) {
+  // The pre-datapath "dw=/ww=" header keys are removed: an old header
+  // fails loudly, naming the key.
   std::string text = config_to_text(fixture().model, fixture().config);
-  const std::size_t eol = text.find('\n');
-  ASSERT_NE(eol, std::string::npos);
-  text.replace(0, eol, "accelerator dw=int16 ww=int16 freq_mhz=200");
-  auto parsed = config_from_text(fixture().model, text);
-  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-  EXPECT_EQ(parsed->datapath,
-            datapath_from_quantization(nn::DataType::kInt16));
+  ASSERT_NE(text.find('\n'), std::string::npos);
+  for (const char* header : {"accelerator dw=int16 ww=int16 freq_mhz=200",
+                             "accelerator ww=int8 freq_mhz=200",
+                             "accelerator dw=fp32 ww=int8 freq_mhz=200"}) {
+    text.replace(0, text.find('\n'), header);
+    auto parsed = config_from_text(fixture().model, text);
+    ASSERT_FALSE(parsed.is_ok()) << header;
+    EXPECT_NE(parsed.status().message().find("unknown header key"),
+              std::string::npos)
+        << parsed.status().to_string();
+  }
 }
 
 TEST(ConfigIoTest, HeaderCarriesCanonicalDatapathName) {

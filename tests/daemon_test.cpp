@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -537,6 +540,75 @@ TEST(DaemonTest, ServeRejectsMalformedAndOutOfRangeLines) {
 
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   EXPECT_EQ(result->stats.completed, 1);  // only the well-formed request
+}
+
+TEST(DaemonTest, ServeStopsReadingAClientThatNeverSendsANewline) {
+  const ServiceModel service = make_service({{1, 1000.0}});
+  const std::string socket_path = "/tmp/fcad_daemon_flood_test.sock";
+
+  ServeSpec spec;
+  spec.clock = ClockKind::kSteady;
+  spec.fleet.batch_timeout_us = 500;
+
+  DaemonOptions options;
+  options.socket_path = socket_path;
+
+  Daemon daemon(service, spec, options);
+  StatusOr<DaemonResult> result = Status::internal("serve never ran");
+  std::thread server([&] { result = daemon.serve(); });
+
+  // The flooder offers 1 MiB with no newline through a small, non-blocking
+  // send buffer: once the daemon stops reading, the buffer fills and the
+  // flood stalls well short of 1 MiB.
+  const int flood = connect_with_retry(socket_path);
+  ASSERT_GE(flood, 0);
+  const int sndbuf = 16 * 1024;
+  const socklen_t len = sizeof(sndbuf);
+  ASSERT_EQ(::setsockopt(flood, SOL_SOCKET, SO_SNDBUF, &sndbuf, len), 0);
+  const int flags = ::fcntl(flood, F_GETFL);
+  ASSERT_EQ(::fcntl(flood, F_SETFL, flags | O_NONBLOCK), 0);
+  constexpr std::size_t kFloodBytes = 1 << 20;
+  const std::string chunk(4096, 'x');
+  std::size_t flooded = 0;
+  while (flooded < kFloodBytes) {
+    const ssize_t n = ::send(flood, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      flooded += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) break;
+    pollfd writable{flood, POLLOUT, 0};
+    if (::poll(&writable, 1, 200) <= 0) break;  // no reader drains it
+  }
+  EXPECT_GT(flooded, 4096u);        // past the line cap
+  EXPECT_LT(flooded, kFloodBytes);  // and no longer read
+
+  // A well-behaved client is served normally meanwhile.
+  const int fd = connect_with_retry(socket_path);
+  ASSERT_GE(fd, 0);
+  constexpr int kRequests = 10;
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i) burst += "req 0 0\n";
+  ASSERT_TRUE(send_all(fd, burst));
+  const std::vector<std::string> replies = read_lines(fd, kRequests);
+  ASSERT_EQ(replies.size(), static_cast<std::size_t>(kRequests));
+  for (const std::string& line : replies) {
+    EXPECT_EQ(line.rfind("ok ", 0), 0u) << line;
+  }
+
+  ASSERT_TRUE(send_all(fd, "shutdown\n"));
+  server.join();
+  ::close(fd);
+  // The flooder was never answered.
+  char byte = 0;
+  EXPECT_LE(::recv(flood, &byte, 1, MSG_DONTWAIT), 0);
+  ::close(flood);
+
+  // The books balance: every offered request completed or was shed.
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result->stats.offered, kRequests);
+  EXPECT_EQ(result->stats.completed + result->shed, result->stats.offered);
+  EXPECT_EQ(result->shed, 0);
 }
 
 TEST(DaemonTest, ServeHonoursSketchLatencyMode) {

@@ -3,18 +3,17 @@
 // against small brute-force goldens: a cycle-exact tile enumeration for
 // every registered datapath, and closed-form resource counts per packing
 // rule. The default pipelined-int8 datapath must stay bit-identical to the
-// pre-datapath 2-arg overloads.
+// pre-datapath 2-arg overloads. The oracles live in model_oracle.hpp.
 #include <gtest/gtest.h>
 
 #include "arch/datapath.hpp"
-#include "arch/elastic.hpp"
+#include "arch/evaluate.hpp"
 #include "arch/fusion.hpp"
 #include "arch/platform.hpp"
 #include "arch/resource_model.hpp"
 #include "arch/unit.hpp"
+#include "model_oracle.hpp"
 #include "nn/zoo/avatar_decoder.hpp"
-#include "perf/analytical.hpp"
-#include "perf/efficiency.hpp"
 
 namespace fcad::arch {
 namespace {
@@ -41,25 +40,8 @@ FusedStage make_stage(int in_ch, int out_ch, int h, int w, int kernel) {
   return st;
 }
 
-/// Cycle-exact schedule of one unit: walk every (output tile, row tile)
-/// pass; a staged MAC chain fills once per pass, then each input tile
-/// spends out_w * K * K cycles. This is the ground truth cycles_quantized
-/// summarizes in closed form.
-std::int64_t brute_force_cycles(const FusedStage& st, const UnitConfig& cfg,
-                                const Datapath& dp) {
-  std::int64_t cycles = 0;
-  const auto fill = static_cast<std::int64_t>(dp.fill_cycles());
-  for (int ko = 0; ko < st.out_ch; ko += cfg.kpf) {
-    for (int ro = 0; ro < st.out_h; ro += cfg.h) {
-      cycles += fill;
-      for (int ci = 0; ci < st.in_ch; ci += cfg.cpf) {
-        cycles +=
-            static_cast<std::int64_t>(st.out_w) * st.kernel * st.kernel;
-      }
-    }
-  }
-  return cycles;
-}
+/// A pipelined MAC at uniform width `t` (DW = WW).
+Datapath pipelined_at(nn::DataType t) { return {MacStyle::kPipelined, t, t}; }
 
 // ------------------------------------------------------------- grammar --
 TEST(DatapathGrammarTest, RegistryHasAllEightCanonicalNames) {
@@ -94,7 +76,7 @@ TEST(DatapathGrammarTest, RejectsUnknownNamesWithGrammarHint) {
 }
 
 TEST(DatapathGrammarTest, DefaultIsPipelinedInt8) {
-  EXPECT_EQ(Datapath{}, datapath_from_quantization(nn::DataType::kInt8));
+  EXPECT_EQ(Datapath{}, pipelined_at(nn::DataType::kInt8));
   EXPECT_EQ(datapath_to_string(Datapath{}), "pipelined-int8");
 }
 
@@ -156,11 +138,11 @@ TEST(DatapathAccessorTest, FillCyclesOnlyForStagedMacs) {
 }
 
 TEST(DatapathAccessorTest, AccuracyProxyOrdersByPrecision) {
-  const Datapath p16 = datapath_from_quantization(nn::DataType::kInt16);
-  const Datapath p8 = datapath_from_quantization(nn::DataType::kInt8);
+  const Datapath p16 = pipelined_at(nn::DataType::kInt16);
+  const Datapath p8 = pipelined_at(nn::DataType::kInt8);
   const Datapath p8x4{MacStyle::kPipelined, nn::DataType::kInt8,
                       nn::DataType::kInt4};
-  const Datapath p4 = datapath_from_quantization(nn::DataType::kInt4);
+  const Datapath p4 = pipelined_at(nn::DataType::kInt4);
   EXPECT_EQ(p16.accuracy_proxy(), 0.0);
   EXPECT_LT(p16.accuracy_proxy(), p8.accuracy_proxy());
   EXPECT_LT(p8.accuracy_proxy(), p8x4.accuracy_proxy());
@@ -189,7 +171,7 @@ TEST(DatapathLatencyTest, QuantizedMatchesBruteForceEnumeration) {
           for (int h = 1; h <= st.out_h; ++h) {
             const UnitConfig cfg{cpf, kpf, h};
             EXPECT_EQ(cycles_quantized(st, cfg, dp),
-                      brute_force_cycles(st, cfg, dp))
+                      oracle::brute_force_cycles(st, cfg, dp))
                 << datapath_to_string(dp) << " " << cfg.to_string();
           }
         }
@@ -214,7 +196,7 @@ TEST(DatapathLatencyTest, PipelinedIsBitIdenticalToLegacyOverloads) {
   const FusedStage st = make_stage(24, 36, 60, 60, 3);
   for (nn::DataType q :
        {nn::DataType::kInt4, nn::DataType::kInt8, nn::DataType::kInt16}) {
-    const Datapath dp = datapath_from_quantization(q);
+    const Datapath dp = pipelined_at(q);
     for (std::int64_t target : {1, 5, 17, 100, 999}) {
       const UnitConfig cfg = get_pf(target, st);
       EXPECT_EQ(cycles_quantized(st, cfg, dp), cycles_quantized(st, cfg));
@@ -231,12 +213,11 @@ TEST(DatapathLatencyTest, StagedIsStrictlySlowerAndFillMatchesEq4Overload) {
     const Datapath pipelined{MacStyle::kPipelined, dp.dw, dp.ww};
     EXPECT_GT(cycles_quantized(st, cfg, dp),
               cycles_quantized(st, cfg, pipelined));
-    // The standalone perf formula and the arch model agree on the fill.
-    EXPECT_DOUBLE_EQ(
-        cycles_analytical(st, cfg, dp),
-        perf::latency_eq4_cycles_filled(st.out_ch, st.in_ch, st.in_h,
-                                        st.in_w, st.kernel, cfg.cpf, cfg.kpf,
-                                        cfg.h, dp.fill_cycles()));
+    // The independent Eq.-4 oracle and the arch model agree on the fill.
+    EXPECT_DOUBLE_EQ(cycles_analytical(st, cfg, dp),
+                     oracle::eq4_cycles(st.out_ch, st.in_ch, st.in_h, st.in_w,
+                                        st.kernel, cfg.cpf, cfg.kpf, cfg.h,
+                                        dp.fill_cycles()));
   }
 }
 
@@ -255,7 +236,7 @@ TEST(DatapathResourceTest, ComputePackingClosedForms) {
   // int16: 1 multiplier per DSP48.
   EXPECT_EQ(at("pipelined-int16").dsps, 64);
   // 4-bit weights: LUT-fabric multipliers, zero DSPs.
-  const Datapath int4 = datapath_from_quantization(nn::DataType::kInt4);
+  const Datapath int4 = pipelined_at(nn::DataType::kInt4);
   EXPECT_EQ(at("pipelined-int4").dsps, 0);
   EXPECT_EQ(at("pipelined-int4").luts,
             static_cast<int>(cfg.lanes()) * int4.luts_per_multiplier());
@@ -295,20 +276,6 @@ TEST(DatapathResourceTest, BitPackedStreamBytes) {
   EXPECT_EQ(features(nn::DataType::kInt4), (elements * 4 + 7) / 8);
 }
 
-TEST(DatapathResourceTest, DeprecatedDtypeOverloadIsPipelined) {
-  const FusedStage st = make_stage(16, 8, 32, 32, 3);
-  const UnitConfig cfg{8, 4, 2};
-  for (nn::DataType q : {nn::DataType::kInt8, nn::DataType::kInt16}) {
-    const UnitResources legacy = unit_resources(st, cfg, q, q);
-    const UnitResources dp =
-        unit_resources(st, cfg, datapath_from_quantization(q));
-    EXPECT_EQ(legacy.dsps, dp.dsps);
-    EXPECT_EQ(legacy.brams, dp.brams);
-    EXPECT_EQ(legacy.param_stream_bytes, dp.param_stream_bytes);
-    EXPECT_EQ(legacy.feature_stream_bytes, dp.feature_stream_bytes);
-  }
-}
-
 // ----------------------------------------------------- whole-accelerator --
 TEST(DatapathEvalTest, EvaluateSurfacesDatapathCosts) {
   auto model = reorganize(nn::zoo::avatar_decoder());
@@ -323,14 +290,14 @@ TEST(DatapathEvalTest, EvaluateSurfacesDatapathCosts) {
     config.branches.push_back(std::move(hw));
   }
 
-  config.datapath = datapath_from_quantization(nn::DataType::kInt8);
+  config.datapath = pipelined_at(nn::DataType::kInt8);
   const AcceleratorEval int8 =
       evaluate(*model, config, EvalMode::kQuantized);
   EXPECT_GT(int8.dsps, 0);
   EXPECT_EQ(int8.luts, 0);
   EXPECT_DOUBLE_EQ(int8.accuracy_proxy, config.datapath.accuracy_proxy());
 
-  config.datapath = datapath_from_quantization(nn::DataType::kInt4);
+  config.datapath = pipelined_at(nn::DataType::kInt4);
   const AcceleratorEval int4 =
       evaluate(*model, config, EvalMode::kQuantized);
   EXPECT_EQ(int4.dsps, 0);  // LUT-fabric multipliers
@@ -348,14 +315,14 @@ TEST(DatapathEvalTest, EvaluateSurfacesDatapathCosts) {
   EXPECT_EQ(staged.dsps, int8.dsps);
 }
 
-TEST(DatapathEvalTest, PeakGopsBetaOverloadMatchesDtypeForm) {
-  EXPECT_DOUBLE_EQ(perf::peak_gops(4, 100, 200.0),
-                   perf::peak_gops(nn::DataType::kInt8, 100, 200.0));
-  EXPECT_DOUBLE_EQ(perf::peak_gops(2, 100, 200.0),
-                   perf::peak_gops(nn::DataType::kInt16, 100, 200.0));
-  EXPECT_DOUBLE_EQ(
-      perf::efficiency_eq3(10.0, 4, 100, 200.0),
-      perf::efficiency_eq3(10.0, nn::DataType::kInt8, 100, 200.0));
+TEST(DatapathEvalTest, Eq3MatchesPeakOracleForEveryDspDatapath) {
+  for (const Datapath& dp : registered_datapaths()) {
+    if (dp.lut_multipliers()) continue;  // beta 0: no DSP peak to divide by
+    const int beta = dp.beta_ops_per_dsp();
+    EXPECT_DOUBLE_EQ(efficiency_eq3(10.0, beta, 100, 200e6),
+                     oracle::eq3_efficiency(10.0, beta, 100, 200.0))
+        << datapath_to_string(dp);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include "dse/fitness.hpp"
 #include "dse/in_branch.hpp"
 #include "dse/search_driver.hpp"
+#include "dse/spec_hash.hpp"
 #include "nn/builder.hpp"
 #include "nn/zoo/avatar_decoder.hpp"
 #include "nn/zoo/classic_nets.hpp"
@@ -57,11 +58,11 @@ TEST(CustomizationTest, ZeroPriorityRejectedWithBranchIndex) {
   EXPECT_NE(s.message().find("branch 2"), std::string::npos) << s.message();
 }
 
-TEST(CustomizationTest, NormalizeCanonicalizesDatapath) {
+TEST(CustomizationTest, NormalizeResolvesDatapath) {
   Customization c;
-  c.quantization = nn::DataType::kInt16;
   ASSERT_TRUE(c.normalize(2).is_ok());
-  EXPECT_EQ(c.datapath, "pipelined-int16");  // derived from the shim field
+  EXPECT_EQ(c.datapath, "pipelined-int8");  // the default
+  EXPECT_EQ(c.resolved_datapath(), arch::Datapath{});
 
   Customization d;
   d.datapath = "staged-int8x4";
@@ -69,6 +70,19 @@ TEST(CustomizationTest, NormalizeCanonicalizesDatapath) {
   EXPECT_EQ(d.resolved_datapath(),
             (arch::Datapath{arch::MacStyle::kStaged, nn::DataType::kInt8,
                             nn::DataType::kInt4}));
+}
+
+TEST(SpecHashTest, DefaultDatapathHashesLikeExplicitPipelinedInt8) {
+  // The artifact cache keys on spec_hash: the default customization and one
+  // naming the default datapath run the same search and must share a key.
+  SearchSpec implicit;
+  SearchSpec explicit_int8;
+  explicit_int8.customization.datapath = "pipelined-int8";
+  EXPECT_EQ(spec_hash(implicit).hex(), spec_hash(explicit_int8).hex());
+
+  SearchSpec int16;
+  int16.customization.datapath = "pipelined-int16";
+  EXPECT_NE(spec_hash(implicit).hex(), spec_hash(int16).hex());
 }
 
 TEST(CustomizationTest, BadDatapathRejected) {
@@ -296,7 +310,7 @@ CrossBranchOptions fast_options(std::uint64_t seed = 1) {
 
 Customization decoder_customization() {
   Customization c;
-  c.quantization = nn::DataType::kInt8;
+  c.datapath = "pipelined-int8";
   c.batch_sizes = {1, 2, 2};
   c.priorities = {1, 1, 1};
   return c;

@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
-#include "arch/elastic.hpp"
+#include "arch/evaluate.hpp"
 #include "nn/zoo/avatar_decoder.hpp"
 
 namespace fcad::arch {
 namespace {
 
-class ElasticTest : public ::testing::Test {
+class EvaluateTest : public ::testing::Test {
  protected:
   void SetUp() override {
     auto model = reorganize(nn::zoo::avatar_decoder());
@@ -33,7 +33,7 @@ class ElasticTest : public ::testing::Test {
   std::unique_ptr<ReorganizedModel> model_;
 };
 
-TEST_F(ElasticTest, EvaluatePopulatesEveryBranch) {
+TEST_F(EvaluateTest, EvaluatePopulatesEveryBranch) {
   const auto config = make_config(64, {1, 1, 1});
   const AcceleratorEval eval =
       evaluate(*model_, config, EvalMode::kAnalytical);
@@ -50,7 +50,7 @@ TEST_F(ElasticTest, EvaluatePopulatesEveryBranch) {
                 eval.branches[2].dsps);
 }
 
-TEST_F(ElasticTest, BatchReplicationScalesFpsAndResources) {
+TEST_F(EvaluateTest, BatchReplicationScalesFpsAndResources) {
   const auto eval1 =
       evaluate(*model_, make_config(64, {1, 1, 1}), EvalMode::kAnalytical);
   const auto eval2 =
@@ -62,7 +62,7 @@ TEST_F(ElasticTest, BatchReplicationScalesFpsAndResources) {
   }
 }
 
-TEST_F(ElasticTest, CrossBranchCapBindsWarpField) {
+TEST_F(EvaluateTest, CrossBranchCapBindsWarpField) {
   // Give Br.3 huge parallelism but keep the shared stages (owned by Br.2)
   // slow: Br.3's FPS must not exceed the shared stages' production rate.
   AcceleratorConfig config = make_config(16, {1, 1, 1});
@@ -89,7 +89,7 @@ TEST_F(ElasticTest, CrossBranchCapBindsWarpField) {
   EXPECT_LE(eval.branches[2].fps, shared_rate + 1e-6);
 }
 
-TEST_F(ElasticTest, EfficiencyAtMostOneUnderQuantizedEval) {
+TEST_F(EvaluateTest, EfficiencyAtMostOneUnderQuantizedEval) {
   const auto eval =
       evaluate(*model_, make_config(128, {1, 2, 2}), EvalMode::kQuantized);
   for (const BranchEval& be : eval.branches) {
@@ -98,7 +98,7 @@ TEST_F(ElasticTest, EfficiencyAtMostOneUnderQuantizedEval) {
   EXPECT_LE(eval.efficiency, 1.0 + 1e-9);
 }
 
-TEST_F(ElasticTest, MinFpsIsSlowestBranch) {
+TEST_F(EvaluateTest, MinFpsIsSlowestBranch) {
   const auto eval =
       evaluate(*model_, make_config(64, {1, 2, 2}), EvalMode::kAnalytical);
   double expected = 1e300;
@@ -108,7 +108,7 @@ TEST_F(ElasticTest, MinFpsIsSlowestBranch) {
   EXPECT_DOUBLE_EQ(eval.min_fps, expected);
 }
 
-TEST_F(ElasticTest, WithinBudgetCheck) {
+TEST_F(EvaluateTest, WithinBudgetCheck) {
   const auto eval =
       evaluate(*model_, make_config(16, {1, 1, 1}), EvalMode::kAnalytical);
   EXPECT_TRUE(eval.within(eval.dsps, eval.brams, eval.bw_gbps + 1));
@@ -117,7 +117,7 @@ TEST_F(ElasticTest, WithinBudgetCheck) {
   EXPECT_FALSE(eval.within(eval.dsps, eval.brams, 0.0));
 }
 
-TEST_F(ElasticTest, MoreLanesMoreFps) {
+TEST_F(EvaluateTest, MoreLanesMoreFps) {
   const auto small =
       evaluate(*model_, make_config(16, {1, 1, 1}), EvalMode::kAnalytical);
   const auto big =
@@ -128,14 +128,14 @@ TEST_F(ElasticTest, MoreLanesMoreFps) {
   EXPECT_GT(big.dsps, small.dsps);
 }
 
-TEST_F(ElasticTest, ArityMismatchThrows) {
+TEST_F(EvaluateTest, ArityMismatchThrows) {
   AcceleratorConfig config = make_config(16, {1, 1, 1});
   config.branches.pop_back();
   EXPECT_THROW(evaluate(*model_, config, EvalMode::kAnalytical),
                InternalError);
 }
 
-TEST_F(ElasticTest, OversizedUnitConfigThrows) {
+TEST_F(EvaluateTest, OversizedUnitConfigThrows) {
   AcceleratorConfig config = make_config(16, {1, 1, 1});
   config.branches[0].units[0].cpf = 100000;
   EXPECT_THROW(evaluate(*model_, config, EvalMode::kAnalytical),

@@ -37,7 +37,7 @@ const arch::ReorganizedModel& decoder_model() {
 
 Customization decoder_customization() {
   Customization c;
-  c.quantization = nn::DataType::kInt8;
+  c.datapath = "pipelined-int8";
   c.batch_sizes = {1, 2, 2};
   c.priorities = {1, 1, 1};
   return c;
@@ -228,7 +228,7 @@ TEST(ParallelDeterminismTest, DriverOptimizeIdenticalAcrossThreadCounts) {
 TEST(ParallelDeterminismTest, SweepIdenticalAcrossThreadCounts) {
   SearchSpec spec;
   spec.kind = SearchKind::kSweep;
-  spec.sweep.quantizations = {nn::DataType::kInt8, nn::DataType::kInt16};
+  spec.sweep.datapaths = {"pipelined-int8", "pipelined-int16"};
   spec.sweep.frequencies_mhz = {150, 200};
   spec.search = fast_options(1);
   spec.customization.batch_sizes = {1, 2, 2};
@@ -251,7 +251,7 @@ TEST(ParallelDeterminismTest, SweepIdenticalAcrossThreadCounts) {
 
 TEST(ParallelDeterminismTest, DatapathSweepIdenticalAcrossThreadCounts) {
   // The joint precision x microarchitecture x batch grid must hold the same
-  // determinism contract as the legacy quantization sweep, and its frontier
+  // determinism contract as the pipelined-only sweep, and its frontier
   // (min FPS vs accuracy penalty) must keep more than one datapath alive.
   SearchSpec spec;
   spec.kind = SearchKind::kSweep;

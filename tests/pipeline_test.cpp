@@ -16,7 +16,7 @@ namespace {
 
 PipelineOptions fast_options() {
   PipelineOptions options;
-  options.spec.customization.quantization = nn::DataType::kInt8;
+  options.spec.customization.datapath = "pipelined-int8";
   options.spec.customization.batch_sizes = {1, 2, 2};
   options.spec.search.population = 30;
   options.spec.search.iterations = 5;
@@ -234,7 +234,7 @@ TEST(PipelineTest, SweepArtifactRoundTripsWholeOutcome) {
   // sweep re-enters whole — the prerequisite for the spec-hash cache.
   dse::SearchSpec spec = fast_options().spec;
   spec.kind = dse::SearchKind::kSweep;
-  spec.sweep.quantizations = {nn::DataType::kInt8, nn::DataType::kInt16};
+  spec.sweep.datapaths = {"pipelined-int8", "pipelined-int16"};
   spec.sweep.frequencies_mhz = {150, 200};
   Pipeline pipeline(nn::zoo::avatar_decoder(), arch::platform_zu9cg());
   ASSERT_TRUE(pipeline.optimize(spec).is_ok());
@@ -249,7 +249,7 @@ TEST(PipelineTest, SweepArtifactRoundTripsWholeOutcome) {
       loaded.search()->outcome.sweep;
   ASSERT_EQ(restored.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(restored[i].quantization, original[i].quantization);
+    EXPECT_EQ(restored[i].datapath, original[i].datapath);
     EXPECT_EQ(restored[i].freq_mhz, original[i].freq_mhz);
     EXPECT_EQ(restored[i].pareto_optimal, original[i].pareto_optimal);
     EXPECT_EQ(restored[i].result.fitness, original[i].result.fitness);
@@ -304,7 +304,7 @@ TEST(ArtifactCacheTest, SecondRunHitsAndReloadsBitIdentical) {
   const std::string dir = cache_dir("hit");
   dse::SearchSpec spec = fast_options().spec;
   spec.kind = dse::SearchKind::kSweep;
-  spec.sweep.quantizations = {nn::DataType::kInt8};
+  spec.sweep.datapaths = {"pipelined-int8"};
   spec.sweep.frequencies_mhz = {200, 300};
 
   Pipeline first(nn::zoo::avatar_decoder(), arch::platform_zu9cg());

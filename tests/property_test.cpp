@@ -5,13 +5,12 @@
 
 #include <tuple>
 
-#include "arch/elastic.hpp"
+#include "arch/evaluate.hpp"
 #include "arch/platform.hpp"
 #include "dse/in_branch.hpp"
+#include "model_oracle.hpp"
 #include "nn/serialize.hpp"
 #include "nn/zoo/avatar_decoder.hpp"
-#include "perf/analytical.hpp"
-#include "perf/efficiency.hpp"
 #include "util/rng.hpp"
 
 namespace fcad {
@@ -55,9 +54,9 @@ TEST_P(StageLatencyConsistency, ElasticMatchesEq4) {
       const arch::FusedStage& st = model.stage(br.stages[i]);
       if (st.kind != arch::FusedStage::Kind::kConv) continue;
       const arch::UnitConfig& cfg = config.branches[b].units[i];
-      const double eq4 = perf::latency_eq4_cycles(
-          st.out_ch, st.in_ch, st.out_h, st.out_w, st.kernel, cfg.cpf,
-          cfg.kpf, cfg.h);
+      const double eq4 =
+          oracle::eq4_cycles(st.out_ch, st.in_ch, st.out_h, st.out_w,
+                             st.kernel, cfg.cpf, cfg.kpf, cfg.h);
       EXPECT_DOUBLE_EQ(eval.branches[b].stages[i].cycles, eq4)
           << st.name << " at " << cfg.to_string();
     }
@@ -103,7 +102,7 @@ TEST_P(EfficiencyBound, WithinUnitInterval) {
   const auto [lanes, dtype] = GetParam();
   const auto& model = decoder_model();
   arch::AcceleratorConfig config;
-  config.datapath = arch::datapath_from_quantization(dtype);
+  config.datapath = {arch::MacStyle::kPipelined, dtype, dtype};
   for (const arch::BranchPipeline& br : model.branches) {
     arch::BranchHardwareConfig hw;
     hw.batch = 1;
@@ -113,11 +112,12 @@ TEST_P(EfficiencyBound, WithinUnitInterval) {
     config.branches.push_back(std::move(hw));
   }
   const auto eval = arch::evaluate(model, config, arch::EvalMode::kQuantized);
+  const int beta = config.datapath.beta_ops_per_dsp();
   for (const arch::BranchEval& be : eval.branches) {
     EXPECT_GT(be.efficiency, 0.0);
     EXPECT_LE(be.efficiency, 1.0 + 1e-9);
     EXPECT_NEAR(be.efficiency,
-                perf::efficiency_eq3(be.gops, dtype, be.dsps, 200.0), 1e-9);
+                oracle::eq3_efficiency(be.gops, beta, be.dsps, 200.0), 1e-9);
   }
 }
 

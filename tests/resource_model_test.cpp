@@ -5,6 +5,10 @@
 namespace fcad::arch {
 namespace {
 
+const Datapath kPipelinedInt8{};  // the default datapath
+const Datapath kPipelinedInt16{MacStyle::kPipelined, nn::DataType::kInt16,
+                               nn::DataType::kInt16};
+
 FusedStage make_stage(int in_ch, int out_ch, int h, int w, int kernel,
                       bool untied = true) {
   FusedStage st;
@@ -32,10 +36,8 @@ FusedStage make_stage(int in_ch, int out_ch, int h, int w, int kernel,
 TEST(ResourceModelTest, DspPackingByOperandWidth) {
   const FusedStage st = make_stage(32, 32, 64, 64, 3);
   const UnitConfig cfg{8, 8, 2};  // 128 lanes
-  const auto r8 =
-      unit_resources(st, cfg, nn::DataType::kInt8, nn::DataType::kInt8);
-  const auto r16 =
-      unit_resources(st, cfg, nn::DataType::kInt16, nn::DataType::kInt16);
+  const auto r8 = unit_resources(st, cfg, kPipelinedInt8);
+  const auto r16 = unit_resources(st, cfg, kPipelinedInt16);
   EXPECT_EQ(r8.dsps, 64);    // two 8-bit MACs per DSP
   EXPECT_EQ(r16.dsps, 128);  // one 16-bit MAC per DSP
 }
@@ -44,8 +46,7 @@ TEST(ResourceModelTest, BramsGrowWithParallelism) {
   const FusedStage st = make_stage(64, 64, 128, 128, 4);
   int prev = 0;
   for (int f : {1, 4, 16}) {
-    const auto r = unit_resources(st, UnitConfig{f, f, 2},
-                                  nn::DataType::kInt8, nn::DataType::kInt8);
+    const auto r = unit_resources(st, UnitConfig{f, f, 2}, kPipelinedInt8);
     EXPECT_GE(r.brams, prev);
     prev = r.brams;
   }
@@ -54,18 +55,15 @@ TEST(ResourceModelTest, BramsGrowWithParallelism) {
 TEST(ResourceModelTest, SixteenBitDoublesBufferPressure) {
   const FusedStage st = make_stage(64, 64, 128, 128, 4);
   const UnitConfig cfg{8, 8, 1};
-  const auto r8 =
-      unit_resources(st, cfg, nn::DataType::kInt8, nn::DataType::kInt8);
-  const auto r16 =
-      unit_resources(st, cfg, nn::DataType::kInt16, nn::DataType::kInt16);
+  const auto r8 = unit_resources(st, cfg, kPipelinedInt8);
+  const auto r16 = unit_resources(st, cfg, kPipelinedInt16);
   EXPECT_GT(r16.brams, r8.brams);
 }
 
 TEST(ResourceModelTest, SmallKernelsResident) {
   const FusedStage st = make_stage(16, 16, 512, 512, 4);  // 4k weights
   EXPECT_TRUE(weights_resident(st, nn::DataType::kInt8));
-  const auto r = unit_resources(st, UnitConfig{4, 4, 1},
-                                nn::DataType::kInt8, nn::DataType::kInt8);
+  const auto r = unit_resources(st, UnitConfig{4, 4, 1}, kPipelinedInt8);
   EXPECT_EQ(r.param_stream_bytes,
             st.bias_params * 1);  // only the bias streams
 }
@@ -73,8 +71,7 @@ TEST(ResourceModelTest, SmallKernelsResident) {
 TEST(ResourceModelTest, FatKernelsStream) {
   const FusedStage st = make_stage(256, 768, 16, 16, 4);  // 3.1M weights
   EXPECT_FALSE(weights_resident(st, nn::DataType::kInt8));
-  const auto r = unit_resources(st, UnitConfig{4, 4, 1},
-                                nn::DataType::kInt8, nn::DataType::kInt8);
+  const auto r = unit_resources(st, UnitConfig{4, 4, 1}, kPipelinedInt8);
   EXPECT_EQ(r.param_stream_bytes, st.weight_params + st.bias_params);
 }
 
@@ -92,10 +89,8 @@ TEST(ResourceModelTest, UntiedBiasStreamsPerPixelBytes) {
   const FusedStage untied = make_stage(16, 16, 256, 256, 4, true);
   const FusedStage tied = make_stage(16, 16, 256, 256, 4, false);
   const UnitConfig cfg{4, 4, 1};
-  const auto ru = unit_resources(untied, cfg, nn::DataType::kInt8,
-                                 nn::DataType::kInt8);
-  const auto rt =
-      unit_resources(tied, cfg, nn::DataType::kInt8, nn::DataType::kInt8);
+  const auto ru = unit_resources(untied, cfg, kPipelinedInt8);
+  const auto rt = unit_resources(tied, cfg, kPipelinedInt8);
   EXPECT_EQ(ru.param_stream_bytes - rt.param_stream_bytes,
             256LL * 256 - 16);
 }
@@ -103,16 +98,13 @@ TEST(ResourceModelTest, UntiedBiasStreamsPerPixelBytes) {
 TEST(ResourceModelTest, ExternalStreamsOnlyWhenFlagged) {
   const FusedStage st = make_stage(16, 16, 64, 64, 3);
   const UnitConfig cfg{4, 4, 1};
-  const auto mid =
-      unit_resources(st, cfg, nn::DataType::kInt8, nn::DataType::kInt8);
+  const auto mid = unit_resources(st, cfg, kPipelinedInt8);
   UnitStreamContext head_ctx;
   head_ctx.reads_external_input = true;
-  const auto head = unit_resources(st, cfg, nn::DataType::kInt8,
-                                   nn::DataType::kInt8, head_ctx);
+  const auto head = unit_resources(st, cfg, kPipelinedInt8, head_ctx);
   UnitStreamContext tail_ctx;
   tail_ctx.writes_external_output = true;
-  const auto tail = unit_resources(st, cfg, nn::DataType::kInt8,
-                                   nn::DataType::kInt8, tail_ctx);
+  const auto tail = unit_resources(st, cfg, kPipelinedInt8, tail_ctx);
   EXPECT_EQ(mid.feature_stream_bytes, 0);
   EXPECT_EQ(head.feature_stream_bytes, 16LL * 64 * 64);
   EXPECT_EQ(tail.feature_stream_bytes, 16LL * 64 * 64);
@@ -123,12 +115,9 @@ TEST(ResourceModelTest, LineBufferScalesWithWidthAndChannels) {
   const FusedStage wide = make_stage(16, 16, 64, 1024, 4);
   const FusedStage deep = make_stage(768, 16, 64, 64, 4);
   const UnitConfig cfg{1, 1, 1};
-  const auto rn =
-      unit_resources(narrow, cfg, nn::DataType::kInt8, nn::DataType::kInt8);
-  const auto rw =
-      unit_resources(wide, cfg, nn::DataType::kInt8, nn::DataType::kInt8);
-  const auto rd =
-      unit_resources(deep, cfg, nn::DataType::kInt8, nn::DataType::kInt8);
+  const auto rn = unit_resources(narrow, cfg, kPipelinedInt8);
+  const auto rw = unit_resources(wide, cfg, kPipelinedInt8);
+  const auto rd = unit_resources(deep, cfg, kPipelinedInt8);
   EXPECT_GT(rw.brams, rn.brams);
   EXPECT_GT(rd.brams, rn.brams);
 }
@@ -141,10 +130,8 @@ TEST_P(DspCountTest, MatchesClosedForm) {
   const auto [cpf, kpf, h] = GetParam();
   const FusedStage st = make_stage(64, 64, 128, 128, 3);
   const UnitConfig cfg{cpf, kpf, h};
-  const auto r8 =
-      unit_resources(st, cfg, nn::DataType::kInt8, nn::DataType::kInt8);
-  const auto r16 =
-      unit_resources(st, cfg, nn::DataType::kInt16, nn::DataType::kInt16);
+  const auto r8 = unit_resources(st, cfg, kPipelinedInt8);
+  const auto r16 = unit_resources(st, cfg, kPipelinedInt16);
   const std::int64_t lanes = cfg.lanes();
   EXPECT_EQ(r8.dsps, (lanes + 1) / 2);
   EXPECT_EQ(r16.dsps, lanes);

@@ -148,7 +148,7 @@ TEST(StrategyInSpecTest, EveryKindRunsUnderEveryBuiltinStrategy) {
     EXPECT_GE(max_batch->max_batch, 1) << strategy;
 
     spec.kind = SearchKind::kSweep;
-    spec.sweep.quantizations = {nn::DataType::kInt8};
+    spec.sweep.datapaths = {"pipelined-int8"};
     spec.sweep.frequencies_mhz = {200};
     auto sweep = driver.run(spec);
     ASSERT_TRUE(sweep.is_ok()) << strategy;

@@ -24,7 +24,7 @@ arch::AcceleratorConfig searched_config(const arch::ReorganizedModel& model,
                                         const arch::Platform& platform,
                                         std::vector<int> batches) {
   dse::Customization cust;
-  cust.quantization = nn::DataType::kInt8;
+  cust.datapath = "pipelined-int8";
   cust.batch_sizes = std::move(batches);
   FCAD_CHECK(cust.normalize(model.num_branches()).is_ok());
   dse::CrossBranchOptions opt;

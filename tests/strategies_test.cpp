@@ -28,7 +28,7 @@ const arch::ReorganizedModel& decoder_model() {
 
 Customization decoder_customization() {
   Customization c;
-  c.quantization = nn::DataType::kInt8;
+  c.datapath = "pipelined-int8";
   c.batch_sizes = {1, 2, 2};
   c.priorities = {1, 1, 1};
   return c;

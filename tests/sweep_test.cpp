@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "arch/platform.hpp"
 #include "dse/search_driver.hpp"
 #include "nn/zoo/avatar_decoder.hpp"
@@ -45,7 +47,7 @@ TEST(SweepTest, GridCoverage) {
 
 TEST(SweepTest, FrequencyScalesThroughput) {
   SearchSpec spec = fast_sweep();
-  spec.sweep.quantizations = {nn::DataType::kInt8};
+  spec.sweep.datapaths = {"pipelined-int8"};
   spec.sweep.frequencies_mhz = {100, 400};
   auto points = sweep(spec);
   ASSERT_TRUE(points.is_ok());
@@ -62,7 +64,7 @@ TEST(SweepTest, EightBitDominatesSixteenBitAtSameClock) {
   double fps8 = 0, fps16 = 0;
   for (const SweepPoint& p : *points) {
     if (p.freq_mhz != 200.0) continue;
-    (p.quantization == nn::DataType::kInt8 ? fps8 : fps16) =
+    (p.datapath == "pipelined-int8" ? fps8 : fps16) =
         p.result.eval.min_fps;
   }
   EXPECT_GT(fps8, fps16);  // DSP packing doubles the lanes
@@ -86,11 +88,72 @@ TEST(SweepTest, ParetoFrontierNonEmptyAndConsistent) {
   }
 }
 
+TEST(SweepTest, PipelinedGridMatchesPreDatapathGolden) {
+  // Captured from the quantization-list sweep this grid replaced: the
+  // default {int8, int16} list ran these exact searches, and its (min FPS,
+  // DSPs) frontier marked only the fastest int8 point. The grid's DSP-cost
+  // frontier rule must reproduce it (an accuracy-proxy frontier would also
+  // mark int16 at 300 MHz).
+  struct Golden {
+    const char* datapath;
+    double freq_mhz;
+    double min_fps;
+    double fitness;
+    int dsps;
+    int brams;
+    bool pareto;
+  };
+  const Golden golden[] = {
+      {"pipelined-int8", 150, 0x1.fca0555555555p+5, 0x1.9bdaf6db59162p+7,
+       2142, 688, false},
+      {"pipelined-int8", 200, 0x1.53158e38e38e4p+6, 0x1.23138c4580b3dp+8,
+       2210, 705, false},
+      {"pipelined-int8", 300, 0x1.fca0555555555p+6, 0x1.9a73a8615cd6ep+8,
+       2142, 688, true},
+      {"pipelined-int16", 150, 0x1.fca0555555555p+4, 0x1.e4851b6b6af68p+6,
+       2314, 1028, false},
+      {"pipelined-int16", 200, 0x1.7d784p+5, 0x1.3846fb6d64588p+7, 2242,
+       1019, false},
+      {"pipelined-int16", 300, 0x1.fca0555555555p+5, 0x1.9bdaf6db59162p+7,
+       2238, 1016, false},
+  };
+  SearchSpec spec = fast_sweep();
+  spec.sweep.datapaths = {"pipelined-int8", "pipelined-int16"};
+  auto points = sweep(spec);
+  ASSERT_TRUE(points.is_ok()) << points.status().to_string();
+  ASSERT_EQ(points->size(), std::size(golden));
+  for (std::size_t i = 0; i < points->size(); ++i) {
+    const SweepPoint& p = (*points)[i];
+    EXPECT_EQ(p.datapath, golden[i].datapath) << i;
+    EXPECT_EQ(p.freq_mhz, golden[i].freq_mhz) << i;
+    EXPECT_EQ(p.batch_scale, 1) << i;
+    EXPECT_TRUE(p.result.feasible) << i;
+    EXPECT_EQ(p.result.eval.min_fps, golden[i].min_fps) << i;
+    EXPECT_EQ(p.result.fitness, golden[i].fitness) << i;
+    EXPECT_EQ(p.result.eval.dsps, golden[i].dsps) << i;
+    EXPECT_EQ(p.result.eval.brams, golden[i].brams) << i;
+    EXPECT_EQ(p.pareto_optimal, golden[i].pareto) << i;
+  }
+  // The default grid is the same grid.
+  auto defaults = sweep(fast_sweep());
+  ASSERT_TRUE(defaults.is_ok());
+  ASSERT_EQ(defaults->size(), points->size());
+  for (std::size_t i = 0; i < points->size(); ++i) {
+    EXPECT_EQ((*defaults)[i].datapath, (*points)[i].datapath);
+    EXPECT_EQ((*defaults)[i].result.fitness, (*points)[i].result.fitness);
+    EXPECT_EQ((*defaults)[i].pareto_optimal, (*points)[i].pareto_optimal);
+  }
+}
+
 TEST(SweepTest, EmptyGridRejected) {
   SearchSpec spec = fast_sweep();
   spec.sweep.frequencies_mhz = {};
   auto points = sweep(spec);
   EXPECT_FALSE(points.is_ok());
+
+  spec = fast_sweep();
+  spec.sweep.datapaths = {};
+  EXPECT_FALSE(sweep(spec).is_ok());
 }
 
 TEST(SweepTest, NegativeFrequencyRejected) {
