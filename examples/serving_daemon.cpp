@@ -243,11 +243,15 @@ void self_drive(const std::string& socket_path, int n, int users,
     ::close(fd);
     return;
   }
-  for (int i = 0; i < n; ++i) {
-    const std::string line = "req " + std::to_string(i % users) + " " +
-                             std::to_string(i % branches) + "\n";
-    if (::send(fd, line.data(), line.size(), MSG_NOSIGNAL) < 0) break;
-  }
+  // Send from a second thread while this one reads the replies: the daemon
+  // closes a client that lets 64 KiB of replies go unread.
+  std::thread sender([fd, n, users, branches] {
+    for (int i = 0; i < n; ++i) {
+      const std::string line = "req " + std::to_string(i % users) + " " +
+                               std::to_string(i % branches) + "\n";
+      if (::send(fd, line.data(), line.size(), MSG_NOSIGNAL) < 0) break;
+    }
+  });
   // Count newline-terminated replies until every request was answered (the
   // batching timeout guarantees eventual dispatch, so this terminates).
   std::int64_t replies = 0, ok = 0, shed = 0;
@@ -268,6 +272,7 @@ void self_drive(const std::string& socket_path, int n, int users,
     }
     buffer.erase(0, start);
   }
+  sender.join();
   std::printf("self-drive: %lld replies (%lld ok, %lld shed)\n",
               static_cast<long long>(replies), static_cast<long long>(ok),
               static_cast<long long>(shed));

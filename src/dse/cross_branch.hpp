@@ -57,7 +57,8 @@ struct SearchTrace {
   int convergence_iteration = 0;
   std::int64_t evaluations = 0;  ///< in-branch optimizations performed
   /// Fitness-memoization traffic: candidates whose discrete configuration
-  /// was already evaluated this search (hits) vs computed fresh (misses).
+  /// was already resident this search (hits) vs the distinct configurations
+  /// (misses) — the same split for any thread count.
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
 };

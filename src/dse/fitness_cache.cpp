@@ -39,9 +39,6 @@ std::optional<FitnessCache::Entry> FitnessCache::find(const Key& key) {
   if (entry) {
     hits_.add(1);
     global_hits_.add(1);
-  } else {
-    misses_.add(1);
-    global_misses_.add(1);
   }
   return entry;
 }
@@ -49,7 +46,13 @@ std::optional<FitnessCache::Entry> FitnessCache::find(const Key& key) {
 FitnessCache::Entry FitnessCache::insert(const Key& key, const Entry& entry) {
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.map.try_emplace(key, entry).first->second;
+  const auto [it, placed] = shard.map.try_emplace(key, entry);
+  // Only the worker that places a key counts its miss; one that lost the
+  // race found the key resident after all, so the split is a function of
+  // the keys looked up, never of thread scheduling.
+  (placed ? misses_ : hits_).add(1);
+  (placed ? global_misses_ : global_hits_).add(1);
+  return it->second;
 }
 
 }  // namespace fcad::dse

@@ -53,13 +53,16 @@ class FitnessCache {
   static Key config_key(const arch::AcceleratorConfig& config,
                         std::uint64_t met_mask, arch::EvalMode mode);
 
-  /// Returns the cached entry or nothing, bumping the hit/miss counters
-  /// (this cache's own, plus the process-wide totals under
-  /// `dse.fitness_cache.*` in obs::MetricsRegistry::global()).
+  /// Returns the cached entry (counting a hit) or nothing. A lookup that
+  /// finds nothing is counted by the insert() that follows it.
   std::optional<Entry> find(const Key& key);
 
   /// Inserts `entry` unless the key is already resident (first writer wins —
   /// both writers computed identical values) and returns the resident entry.
+  /// Counts a miss when it places a new entry and a hit when a racing
+  /// worker got there first, so misses equal the distinct keys for any
+  /// thread count. Counters: this cache's own, plus the process-wide totals
+  /// under `dse.fitness_cache.*` in obs::MetricsRegistry::global().
   Entry insert(const Key& key, const Entry& entry);
 
   std::int64_t hits() const { return hits_.value(); }

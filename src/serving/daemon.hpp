@@ -1,13 +1,13 @@
 // The serving daemon: the step from "simulator" to "system". Both entry
-// points run the shared FleetEngine behind one admission gate
-// (admission_should_shed, elastic.hpp):
+// points run the fleet's one shard loop (run_shard, fleet.cpp) and its
+// admission gate:
 //
 //  - run_trace(): simulate_fleet's replay with the gate in each shard's
 //    ingest loop. With admission off it is IDENTICAL to simulate_fleet on
 //    the same trace — the parity contract pinned by tests/daemon_test.cpp.
 //
-//  - serve(): the live loop. It listens on an AF_UNIX socket (SteadyClock
-//    required) and serves a line protocol:
+//  - serve(): that loop on a SteadyClock behind a socket receiver thread.
+//    It listens on an AF_UNIX socket and serves a line protocol:
 //        client -> "req <user> <branch>\n"
 //        daemon -> "ok <id> <branch> <instance> <latency_us>\n"   (on
 //                  dispatch; latency is arrival -> predicted completion)
@@ -16,8 +16,9 @@
 //    A client line "shutdown\n" — or request_shutdown(), which is safe to
 //    call from a signal handler — stops intake, drains every in-flight
 //    batch on the batching-timeout schedule, answers the stragglers, and
-//    returns the final stats. A connection that sends more than 4 KiB
-//    without a newline is no longer read and counts as disconnected.
+//    returns the final stats. Client sockets are non-blocking, so no client
+//    stalls another: a half-closed one is still answered, then closed; one
+//    whose unsent replies pass 64 KiB, or whose line passes 4 KiB, is cut.
 #pragma once
 
 #include <cstdint>
@@ -91,7 +92,7 @@ class Daemon {
   ServiceModel service_;
   ServeSpec spec_;
   DaemonOptions options_;
-  int shutdown_pipe_[2] = {-1, -1};
+  int wake_pipe_[2] = {-1, -1};  ///< 's' = shutdown, 'r' = replies ready
 };
 
 }  // namespace fcad::serving

@@ -174,15 +174,4 @@ class ElasticController {
   RollingP99Window p99_window_;
 };
 
-/// The daemon's admission gate for both the trace replay and the live loop:
-/// shed once `window` is full, its p99 exceeds `bound_us`, and no scale-up
-/// headroom is left (grow first, drop load last; `controller` is null
-/// without an elastic policy).
-inline bool admission_should_shed(const RollingP99Window& window,
-                                  double bound_us,
-                                  const ElasticController* controller) {
-  return window.full() && window.p99() > bound_us &&
-         (controller == nullptr || !controller->can_scale_up());
-}
-
 }  // namespace fcad::serving

@@ -22,31 +22,6 @@ obs::LaneId instance_lane(int global_instance) {
   return obs::LaneId{obs::kServingPid, 1000 + global_instance};
 }
 
-FleetEngineConfig shard_engine_config(const FleetOptions& options,
-                                      const ElasticSpec& elastic,
-                                      const ShardElasticPlan& plan,
-                                      int shard_index,
-                                      std::int64_t expected_requests,
-                                      std::uint64_t sketch_seed) {
-  FleetEngineConfig config;
-  config.policy = options.policy;
-  config.batch_timeout_us = options.batch_timeout_us;
-  config.switch_penalty_us = options.switch_penalty_us;
-  config.sla_bound_us = options.sla_bound_us;
-  config.progress_tail_pct = options.progress_tail_pct;
-  config.keep_records = options.keep_records;
-  config.shard_index = shard_index;
-  config.first_instance = plan.first_instance;
-  config.instances = plan.provisioned;
-  config.initial_active = plan.initial_active;
-  config.max_cells =
-      elastic.reshard_enabled() ? elastic.reshard.max_cells : 1;
-  config.expected_requests = expected_requests;
-  config.latency_mode = options.latency_mode;
-  config.sketch_seed = sketch_seed;
-  return config;
-}
-
 FleetEngine::FleetEngine(const ServiceModel& service,
                          const FleetEngineConfig& config, Clock* clock)
     : service_(service),

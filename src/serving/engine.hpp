@@ -1,5 +1,5 @@
-// The event-driven serving engine shared by the offline fleet replay
-// (fleet.cpp) and the online daemon (daemon.cpp): per-branch batch
+// The event-driven serving engine behind the one shard loop (run_shard in
+// fleet.cpp) that the offline replays and the online daemon share: batch
 // aggregation, free-instance dispatch, and exact latency/SLA accounting for
 // one shard, all driven through an injected serving::Clock. Decisions are
 // functions of clock readings only, so the same trace produces identical
@@ -75,7 +75,7 @@ struct ShardStats {
 /// clock — the engine keeps the aggregation/dispatch/accounting state and
 /// never reads a time source other than the injected clock.
 ///
-/// The canonical loop (run_shard in fleet.cpp, Daemon::serve):
+/// The canonical loop (run_shard in fleet.cpp; Daemon::serve runs it too):
 ///   while (work remains) {
 ///     enqueue every arrival due by now_us();     // or shed at admission
 ///     close() after the last arrival;
@@ -109,20 +109,6 @@ struct FleetEngineConfig {
   std::uint64_t sketch_seed = 0;
 };
 
-/// The engine config of one shard, for both event loops (run_shard in
-/// fleet.cpp and Daemon::serve).
-FleetEngineConfig shard_engine_config(const FleetOptions& options,
-                                      const ElasticSpec& elastic,
-                                      const ShardElasticPlan& plan,
-                                      int shard_index,
-                                      std::int64_t expected_requests,
-                                      std::uint64_t sketch_seed);
-
-/// resolved_fleet_options plus the option checks every replay and
-/// Daemon::serve share; each violation is invalid_argument naming the field.
-StatusOr<FleetOptions> validated_fleet_options(const ServiceModel& service,
-                                               const ServeSpec& spec);
-
 /// Daemon::run_trace's replay: simulate_fleet with the admission gate over
 /// each shard's arrivals (`admission_window` 0 = off); `*shed` receives the
 /// requests it refused.
@@ -131,11 +117,33 @@ StatusOr<ServingStats> simulate_fleet_admitted(
     const ServeSpec& spec, int admission_window, double admission_headroom,
     std::int64_t* shed, const util::RunScope* scope);
 
+/// Daemon::serve's arrival source for run_shard (fleet.cpp). peek() tells
+/// three states apart: a request due now (stamped at the clock reading);
+/// nothing yet (an arrival at +infinity: the steady clock sleeps until the
+/// receiver's wake()); closed (nullptr). answer() and shed() only write
+/// replies, to each dispatched request or each one refused at admission.
+struct LiveSession {
+  std::function<Status()> start;  ///< run() calls it once the spec is valid
+  std::function<const Request*()> peek;
+  std::function<void()> pop;
+  std::function<void(const Request&, int instance, double latency_us)> answer;
+  std::function<void(const Request&)> shed;
+
+  /// run_shard on the caller's steady `clock` until intake closes and the
+  /// engine drains, then the shared merge. Rejects by name what a live
+  /// session cannot honour: shards != 1, checkpoints, a virtual clock.
+  StatusOr<ServingStats> run(const ServiceModel& service,
+                             const ServeSpec& spec, Clock& clock,
+                             std::int64_t expected_requests,
+                             int admission_window, double admission_headroom,
+                             std::int64_t* shed_count);
+};
+
 class FleetEngine {
  public:
   /// Invoked once per dispatched batch, after the engine's own accounting.
-  /// The replay counts global progress here; the daemon answers clients and
-  /// feeds its rolling-p99 admission window.
+  /// The shard loop counts global progress, feeds its rolling-p99
+  /// admission window and answers live clients here.
   using BatchHook = std::function<void(const Batch& batch, int instance,
                                        double dispatch_us, double finish_us)>;
 

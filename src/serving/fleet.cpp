@@ -94,6 +94,9 @@ class ShardSource {
   void pop() { buffered_.reset(); }
   /// Inspect after exhaustion: an error when the stream ended early.
   Status finish_status() const { return stream_->finish_status(); }
+  /// A replay has no one to answer (LiveSession's hooks do).
+  void answer(const Request&, int, double) {}
+  void shed(const Request&) {}
 
  private:
   std::unique_ptr<RequestStream> stream_;
@@ -134,10 +137,11 @@ struct ReplayPlan {
 /// paces them at their trace timestamps in real time, so recorded dispatch
 /// times and latencies include genuine scheduler jitter — that is the point
 /// of wall mode, not a defect. An arrival the plan's admission gate sheds
-/// is counted in `*shed` instead of enqueued. The only failure mode is
-/// cooperative cancellation via `sink->scope`.
-StatusOr<ShardStats> run_shard(const ServiceModel& service,
-                               ShardSource& source, const ReplayPlan& plan,
+/// is counted in `*shed` instead of enqueued (`source`, a ShardSource or a
+/// LiveSession, answers). The only failure mode is cancellation via scope.
+template <typename Source>
+StatusOr<ShardStats> run_shard(const ServiceModel& service, Source& source,
+                               Clock& clock, const ReplayPlan& plan,
                                const ElasticSpec& elastic, int shard_index,
                                std::int64_t expected_requests,
                                ProgressSink* sink, std::int64_t* shed) {
@@ -145,14 +149,22 @@ StatusOr<ShardStats> run_shard(const ServiceModel& service,
   const ShardElasticPlan& shard_plan =
       plan.shards[static_cast<std::size_t>(shard_index)];
   const util::RunScope* scope = sink->scope;
-  const Request* first = source.peek();
-  const std::unique_ptr<Clock> clock =
-      make_clock(options.clock, first != nullptr ? first->arrival_us : 0);
-  FleetEngine engine(service,
-                     shard_engine_config(options, elastic, shard_plan,
-                                         shard_index, expected_requests,
-                                         plan.sketch_seed),
-                     clock.get());
+  FleetEngineConfig config;
+  config.policy = options.policy;
+  config.batch_timeout_us = options.batch_timeout_us;
+  config.switch_penalty_us = options.switch_penalty_us;
+  config.sla_bound_us = options.sla_bound_us;
+  config.progress_tail_pct = options.progress_tail_pct;
+  config.keep_records = options.keep_records;
+  config.shard_index = shard_index;
+  config.first_instance = shard_plan.first_instance;
+  config.instances = shard_plan.provisioned;
+  config.initial_active = shard_plan.initial_active;
+  config.max_cells = elastic.reshard_enabled() ? elastic.reshard.max_cells : 1;
+  config.expected_requests = expected_requests;
+  config.latency_mode = options.latency_mode;
+  config.sketch_seed = plan.sketch_seed;
+  FleetEngine engine(service, config, &clock);
 
   // The controller exists whenever a policy or fault schedule has work to
   // do; its decisions are functions of shard-local state at virtual-time
@@ -165,16 +177,16 @@ StatusOr<ShardStats> run_shard(const ServiceModel& service,
   std::optional<RollingP99Window> admission;
   if (plan.admission_window > 0) admission.emplace(plan.admission_window);
 
-  engine.set_batch_hook(
-      [sink, &admission](const Batch& batch, int, double, double finish_us) {
-        sink->completed.fetch_add(
-            static_cast<std::int64_t>(batch.requests.size()),
-            std::memory_order_relaxed);
-        if (!admission) return;
-        for (const Request& r : batch.requests) {
-          admission->add(finish_us - r.arrival_us);
-        }
-      });
+  engine.set_batch_hook([sink, &admission, &source](const Batch& batch,
+                                                    int instance, double,
+                                                    double finish_us) {
+    sink->completed.fetch_add(static_cast<std::int64_t>(batch.requests.size()),
+                              std::memory_order_relaxed);
+    for (const Request& r : batch.requests) {
+      source.answer(r, instance, finish_us - r.arrival_us);
+      if (admission) admission->add(finish_us - r.arrival_us);
+    }
+  });
 
   while (true) {
     if (scope != nullptr && scope->should_stop()) {
@@ -182,13 +194,16 @@ StatusOr<ShardStats> run_shard(const ServiceModel& service,
                                std::to_string(sink->completed.load()) + "/" +
                                std::to_string(sink->offered) + " requests");
     }
-    // Ingest (or shed) every arrival due by the clock reading.
+    // Ingest (or shed) every arrival due by the clock reading. The gate
+    // sheds once the window's p99 passes the bound and no scale-up headroom
+    // is left: grow first, drop load last.
     while (const Request* r = source.peek()) {
       if (r->arrival_us > engine.now_us()) break;
-      if (admission &&
-          admission_should_shed(*admission, plan.admission_bound_us,
-                                controller ? &*controller : nullptr)) {
+      if (admission && admission->full() &&
+          admission->p99() > plan.admission_bound_us &&
+          (!controller || !controller->can_scale_up())) {
         ++*shed;
+        source.shed(*r);
       } else {
         engine.enqueue(*r);
       }
@@ -212,9 +227,9 @@ StatusOr<ShardStats> run_shard(const ServiceModel& service,
       t_us = std::min(t_us, controller->next_event_us(engine.now_us()));
     }
     // The controller's evaluation cadence stays finite after the work is
-    // done, so "no event left" alone no longer terminates the loop — the
-    // drained check does (it is exactly when t_us hit +inf before).
-    if ((upcoming == nullptr && engine.drained()) || t_us == kInf) break;
+    // done, so only a closed source and a drained engine end the loop; a
+    // live source with nothing received yet sleeps at +infinity to wake().
+    if (upcoming == nullptr && (engine.drained() || t_us == kInf)) break;
     // Virtual time must advance strictly every iteration — an equal-time
     // event would loop forever on exact readings. A steady clock, by
     // contrast, keeps moving between calls, so the wall reading can
@@ -222,7 +237,7 @@ StatusOr<ShardStats> run_shard(const ServiceModel& service,
     // past deadline is then an immediate return and the next iteration
     // processes whatever became due.
     if (options.clock == ClockKind::kVirtual) {
-      FCAD_CHECK_MSG(t_us > engine.now_us(),
+      FCAD_CHECK_MSG(t_us > engine.now_us() && t_us < kInf,
                      "fleet: simulation time did not advance");
     }
     engine.advance_to(t_us);
@@ -548,6 +563,49 @@ std::string replay_fingerprint(const ServiceModel& service,
   return h.hex();
 }
 
+/// resolved_fleet_options plus the option checks, each naming its field.
+StatusOr<FleetOptions> validated_fleet_options(const ServiceModel& service,
+                                               const ServeSpec& spec) {
+  auto resolved = resolved_fleet_options(spec);
+  if (!resolved.is_ok()) return resolved.status();
+  const FleetOptions& options = *resolved;
+  if (options.instances < 1) {
+    return Status::invalid_argument("fleet: instances must be >= 1");
+  }
+  if (options.shards < 1 || options.shards > options.instances) {
+    return Status::invalid_argument(
+        "fleet: shards must be in [1, instances], got " +
+        std::to_string(options.shards));
+  }
+  if (Status s = validate_percentile(options.progress_tail_pct); !s.is_ok()) {
+    return Status::invalid_argument("fleet: progress_tail_pct: " +
+                                    s.message());
+  }
+  if (service.num_branches() < 1) {
+    return Status::invalid_argument("fleet: service model has no branches");
+  }
+  if (Status s = validate_scenario(spec.scenario); !s.is_ok()) return s;
+  if (Status s = validate_elastic(spec.elastic); !s.is_ok()) return s;
+  if (options.latency_mode == LatencyMode::kSketch && options.keep_records) {
+    return Status::invalid_argument(
+        "fleet: keep_records requires latency_mode exact — a sketch-mode "
+        "shard keeps O(1) state and its checkpoint block carries no "
+        "per-request records");
+  }
+  if (options.process_count < 1 || options.process_count > options.shards) {
+    return Status::invalid_argument(
+        "fleet: process_count must be in [1, shards], got " +
+        std::to_string(options.process_count));
+  }
+  if (options.process_index < 0 ||
+      options.process_index >= options.process_count) {
+    return Status::invalid_argument(
+        "fleet: process_index must be in [0, process_count), got " +
+        std::to_string(options.process_index));
+  }
+  return resolved;
+}
+
 /// Resolves and validates `spec` once for every entry point. `trace` is the
 /// materialized workload of a trace replay (partitioned here into the
 /// plan's per-shard slices), or nullptr for a streaming replay, whose
@@ -765,9 +823,12 @@ StatusOr<ServingStats> run_replay(ReplayPlan plan,
       return;
     }
     ShardSource source(std::move(stream).value(), s, num_shards);
+    const Request* first = source.peek();
+    const std::unique_ptr<Clock> clock =
+        make_clock(options.clock, first != nullptr ? first->arrival_us : 0);
     auto result =
-        run_shard(service, source, plan, spec.elastic, s, expected, &sink,
-                  &shard_shed[static_cast<std::size_t>(i)]);
+        run_shard(service, source, *clock, plan, spec.elastic, s, expected,
+                  &sink, &shard_shed[static_cast<std::size_t>(i)]);
     if (Status fs = source.finish_status(); !fs.is_ok()) {
       status = fs;
       return;
@@ -909,48 +970,6 @@ StatusOr<FleetOptions> resolved_fleet_options(const ServeSpec& spec) {
   return options;
 }
 
-StatusOr<FleetOptions> validated_fleet_options(const ServiceModel& service,
-                                               const ServeSpec& spec) {
-  auto resolved = resolved_fleet_options(spec);
-  if (!resolved.is_ok()) return resolved.status();
-  const FleetOptions& options = *resolved;
-  if (options.instances < 1) {
-    return Status::invalid_argument("fleet: instances must be >= 1");
-  }
-  if (options.shards < 1 || options.shards > options.instances) {
-    return Status::invalid_argument(
-        "fleet: shards must be in [1, instances], got " +
-        std::to_string(options.shards));
-  }
-  if (Status s = validate_percentile(options.progress_tail_pct); !s.is_ok()) {
-    return Status::invalid_argument("fleet: progress_tail_pct: " +
-                                    s.message());
-  }
-  if (service.num_branches() < 1) {
-    return Status::invalid_argument("fleet: service model has no branches");
-  }
-  if (Status s = validate_scenario(spec.scenario); !s.is_ok()) return s;
-  if (Status s = validate_elastic(spec.elastic); !s.is_ok()) return s;
-  if (options.latency_mode == LatencyMode::kSketch && options.keep_records) {
-    return Status::invalid_argument(
-        "fleet: keep_records requires latency_mode exact — a sketch-mode "
-        "shard keeps O(1) state and its checkpoint block carries no "
-        "per-request records");
-  }
-  if (options.process_count < 1 || options.process_count > options.shards) {
-    return Status::invalid_argument(
-        "fleet: process_count must be in [1, shards], got " +
-        std::to_string(options.process_count));
-  }
-  if (options.process_index < 0 ||
-      options.process_index >= options.process_count) {
-    return Status::invalid_argument(
-        "fleet: process_index must be in [0, process_count), got " +
-        std::to_string(options.process_index));
-  }
-  return resolved;
-}
-
 StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
                                       const std::vector<Request>& requests,
                                       const ServeSpec& spec,
@@ -977,6 +996,41 @@ StatusOr<ServingStats> simulate_fleet_admitted(
   plan->admission_window = admission_window;
   plan->admission_bound_us = admission_headroom * plan->options.sla_bound_us;
   return run_replay(std::move(plan).value(), service, spec, scope, shed);
+}
+
+StatusOr<ServingStats> LiveSession::run(const ServiceModel& service,
+                                        const ServeSpec& spec, Clock& clock,
+                                        std::int64_t expected_requests,
+                                        int admission_window,
+                                        double admission_headroom,
+                                        std::int64_t* shed_count) {
+  // An empty trace: the plan validates the spec and lays out the shard.
+  const std::vector<Request> no_trace;
+  auto plan = plan_replay(service, spec, &no_trace);
+  if (!plan.is_ok()) return plan.status();
+  const FleetOptions& options = plan->options;
+  // What a live session cannot honour is rejected by name, never dropped.
+  const char* unhonoured =
+      options.shards != 1 ? "shards != 1 (deploy one daemon per shard)"
+      : !options.checkpoint_path.empty() ? "checkpoint_path"
+      : options.clock != ClockKind::kSteady
+          ? "a virtual clock (run_trace replays virtual time)"
+          : nullptr;
+  if (unhonoured != nullptr) {
+    return Status::invalid_argument(
+        std::string("daemon: a live session cannot honour ") + unhonoured);
+  }
+  plan->admission_window = admission_window;
+  plan->admission_bound_us = admission_headroom * options.sla_bound_us;
+  if (Status s = start(); !s.is_ok()) return s;
+  ProgressSink sink;
+  auto shard = run_shard(service, *this, clock, *plan, spec.elastic, 0,
+                         expected_requests, &sink, shed_count);
+  if (!shard.is_ok()) return shard.status();
+  std::vector<ShardStats> shards;
+  shards.push_back(std::move(shard).value());
+  return merge_shard_stats(std::move(shards), service, options.sla_bound_us,
+                           plan->provisioned_total, 0);
 }
 
 StatusOr<ServingStats> simulate_fleet_stream(const ServiceModel& service,

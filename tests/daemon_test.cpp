@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -10,12 +11,14 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serving/clock.hpp"
 #include "serving/daemon.hpp"
 #include "serving/fleet.hpp"
@@ -366,6 +369,8 @@ TEST(DaemonTest, ServeRejectsWhatALiveSocketCannotHonour) {
   process_range.fleet.process_count = 2;
   ServeSpec zero_tail = live;
   zero_tail.fleet.progress_tail_pct = 0;
+  // A rejected spec leaves whatever sits at the socket path alone.
+  std::ofstream(options.socket_path) << "not a socket\n";
   for (const auto& [spec, field] :
        {std::pair{checkpointed, "checkpoint_path"},
         std::pair{process_range, "process_count"},
@@ -376,7 +381,10 @@ TEST(DaemonTest, ServeRejectsWhatALiveSocketCannotHonour) {
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(result.status().message().find(field), std::string::npos)
         << result.status().message();
+    EXPECT_TRUE(std::filesystem::is_regular_file(options.socket_path))
+        << field;
   }
+  std::filesystem::remove(options.socket_path);
 }
 
 TEST(DaemonTest, ServeRequiresSteadyClockAndSocketPath) {
@@ -419,18 +427,29 @@ int connect_with_retry(const std::string& path) {
   return -1;
 }
 
-/// Sends `text` fully.
+/// Sends `text` fully; false once the daemon has closed the connection.
 bool send_all(int fd, const std::string& text) {
   std::size_t sent = 0;
   while (sent < text.size()) {
-    const ssize_t n = ::write(fd, text.data() + sent, text.size() - sent);
+    const ssize_t n = ::send(fd, text.data() + sent, text.size() - sent,
+                             MSG_NOSIGNAL);
     if (n <= 0) return false;
     sent += static_cast<std::size_t>(n);
   }
   return true;
 }
 
-/// Reads until `lines` newline-terminated replies arrived or EOF.
+/// Bounds every blocking read on `fd`, so a reply that never comes fails
+/// the test instead of hanging it.
+void set_read_timeout(int fd, double seconds) {
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(seconds);
+  tv.tv_usec = static_cast<suseconds_t>((seconds - tv.tv_sec) * 1e6);
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+}
+
+/// Reads until `lines` newline-terminated replies arrived, EOF, or a read
+/// timeout.
 std::vector<std::string> read_lines(int fd, int lines) {
   std::string buffer;
   int seen = 0;
@@ -639,6 +658,93 @@ TEST(DaemonTest, ServeHonoursSketchLatencyMode) {
   EXPECT_EQ(result->stats.latency_mode, LatencyMode::kSketch);
   EXPECT_EQ(result->stats.completed, 3);
   EXPECT_GT(result->stats.latency.p99, 0);
+}
+
+TEST(DaemonTest, ServeAnswersAHalfClosedClient) {
+  // A client that shuts down its write side after two complete lines (and
+  // a partial third) still gets both answers, then EOF.
+  const ServiceModel service = make_service({{1, 1000.0}});
+  const std::string socket_path = "/tmp/fcad_daemon_half_close_test.sock";
+
+  ServeSpec spec;
+  spec.clock = ClockKind::kSteady;
+  spec.fleet.batch_timeout_us = 500;
+
+  DaemonOptions options;
+  options.socket_path = socket_path;
+
+  Daemon daemon(service, spec, options);
+  StatusOr<DaemonResult> result = Status::internal("serve never ran");
+  std::thread server([&] { result = daemon.serve(); });
+
+  const int fd = connect_with_retry(socket_path);
+  ASSERT_GE(fd, 0);
+  set_read_timeout(fd, 5.0);
+  ASSERT_TRUE(send_all(fd, "req 0 0\nreq 1 0\nreq 2"));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  const std::vector<std::string> replies = read_lines(fd, 3);
+  daemon.request_shutdown();
+  server.join();
+  ::close(fd);
+
+  ASSERT_EQ(replies.size(), 2u);
+  for (const std::string& line : replies) {
+    EXPECT_EQ(line.rfind("ok ", 0), 0u) << line;
+  }
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result->stats.offered, 2);
+  EXPECT_EQ(result->stats.completed, 2);
+}
+
+TEST(DaemonTest, ServeClosesAClientThatStopsReading) {
+  // Client A floods requests and never reads a reply; client B must still
+  // be answered promptly. A's unsent backlog passes the 64 KiB limit, so A
+  // is closed and counted as a slow client.
+  const ServiceModel service = make_service({{64, 10.0}});
+  const std::string socket_path = "/tmp/fcad_daemon_slow_reader_test.sock";
+
+  ServeSpec spec;
+  spec.clock = ClockKind::kSteady;
+  spec.fleet.instances = 4;
+  spec.fleet.batch_timeout_us = 100;
+
+  DaemonOptions options;
+  options.socket_path = socket_path;
+
+  obs::Counter& slow_clients =
+      obs::MetricsRegistry::global().counter("serving.daemon.slow_clients");
+  const std::int64_t slow_before = slow_clients.value();
+
+  Daemon daemon(service, spec, options);
+  StatusOr<DaemonResult> result = Status::internal("serve never ran");
+  std::thread server([&] { result = daemon.serve(); });
+
+  const int a = connect_with_retry(socket_path);
+  ASSERT_GE(a, 0);
+  std::string flood;
+  for (int i = 0; i < 100000; ++i) flood += "req 0 0\n";
+  // Fails part-way once the daemon closes A; either way A never reads.
+  (void)send_all(a, flood);
+
+  const int b = connect_with_retry(socket_path);
+  ASSERT_GE(b, 0);
+  set_read_timeout(b, 3.0);
+  SteadyClock clock(0.0);
+  ASSERT_TRUE(send_all(b, "req 1 0\n"));
+  const std::vector<std::string> replies = read_lines(b, 1);
+  const double waited_us = clock.now_us();
+
+  ::close(a);
+  ASSERT_TRUE(send_all(b, "shutdown\n"));
+  server.join();
+  ::close(b);
+
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].rfind("ok ", 0), 0u) << replies[0];
+  EXPECT_LT(waited_us, 1e6);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result->stats.completed, result->stats.offered);
+  EXPECT_EQ(slow_clients.value() - slow_before, 1);
 }
 
 }  // namespace

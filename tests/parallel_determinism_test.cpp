@@ -161,11 +161,11 @@ TEST(ParallelDeterminismTest, ParticleSwarmMatchesPreRefactorGolden) {
 }
 
 TEST(ParallelDeterminismTest, TableOneSearchesMatchPreTableGolden) {
-  // The five Table-I cases (P = 200, N = 20, seed 1, batches {1,2,2}) at one
-  // thread, where the fitness cache's hit/miss split is deterministic.
+  // The five Table-I cases (P = 200, N = 20, seed 1, batches {1,2,2}).
   // Captured before Algorithm 2 became table-driven and the cache kept only
   // fitness: the same cache keys must give the same winners (fitness and
-  // config text, by digest) and the same hit and miss counts.
+  // config text, by digest) and the same hit and miss counts — at every
+  // thread count, since a miss is counted only where a key is placed.
   struct Case {
     const char* name;
     arch::Platform platform;
@@ -186,24 +186,29 @@ TEST(ParallelDeterminismTest, TableOneSearchesMatchPreTableGolden) {
        306.66310915056567, 3278, 722, "ec0cc3df44ed9ac2c3006cc5874998e5"},
       {"ZU9CG int16", arch::platform_zu9cg(), "pipelined-int16",
        165.47112156533532, 3027, 973, "4976d85b54639dd84e7c0f79792d724f"}};
-  for (const Case& c : cases) {
-    SearchSpec spec;
-    spec.customization.datapath = c.datapath;
-    spec.customization.batch_sizes = {1, 2, 2};
-    spec.search.population = 200;
-    spec.search.iterations = 20;
-    spec.search.seed = 1;
-    spec.control.threads = 1;
-    auto outcome = SearchDriver(decoder_model(), c.platform).run(spec);
-    ASSERT_TRUE(outcome.is_ok()) << c.name;
-    const SearchResult& r = outcome->search;
-    util::Hash128 digest;
-    digest.absorb_string(arch::config_to_text(decoder_model(), r.config));
-    EXPECT_TRUE(r.feasible) << c.name;
-    EXPECT_EQ(r.fitness, c.fitness) << c.name;
-    EXPECT_EQ(r.trace.cache_hits, c.hits) << c.name;
-    EXPECT_EQ(r.trace.cache_misses, c.misses) << c.name;
-    EXPECT_EQ(digest.hex(), c.config_digest) << c.name;
+  for (int threads : {1, 2, 4}) {
+    for (const Case& c : cases) {
+      SearchSpec spec;
+      spec.customization.datapath = c.datapath;
+      spec.customization.batch_sizes = {1, 2, 2};
+      spec.search.population = 200;
+      spec.search.iterations = 20;
+      spec.search.seed = 1;
+      spec.control.threads = threads;
+      auto outcome = SearchDriver(decoder_model(), c.platform).run(spec);
+      ASSERT_TRUE(outcome.is_ok()) << c.name << ", threads " << threads;
+      const SearchResult& r = outcome->search;
+      util::Hash128 digest;
+      digest.absorb_string(arch::config_to_text(decoder_model(), r.config));
+      EXPECT_TRUE(r.feasible) << c.name << ", threads " << threads;
+      EXPECT_EQ(r.fitness, c.fitness) << c.name << ", threads " << threads;
+      EXPECT_EQ(r.trace.cache_hits, c.hits)
+          << c.name << ", threads " << threads;
+      EXPECT_EQ(r.trace.cache_misses, c.misses)
+          << c.name << ", threads " << threads;
+      EXPECT_EQ(digest.hex(), c.config_digest)
+          << c.name << ", threads " << threads;
+    }
   }
 }
 
@@ -636,13 +641,10 @@ TEST(FitnessCacheStressTest, ConcurrentFindInsertStaysConsistent) {
     }
   });
   EXPECT_EQ(mismatches.load(), 0);
-  // Every lookup is accounted for, and at most one miss per key per racing
-  // thread ever happened: hits + misses == kOps, misses < kConfigs + pool
-  // width (first-round races).
+  // Every lookup is accounted for, and only the insert that placed a key
+  // counted a miss — however the workers raced on it.
   EXPECT_EQ(cache.hits() + cache.misses(), kOps);
-  EXPECT_GE(cache.misses(), kConfigs);
-  EXPECT_LT(cache.misses(), kConfigs + 8 * kConfigs);
-  EXPECT_GT(cache.hits(), kOps / 2);
+  EXPECT_EQ(cache.misses(), kConfigs);
 }
 
 TEST(FitnessCacheStressTest, DistinctConfigsGetDistinctKeys) {
