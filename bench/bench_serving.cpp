@@ -221,7 +221,7 @@ int run_sweep(const ArgParser& args) {
         spec.fleet.instances = instances;
         spec.fleet.policy = serving::DispatchPolicy::kLeastLoaded;
         spec.fleet.switch_penalty_us = 500;
-        spec.sla.p99_bound_us = sla_us;
+        spec.fleet.sla_bound_us = sla_us;
         auto stats = serving::simulate_fleet(service, *requests, spec);
         FCAD_CHECK_MSG(stats.is_ok(), stats.status().message());
 

@@ -285,7 +285,7 @@ int run_live(const ArgParser& args) {
   obs::ObservationScope obs_scope(args.get("metrics-out", ""),
                                   args.get("trace-out", ""));
   serving::ReplayJob job = flag_value(serving::replay_job_from_args(args));
-  job.spec.clock = serving::ClockKind::kSteady;
+  job.spec.fleet.clock = serving::ClockKind::kSteady;
   job.spec.fleet.shards = 1;  // serve() is one shard per process
   const serving::DaemonOptions options = daemon_options_from_args(args);
   const auto self_requests =

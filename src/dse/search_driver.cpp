@@ -314,7 +314,7 @@ StatusOr<serving::ServingStats> replay_traffic(
   auto requests = serving::generate_workload(workload);
   if (!requests.is_ok()) return requests.status();
   serving::ServeSpec serve;
-  serve.fleet = traffic.fleet;  // SLA bound rides fleet.sla_bound_us here
+  serve.fleet = traffic.fleet;
   return serving::simulate_fleet(service, *requests, serve, scope);
 }
 
@@ -339,21 +339,10 @@ StatusOr<SearchOutcome> SearchDriver::run_traffic(
         std::to_string(traffic.workload.branches) +
         "); leave it at its default");
   }
-  // The p99 bound lives in fleet.sla_bound_us alone; the SlaParams copy used
-  // for scoring must not disagree with it.
-  if (traffic.sla.p99_bound_us != SlaParams{}.p99_bound_us &&
-      traffic.sla.p99_bound_us != traffic.fleet.sla_bound_us) {
-    return Status::invalid_argument(
-        "TrafficSpec.sla.p99_bound_us (" +
-        std::to_string(traffic.sla.p99_bound_us) +
-        ") disagrees with fleet.sla_bound_us (" +
-        std::to_string(traffic.fleet.sla_bound_us) +
-        "); set the bound once, in fleet.sla_bound_us");
-  }
-  SlaParams sla = traffic.sla;
-  sla.p99_bound_us = traffic.fleet.sla_bound_us;
   const Objective objective =
-      spec.objective.empty() ? Objective::sla(sla) : spec.objective;
+      spec.objective.empty()
+          ? Objective::sla({.p99_bound_us = traffic.fleet.sla_bound_us})
+          : spec.objective;
 
   SearchOutcome outcome;
   outcome.kind = SearchKind::kTraffic;

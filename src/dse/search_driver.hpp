@@ -32,19 +32,15 @@ enum class SearchKind {
 
 const char* to_string(SearchKind kind);
 
-/// Traffic description for SearchKind::kTraffic. Replaces the legacy
-/// TrafficProfile, whose `workload.branches` and `sla.p99_bound_us` fields
-/// were silently overwritten internally; here the driver validates them
-/// instead: `workload.branches` must stay at its default (it is derived from
-/// the model), and `sla.p99_bound_us` must stay at its default or equal
-/// `fleet.sla_bound_us` (the single place the bound is set).
+/// Traffic description for SearchKind::kTraffic. `workload.branches` must
+/// stay at its default (it is derived from the model). Candidates are scored
+/// by Objective::sla at `fleet.sla_bound_us` with the default weights unless
+/// SearchSpec::objective overrides the scoring.
 struct TrafficSpec {
   /// Arrival process over `users` streams. Leave `branches` alone.
   serving::WorkloadOptions workload;
   /// Fleet shape, batching timeout, and the p99 bound (`sla_bound_us`).
   serving::FleetOptions fleet;
-  /// Objective weights. The bound itself comes from `fleet.sla_bound_us`.
-  SlaParams sla;
   int max_batch = 8;  ///< largest uniform batch multiplier probed (doubling)
   /// When > workload.users: additionally maximize the served user count up
   /// to this cap (doubling + bisection per candidate config). Ignored for

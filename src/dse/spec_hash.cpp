@@ -54,9 +54,6 @@ void absorb_traffic(util::Hash128& h, const TrafficSpec& traffic) {
   // affect results.
   h.absorb(static_cast<std::uint64_t>(traffic.fleet.shards));
   h.absorb(static_cast<std::uint64_t>(traffic.fleet.keep_records));
-  h.absorb_double(traffic.sla.p99_bound_us);
-  h.absorb_double(traffic.sla.over_bound_demerit);
-  h.absorb_double(traffic.sla.violation_weight);
   h.absorb(static_cast<std::uint64_t>(traffic.max_batch));
   h.absorb(static_cast<std::uint64_t>(traffic.max_users));
   h.absorb(static_cast<std::uint64_t>(traffic.use_simulator));

@@ -17,6 +17,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -65,6 +66,10 @@ constexpr std::size_t kMaxBacklogBytes = 64 * 1024;
 /// A connection with this many requests unanswered is not read until some
 /// are answered, so one client's burst cannot queue ahead of every other's.
 constexpr std::int64_t kMaxInFlight = 1024;
+/// Connections the receiver holds at once (those still owed answers after
+/// closing included); one past it is refused, so the poll set and the
+/// per-connection buffers stay bounded.
+constexpr std::size_t kMaxConnections = 64;
 /// How long the receiver keeps flushing backlogs once the session drained.
 constexpr double kLingerUs = 1e6;
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -106,6 +111,8 @@ void receive_loop(int listen_fd, int wake_fd, int num_branches,
                   Handoff& handoff, Clock& clock) {
   obs::Counter& slow_clients =
       obs::MetricsRegistry::global().counter("serving.daemon.slow_clients");
+  obs::Counter& refused = obs::MetricsRegistry::global().counter(
+      "serving.daemon.refused_connections");
   std::list<Connection> conns;  // pfds[2 + i] polls the i-th connection
   std::unordered_map<std::int64_t, Connection*> owner;  // request -> conn
   std::int64_t next_id = 0;
@@ -200,7 +207,16 @@ void receive_loop(int listen_fd, int wake_fd, int num_branches,
     if ((pfds[1].revents & POLLIN) != 0) {
       const int fd = ::accept4(listen_fd, nullptr, nullptr,
                                SOCK_CLOEXEC | SOCK_NONBLOCK);
-      if (fd >= 0) conns.emplace_back().fd = fd;
+      if (fd >= 0 && conns.size() < kMaxConnections) {
+        conns.emplace_back().fd = fd;
+      } else if (fd >= 0) {
+        // The fresh socket's send buffer is empty, so the line fits.
+        constexpr std::string_view kRefusal = "err too many connections\n";
+        [[maybe_unused]] const ssize_t n =
+            ::send(fd, kRefusal.data(), kRefusal.size(), MSG_NOSIGNAL);
+        ::close(fd);
+        refused.add(1);
+      }
     }
     arrivals.clear();
     auto conn = conns.begin();
@@ -346,7 +362,7 @@ StatusOr<DaemonResult> Daemon::serve() {
       }};
   std::int64_t shed = 0;
   auto stats = session.run(
-      service_, spec_, clock, options_.expected_requests,
+      service_, spec_, clock,
       options_.admission_enabled ? options_.admission_window : 0,
       options_.admission_headroom, &shed);
   if (receiver.joinable()) {

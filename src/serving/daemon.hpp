@@ -19,6 +19,8 @@
 //    returns the final stats. Client sockets are non-blocking, so no client
 //    stalls another: a half-closed one is still answered, then closed; one
 //    whose unsent replies pass 64 KiB, or whose line passes 4 KiB, is cut.
+//    A connection past the 64 the daemon holds is answered
+//    "err too many connections" and closed.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +39,9 @@ struct DaemonOptions {
   /// Admission control: once at least `admission_window` requests have
   /// completed, a new request is shed (rejected before batching) while the
   /// rolling p99 over the last `admission_window` completions exceeds
-  /// `admission_headroom * sla.p99_bound_us` — the daemon starts refusing
-  /// load *before* the SLA is breached, not after. With an elastic policy
-  /// (ServeSpec::elastic) the daemon grows first and drops load last:
+  /// `admission_headroom * spec.fleet.sla_bound_us` — the daemon starts
+  /// refusing load *before* the SLA is breached, not after. With an elastic
+  /// policy (ServeSpec::elastic) the daemon grows first and drops load last:
   /// shedding engages only once scale-up headroom is exhausted. Validated:
   /// window >= 1 (with admission on), headroom finite and > 0.
   bool admission_enabled = false;
@@ -47,9 +49,6 @@ struct DaemonOptions {
   double admission_headroom = 0.9;
   /// serve(): AF_UNIX socket path to listen on (unlinked + rebound).
   std::string socket_path;
-  /// serve(): cap on requests one session may admit (TailTracker sizing
-  /// and stream reservations; ~16 MB of latency/wait doubles at 1M).
-  std::int64_t expected_requests = 1 << 20;
 };
 
 struct DaemonResult {
@@ -60,7 +59,7 @@ struct DaemonResult {
 class Daemon {
  public:
   /// `spec.workload` is unused (the daemon serves whatever arrives);
-  /// `spec.fleet`/`spec.sla`/`spec.clock` configure the engine.
+  /// `spec.fleet` configures the engine, its SLA bound and its clock.
   /// `spec.elastic` and `spec.scenario.faults` apply in both entry points —
   /// arrival shaping in `spec.scenario` is the generator's business and is
   /// ignored here (shape the trace before handing it to run_trace).
@@ -78,9 +77,9 @@ class Daemon {
 
   /// Serves the socket until shutdown. Blocks; returns the session's final
   /// stats after the graceful drain. Requires options.socket_path,
-  /// spec.clock == ClockKind::kSteady, and spec.fleet.shards == 1 (live
-  /// sharding is a daemon-per-shard deployment, not one process); rejects
-  /// checkpoint_path and process_count > 1.
+  /// spec.fleet.clock == ClockKind::kSteady, and spec.fleet.shards == 1
+  /// (live sharding is a daemon-per-shard deployment, not one process);
+  /// rejects checkpoint_path and process_count > 1.
   StatusOr<DaemonResult> serve();
 
   /// Initiates a graceful shutdown of a concurrent serve(): one write to an

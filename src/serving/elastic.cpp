@@ -7,6 +7,7 @@
 
 #include "serving/engine.hpp"
 #include "serving/spec_grammar.hpp"
+#include "serving/stats.hpp"
 
 namespace fcad::serving {
 namespace {
@@ -168,20 +169,13 @@ void RollingP99Window::add(double value) {
 
 double RollingP99Window::p99() const {
   if (count_ == 0) return 0;
-  if (!dirty_) return p99_;
-  const std::size_t n =
-      std::min<std::size_t>(static_cast<std::size_t>(count_), ring_.size());
-  std::vector<double> sorted(ring_.begin(),
-                             ring_.begin() + static_cast<std::ptrdiff_t>(n));
-  // Exact nearest-rank p99, matching stats.cpp's percentile().
-  const std::size_t rank = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::ceil(0.99 * static_cast<double>(n))));
-  std::nth_element(sorted.begin(),
-                   sorted.begin() + static_cast<std::ptrdiff_t>(rank - 1),
-                   sorted.end());
-  p99_ = sorted[rank - 1];
-  dirty_ = false;
+  if (dirty_) {
+    const std::size_t n =
+        std::min<std::size_t>(static_cast<std::size_t>(count_), ring_.size());
+    p99_ = percentile(
+        {ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(n)}, 99);
+    dirty_ = false;
+  }
   return p99_;
 }
 

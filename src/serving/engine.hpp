@@ -100,7 +100,8 @@ struct FleetEngineConfig {
   /// into (1 = the classic single-aggregator shard).
   int max_cells = 1;
   /// Upper bound on requests this engine will see (TailTracker sizing and
-  /// stream reservations). Live daemons pass a generous cap.
+  /// stream reservations). A live session, whose count is open-ended,
+  /// passes 0 and grows its streams as requests arrive.
   std::int64_t expected_requests = 0;
   /// kSketch replaces the exact latency/wait streams (and the TailTracker)
   /// with bounded-memory quantile sketches seeded by `sketch_seed` — the
@@ -134,7 +135,6 @@ struct LiveSession {
   /// session cannot honour: shards != 1, checkpoints, a virtual clock.
   StatusOr<ServingStats> run(const ServiceModel& service,
                              const ServeSpec& spec, Clock& clock,
-                             std::int64_t expected_requests,
                              int admission_window, double admission_headroom,
                              std::int64_t* shed_count);
 };

@@ -59,7 +59,7 @@ struct ProgressSink {
   /// (or a sketch walk), and this is called once per event-loop iteration —
   /// only a due tick (at most ~20 per replay) may pay for the estimate.
   void maybe_emit(const FleetEngine& engine) {
-    if (scope == nullptr || chunk <= 0) return;
+    if (chunk <= 0) return;  // no listener to tick
     const std::int64_t c = completed.load(std::memory_order_relaxed);
     if (c < next_at.load(std::memory_order_relaxed)) return;
     std::lock_guard<std::mutex> lock(mutex);
@@ -105,7 +105,7 @@ class ShardSource {
   std::optional<Request> buffered_;
 };
 
-/// Everything one replay needs, validated once: the resolved options, the
+/// Everything one replay needs, validated once: the fleet options, the
 /// derived workload, the elastic shard plans, the shard range this process
 /// owns, and the fingerprint that binds checkpoints and sketches to the run.
 struct ReplayPlan {
@@ -563,12 +563,10 @@ std::string replay_fingerprint(const ServiceModel& service,
   return h.hex();
 }
 
-/// resolved_fleet_options plus the option checks, each naming its field.
-StatusOr<FleetOptions> validated_fleet_options(const ServiceModel& service,
-                                               const ServeSpec& spec) {
-  auto resolved = resolved_fleet_options(spec);
-  if (!resolved.is_ok()) return resolved.status();
-  const FleetOptions& options = *resolved;
+/// The spec checks every entry point shares, each naming its field.
+Status validate_fleet_spec(const ServiceModel& service,
+                           const ServeSpec& spec) {
+  const FleetOptions& options = spec.fleet;
   if (options.instances < 1) {
     return Status::invalid_argument("fleet: instances must be >= 1");
   }
@@ -603,20 +601,19 @@ StatusOr<FleetOptions> validated_fleet_options(const ServiceModel& service,
         "fleet: process_index must be in [0, process_count), got " +
         std::to_string(options.process_index));
   }
-  return resolved;
+  return Status::ok();
 }
 
-/// Resolves and validates `spec` once for every entry point. `trace` is the
-/// materialized workload of a trace replay (partitioned here into the
-/// plan's per-shard slices), or nullptr for a streaming replay, whose
-/// workload is generated per shard from spec.workload.
+/// Validates `spec` once for every entry point. `trace` is the materialized
+/// workload of a trace replay (partitioned here into the plan's per-shard
+/// slices), or nullptr for a streaming replay, whose workload is generated
+/// per shard from spec.workload.
 StatusOr<ReplayPlan> plan_replay(const ServiceModel& service,
                                  const ServeSpec& spec,
                                  const std::vector<Request>* trace) {
-  auto validated = validated_fleet_options(service, spec);
-  if (!validated.is_ok()) return validated.status();
+  if (Status s = validate_fleet_spec(service, spec); !s.is_ok()) return s;
   ReplayPlan plan;
-  plan.options = std::move(validated).value();
+  plan.options = spec.fleet;
   const FleetOptions& options = plan.options;
   const bool sketch_mode = options.latency_mode == LatencyMode::kSketch;
   if (options.process_count > 1 && trace != nullptr) {
@@ -790,11 +787,13 @@ StatusOr<ServingStats> run_replay(ReplayPlan plan,
     }
   }
 
+  // Progress ticks (and the tail estimates they carry) are armed only for
+  // a scope with a listener; emit() would drop every event otherwise.
+  const bool observed = scope != nullptr && scope->observed();
   ProgressSink sink;
   sink.scope = scope;
   sink.offered = plan.offered;
-  sink.chunk =
-      scope != nullptr ? std::max<std::int64_t>(1, plan.offered / 20) : 0;
+  sink.chunk = observed ? std::max<std::int64_t>(1, plan.offered / 20) : 0;
   std::int64_t already_completed = 0;
   for (const auto& slot : slots) {
     if (slot) already_completed += slot->completed;
@@ -891,8 +890,7 @@ StatusOr<ServingStats> run_replay(ReplayPlan plan,
   std::int64_t total_completed = 0;
   for (const ShardStats& shard : shards) total_completed += shard.completed;
   const bool terminal_tick =
-      scope != nullptr &&
-      (owned > 1 || sink.last_emitted.load() != total_completed);
+      observed && (owned > 1 || sink.last_emitted.load() != total_completed);
   const double final_tail =
       terminal_tick ? final_tail_estimate(shards, total_completed, options)
                     : 0;
@@ -945,31 +943,6 @@ StatusOr<DispatchPolicy> dispatch_policy_by_name(const std::string& name) {
   return Status::not_found("unknown dispatch policy '" + name + "'");
 }
 
-StatusOr<FleetOptions> resolved_fleet_options(const ServeSpec& spec) {
-  FleetOptions options = spec.fleet;
-  const FleetOptions fleet_defaults;
-  const SlaOptions sla_defaults;
-  const bool fleet_bound_set =
-      spec.fleet.sla_bound_us != fleet_defaults.sla_bound_us;
-  const bool sla_bound_set =
-      spec.sla.p99_bound_us != sla_defaults.p99_bound_us;
-  if (fleet_bound_set && sla_bound_set &&
-      spec.fleet.sla_bound_us != spec.sla.p99_bound_us) {
-    return Status::invalid_argument(
-        "ServeSpec: sla.p99_bound_us and fleet.sla_bound_us disagree — "
-        "state the bound once");
-  }
-  if (sla_bound_set) options.sla_bound_us = spec.sla.p99_bound_us;
-  if (spec.clock != ClockKind::kVirtual &&
-      spec.fleet.clock != ClockKind::kVirtual &&
-      spec.clock != spec.fleet.clock) {
-    return Status::invalid_argument(
-        "ServeSpec: clock and fleet.clock disagree — state the clock once");
-  }
-  if (spec.clock != ClockKind::kVirtual) options.clock = spec.clock;
-  return options;
-}
-
 StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
                                       const std::vector<Request>& requests,
                                       const ServeSpec& spec,
@@ -1000,7 +973,6 @@ StatusOr<ServingStats> simulate_fleet_admitted(
 
 StatusOr<ServingStats> LiveSession::run(const ServiceModel& service,
                                         const ServeSpec& spec, Clock& clock,
-                                        std::int64_t expected_requests,
                                         int admission_window,
                                         double admission_headroom,
                                         std::int64_t* shed_count) {
@@ -1025,7 +997,7 @@ StatusOr<ServingStats> LiveSession::run(const ServiceModel& service,
   if (Status s = start(); !s.is_ok()) return s;
   ProgressSink sink;
   auto shard = run_shard(service, *this, clock, *plan, spec.elastic, 0,
-                         expected_requests, &sink, shed_count);
+                         /*expected_requests=*/0, &sink, shed_count);
   if (!shard.is_ok()) return shard.status();
   std::vector<ShardStats> shards;
   shards.push_back(std::move(shard).value());

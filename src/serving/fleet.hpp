@@ -112,22 +112,13 @@ struct FleetOptions {
   int process_count = 1;
 };
 
-/// SLA targets stated once at the spec level (mirrored into
-/// FleetOptions::sla_bound_us by resolved_fleet_options).
-struct SlaOptions {
-  double p99_bound_us = 33333.3;  ///< one 30 Hz frame period
-};
-
-/// The aggregate serving spec — workload + fleet + SLA + clock selection —
+/// The aggregate serving spec — workload + fleet + scenario + elastic —
 /// consumed by simulate_fleet, serving::Daemon, serving_cli, and
-/// bench_serving. Replaces threading the old two-struct
-/// (WorkloadOptions, FleetOptions) shape plus loose SLA/clock knobs through
-/// every call site.
+/// bench_serving. `fleet` is the one home of the SLA bound
+/// (`fleet.sla_bound_us`) and the clock (`fleet.clock`).
 struct ServeSpec {
   WorkloadOptions workload;
   FleetOptions fleet;
-  SlaOptions sla;
-  ClockKind clock = ClockKind::kVirtual;
   /// Traffic drift shaped over the workload (diurnal/flash/churn) and the
   /// instance fault schedule. generate_scenario_workload and
   /// simulate_fleet_stream apply the arrival shapes; the fault schedule
@@ -140,12 +131,6 @@ struct ServeSpec {
   ElasticSpec elastic;
 };
 
-/// Folds the spec-level SLA bound and clock into the FleetOptions the event
-/// loops consume. Status::invalid_argument when `sla.p99_bound_us` and
-/// `fleet.sla_bound_us` are both set away from the default and disagree
-/// (state the bound once); likewise for `clock` vs `fleet.clock`.
-StatusOr<FleetOptions> resolved_fleet_options(const ServeSpec& spec);
-
 /// Simulates serving the request stream on `spec.fleet.instances` copies of
 /// the accelerator described by `service` (spec.workload is ignored by this
 /// trace-driven overload). Every request completes (the aggregator drains
@@ -157,11 +142,11 @@ StatusOr<FleetOptions> resolved_fleet_options(const ServeSpec& spec);
 /// When `scope` is set, huge replays become interruptible: the event loops
 /// poll it and the call returns StatusCode::kCancelled once the token fires
 /// or the deadline passes (finished shards stay checkpointed when a
-/// checkpoint path is set), and it streams ~20 "fleet" ProgressEvents over
-/// the replay whose best_fitness field carries the *partial tail-latency
-/// estimate* (microseconds, exact nearest-rank at `progress_tail_pct` over
-/// the emitting shard's completions so far). Progress observation never
-/// changes the stats.
+/// checkpoint path is set). A scope with a progress listener also receives
+/// ~20 "fleet" ProgressEvents over the replay, whose best_fitness field
+/// carries the *partial tail-latency estimate* (microseconds, exact
+/// nearest-rank at `progress_tail_pct` over the emitting shard's completions
+/// so far). Progress observation never changes the stats.
 StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
                                       const std::vector<Request>& requests,
                                       const ServeSpec& spec,

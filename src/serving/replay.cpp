@@ -84,10 +84,10 @@ StatusOr<ReplayJob> replay_job_from_args(const ArgParser& args) {
 
   auto sla_ms = args.get_double("sla-ms", 100.0 / 3.0);
   if (!sla_ms.is_ok()) return sla_ms.status();
-  job.spec.sla.p99_bound_us = *sla_ms * 1e3;
+  fleet.sla_bound_us = *sla_ms * 1e3;
   auto clock = clock_kind_by_name(args.get("clock", "virtual"));
   if (!clock.is_ok()) return clock.status();
-  job.spec.clock = *clock;
+  fleet.clock = *clock;
 
   auto scenario = scenario_from_string(args.get("scenario", "none"));
   if (!scenario.is_ok()) {
@@ -335,7 +335,7 @@ int run_replay_cli(const ServiceModel& service, const ReplayJob& job) {
     json.key("instances").value(spec.fleet.instances);
     json.key("shards").value(spec.fleet.shards);
     json.key("policy").value(to_string(spec.fleet.policy));
-    json.key("clock").value(to_string(job.spec.clock));
+    json.key("clock").value(to_string(spec.fleet.clock));
     json.key("via_daemon").value(job.via_daemon);
     json.key("shed").value(shed);
     // Elastic summary keys the CI jq gates consume directly: the canonical

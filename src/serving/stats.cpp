@@ -27,9 +27,7 @@ std::size_t nearest_rank_index(std::size_t n, double pct) {
 double percentile(std::vector<double> samples, double pct) {
   FCAD_CHECK_MSG(!samples.empty(), "percentile: empty sample set");
   FCAD_CHECK_MSG(pct > 0 && pct <= 100, "percentile: pct out of (0, 100]");
-  // One order statistic, so nth_element's O(n) beats a full sort — this runs
-  // ~21 times over the whole latency set when a fleet replay streams partial
-  // p99 estimates.
+  // One order statistic, so nth_element's O(n) beats a full sort.
   const std::size_t index = nearest_rank_index(samples.size(), pct);
   std::nth_element(samples.begin(),
                    samples.begin() + static_cast<std::ptrdiff_t>(index),

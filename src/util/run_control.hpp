@@ -81,6 +81,9 @@ class RunScope {
   bool cancelled() const { return control_.cancel.cancelled(); }
 
   void emit(const ProgressEvent& event) const;
+  /// True when emit() reaches a listener (on_progress is set); emitters may
+  /// skip the work of building events nobody receives.
+  bool observed() const { return static_cast<bool>(control_.on_progress); }
 
   /// Resolved pool size: the control's override when set, else `fallback`.
   int threads(int fallback) const {

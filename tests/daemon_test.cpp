@@ -166,7 +166,7 @@ TEST(DaemonTest, AdmissionShedsUnderOverloadAndBalancesTheBooks) {
 
   ServeSpec spec;
   spec.fleet.instances = 1;
-  spec.sla.p99_bound_us = 10000;
+  spec.fleet.sla_bound_us = 10000;
   spec.fleet.keep_records = true;
 
   DaemonOptions options;
@@ -206,7 +206,7 @@ TEST(DaemonTest, AdmissionOffNeverSheds) {
   }
   ServeSpec spec;
   spec.fleet.instances = 1;
-  spec.sla.p99_bound_us = 10000;
+  spec.fleet.sla_bound_us = 10000;
   const Daemon daemon(service, spec);  // admission disabled by default
   auto result = daemon.run_trace(trace);
   ASSERT_TRUE(result.is_ok());
@@ -246,7 +246,7 @@ TEST(DaemonTest, BothEntryPointsValidateAdmissionOptions) {
     EXPECT_NE(traced.status().message().find(c.field), std::string::npos)
         << traced.status().message();
 
-    spec.clock = ClockKind::kSteady;
+    spec.fleet.clock = ClockKind::kSteady;
     DaemonOptions live_options = c.options;
     live_options.socket_path = "/tmp/fcad_daemon_invalid_admission.sock";
     Daemon live(service, spec, live_options);
@@ -362,7 +362,7 @@ TEST(DaemonTest, ServeRejectsWhatALiveSocketCannotHonour) {
   DaemonOptions options;
   options.socket_path = "/tmp/fcad_daemon_unhonoured.sock";
   ServeSpec live;
-  live.clock = ClockKind::kSteady;
+  live.fleet.clock = ClockKind::kSteady;
   ServeSpec checkpointed = live;
   checkpointed.fleet.checkpoint_path = "/tmp/fcad_daemon_unhonoured.ckpt";
   ServeSpec process_range = live;
@@ -400,7 +400,7 @@ TEST(DaemonTest, ServeRequiresSteadyClockAndSocketPath) {
   }
   {
     ServeSpec spec;
-    spec.clock = ClockKind::kSteady;
+    spec.fleet.clock = ClockKind::kSteady;
     Daemon daemon(service, spec);  // no socket path
     auto result = daemon.serve();
     ASSERT_FALSE(result.is_ok());
@@ -474,7 +474,7 @@ TEST(DaemonTest, ServeAnswersRequestsAndDrainsOnShutdown) {
   const std::string socket_path = "/tmp/fcad_daemon_test.sock";
 
   ServeSpec spec;
-  spec.clock = ClockKind::kSteady;
+  spec.fleet.clock = ClockKind::kSteady;
   spec.fleet.instances = 2;
   spec.fleet.batch_timeout_us = 1000;
 
@@ -532,7 +532,7 @@ TEST(DaemonTest, ServeRejectsMalformedAndOutOfRangeLines) {
   const std::string socket_path = "/tmp/fcad_daemon_err_test.sock";
 
   ServeSpec spec;
-  spec.clock = ClockKind::kSteady;
+  spec.fleet.clock = ClockKind::kSteady;
   spec.fleet.instances = 1;
   spec.fleet.batch_timeout_us = 500;
 
@@ -566,7 +566,7 @@ TEST(DaemonTest, ServeStopsReadingAClientThatNeverSendsANewline) {
   const std::string socket_path = "/tmp/fcad_daemon_flood_test.sock";
 
   ServeSpec spec;
-  spec.clock = ClockKind::kSteady;
+  spec.fleet.clock = ClockKind::kSteady;
   spec.fleet.batch_timeout_us = 500;
 
   DaemonOptions options;
@@ -635,7 +635,7 @@ TEST(DaemonTest, ServeHonoursSketchLatencyMode) {
   const std::string socket_path = "/tmp/fcad_daemon_sketch_test.sock";
 
   ServeSpec spec;
-  spec.clock = ClockKind::kSteady;
+  spec.fleet.clock = ClockKind::kSteady;
   spec.fleet.batch_timeout_us = 500;
   spec.fleet.latency_mode = LatencyMode::kSketch;
 
@@ -667,7 +667,7 @@ TEST(DaemonTest, ServeAnswersAHalfClosedClient) {
   const std::string socket_path = "/tmp/fcad_daemon_half_close_test.sock";
 
   ServeSpec spec;
-  spec.clock = ClockKind::kSteady;
+  spec.fleet.clock = ClockKind::kSteady;
   spec.fleet.batch_timeout_us = 500;
 
   DaemonOptions options;
@@ -704,7 +704,7 @@ TEST(DaemonTest, ServeClosesAClientThatStopsReading) {
   const std::string socket_path = "/tmp/fcad_daemon_slow_reader_test.sock";
 
   ServeSpec spec;
-  spec.clock = ClockKind::kSteady;
+  spec.fleet.clock = ClockKind::kSteady;
   spec.fleet.instances = 4;
   spec.fleet.batch_timeout_us = 100;
 
@@ -745,6 +745,63 @@ TEST(DaemonTest, ServeClosesAClientThatStopsReading) {
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   EXPECT_EQ(result->stats.completed, result->stats.offered);
   EXPECT_EQ(slow_clients.value() - slow_before, 1);
+}
+
+TEST(DaemonTest, ServeRefusesConnectionsPastTheCap) {
+  // The daemon holds at most 64 connections; the next one is answered
+  // "err too many connections" and closed while the others keep working.
+  constexpr int kCap = 64;
+  const ServiceModel service = make_service({{4, 1000.0}});
+  const std::string socket_path = "/tmp/fcad_daemon_conn_cap_test.sock";
+
+  ServeSpec spec;
+  spec.fleet.clock = ClockKind::kSteady;
+  spec.fleet.instances = 2;
+  spec.fleet.batch_timeout_us = 500;
+
+  DaemonOptions options;
+  options.socket_path = socket_path;
+
+  obs::Counter& refused = obs::MetricsRegistry::global().counter(
+      "serving.daemon.refused_connections");
+  const std::int64_t refused_before = refused.value();
+
+  Daemon daemon(service, spec, options);
+  StatusOr<DaemonResult> result = Status::internal("serve never ran");
+  std::thread server([&] { result = daemon.serve(); });
+
+  // Accepts are first in, first out, so the last socket is the extra one.
+  std::vector<int> fds;
+  for (int i = 0; i <= kCap; ++i) {
+    const int fd = connect_with_retry(socket_path);
+    ASSERT_GE(fd, 0) << "connection " << i;
+    set_read_timeout(fd, 5.0);
+    fds.push_back(fd);
+  }
+  const std::vector<std::string> refusal = read_lines(fds.back(), 1);
+
+  for (int i = 0; i < kCap; ++i) {
+    ASSERT_TRUE(send_all(fds[static_cast<std::size_t>(i)],
+                         "req " + std::to_string(i) + " 0\n"));
+  }
+  int answered = 0;
+  for (int i = 0; i < kCap; ++i) {
+    const std::vector<std::string> reply =
+        read_lines(fds[static_cast<std::size_t>(i)], 1);
+    if (reply.size() == 1 && reply[0].rfind("ok ", 0) == 0) ++answered;
+  }
+
+  daemon.request_shutdown();
+  server.join();
+  for (const int fd : fds) ::close(fd);
+
+  ASSERT_EQ(refusal.size(), 1u);
+  EXPECT_EQ(refusal[0], "err too many connections");
+  EXPECT_EQ(answered, kCap);
+  EXPECT_EQ(refused.value() - refused_before, 1);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result->stats.offered, kCap);
+  EXPECT_EQ(result->stats.completed + result->shed, result->stats.offered);
 }
 
 }  // namespace

@@ -61,7 +61,7 @@ ServeSpec flash_spec() {
   spec.fleet.instances = 4;
   spec.fleet.shards = 2;
   spec.fleet.threads = 1;
-  spec.sla.p99_bound_us = 25000;
+  spec.fleet.sla_bound_us = 25000;
   spec.scenario = flash_scenario();
   return spec;
 }
@@ -350,7 +350,7 @@ TEST(ElasticFleetTest, ReshardSplitsCellsUnderTailDrift) {
   spec.fleet.instances = 4;
   spec.fleet.shards = 2;
   spec.fleet.threads = 1;
-  spec.sla.p99_bound_us = 30000;
+  spec.fleet.sla_bound_us = 30000;
   spec.elastic.reshard.p99_fraction = 0.25;
   spec.elastic.reshard.window = 64;
   spec.elastic.reshard.cooldown_us = 100000;

@@ -440,7 +440,7 @@ TEST(ParallelDeterminismTest, ElasticFleetReplayIdenticalAcrossThreadCounts) {
     serving::ServeSpec spec;
     spec.fleet.instances = 4;
     spec.fleet.shards = shards;
-    spec.sla.p99_bound_us = 25000;
+    spec.fleet.sla_bound_us = 25000;
     spec.scenario = scenario;
     spec.elastic.autoscale.max_instances = 12;
     spec.elastic.autoscale.high_watermark = 0.6;
@@ -687,7 +687,7 @@ TEST(ParallelDeterminismTest, DaemonVirtualClockTraceIdenticalAcrossThreads) {
   spec.fleet.instances = 8;
   spec.fleet.shards = 4;
   spec.fleet.keep_records = true;
-  spec.sla.p99_bound_us = 20000;
+  spec.fleet.sla_bound_us = 20000;
 
   serving::DaemonOptions options;
   options.admission_enabled = true;

@@ -15,10 +15,12 @@
 #include "nn/zoo/avatar_decoder.hpp"
 #include "serving/batcher.hpp"
 #include "serving/fleet.hpp"
+#include "serving/replay.hpp"
 #include "serving/service.hpp"
 #include "serving/stats.hpp"
 #include "serving/workload.hpp"
 #include "serving_goldens.hpp"
+#include "util/args.hpp"
 
 namespace fcad::serving {
 namespace {
@@ -1249,7 +1251,9 @@ TEST(TrafficSearchTest, CallerSetBranchesRejected) {
             std::string::npos);
 }
 
-TEST(TrafficSearchTest, ConflictingSlaBoundRejected) {
+TEST(TrafficSearchTest, OutcomeFollowsTheFleetSlaBound) {
+  // fleet.sla_bound_us is the one statement of the bound: the replay scores
+  // latencies against it and the default objective shapes headroom by it.
   auto model = arch::reorganize(nn::zoo::avatar_decoder());
   ASSERT_TRUE(model.is_ok());
 
@@ -1257,56 +1261,48 @@ TEST(TrafficSearchTest, ConflictingSlaBoundRejected) {
   spec.kind = dse::SearchKind::kTraffic;
   spec.search.population = 5;
   spec.search.iterations = 2;
-  spec.traffic.fleet.sla_bound_us = 250000;
-  spec.traffic.sla.p99_bound_us = 100000;  // disagrees with the fleet bound
-  auto outcome = dse::SearchDriver(*model, arch::platform_zu9cg()).run(spec);
-  ASSERT_FALSE(outcome.is_ok());
-  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(outcome.status().message().find("fleet.sla_bound_us"),
-            std::string::npos);
-
-  // Setting it equal to the fleet bound (or leaving the default) is fine.
-  spec.traffic.sla.p99_bound_us = 250000;
   spec.traffic.workload.users = 1;
   spec.traffic.workload.frame_rate_hz = 5;
   spec.traffic.workload.duration_s = 0.25;
-  EXPECT_TRUE(
-      dse::SearchDriver(*model, arch::platform_zu9cg()).run(spec).is_ok());
+  spec.traffic.max_batch = 1;
+  for (const double bound_us : {250000.0, 1.0}) {
+    spec.traffic.fleet.sla_bound_us = bound_us;
+    auto outcome = dse::SearchDriver(*model, arch::platform_zu9cg()).run(spec);
+    ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+    const dse::TrafficSearchResult& result = outcome->traffic;
+    EXPECT_EQ(result.stats.sla_bound_us, bound_us);
+    EXPECT_EQ(result.sla_met, bound_us > 1.0);
+    EXPECT_EQ(result.users_served, bound_us > 1.0 ? 1 : 0);
+    EXPECT_DOUBLE_EQ(
+        result.sla_fitness,
+        dse::sla_fitness_score(result.users_served, result.stats.latency.p99,
+                               result.stats.sla_violation_rate,
+                               {.p99_bound_us = bound_us}));
+  }
 }
 
 // -------------------------------------------------------------- serve spec --
-TEST(ServeSpecTest, SpecLevelSlaBoundResolvesIntoFleetOptions) {
-  ServeSpec spec;
-  spec.sla.p99_bound_us = 20000;
-  auto resolved = resolved_fleet_options(spec);
-  ASSERT_TRUE(resolved.is_ok());
-  EXPECT_EQ(resolved->sla_bound_us, 20000);
+StatusOr<ReplayJob> replay_job(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "serving_cli");
+  auto args = ArgParser::parse(static_cast<int>(argv.size()), argv.data());
+  if (!args.is_ok()) return args.status();
+  return replay_job_from_args(*args);
 }
 
-TEST(ServeSpecTest, ConflictingSlaBoundsAreRejected) {
-  ServeSpec spec;
-  spec.sla.p99_bound_us = 20000;
-  spec.fleet.sla_bound_us = 25000;  // disagrees with the spec-level bound
-  auto resolved = resolved_fleet_options(spec);
-  ASSERT_FALSE(resolved.is_ok());
-  EXPECT_EQ(resolved.status().code(), StatusCode::kInvalidArgument);
+TEST(ServeSpecTest, ReplayFlagsSetTheFleetBoundAndClock) {
+  auto job = replay_job({"--sla-ms", "25", "--clock", "steady"});
+  ASSERT_TRUE(job.is_ok()) << job.status().to_string();
+  EXPECT_EQ(job->spec.fleet.sla_bound_us, 25000);
+  EXPECT_EQ(job->spec.fleet.clock, ClockKind::kSteady);
 
-  spec.fleet.sla_bound_us = 20000;  // agreeing redundantly is fine
-  EXPECT_TRUE(resolved_fleet_options(spec).is_ok());
-}
+  // The CLI's default bound is exactly one 30 Hz frame, not the struct's
+  // rounded 33333.3 µs; the CLI's outputs depend on it.
+  auto defaults = replay_job({});
+  ASSERT_TRUE(defaults.is_ok()) << defaults.status().to_string();
+  EXPECT_EQ(defaults->spec.fleet.sla_bound_us, 100.0 / 3.0 * 1e3);
+  EXPECT_EQ(defaults->spec.fleet.clock, ClockKind::kVirtual);
 
-TEST(ServeSpecTest, ClockKindResolvesFromEitherLevel) {
-  ServeSpec spec;
-  spec.clock = ClockKind::kSteady;
-  auto resolved = resolved_fleet_options(spec);
-  ASSERT_TRUE(resolved.is_ok());
-  EXPECT_EQ(resolved->clock, ClockKind::kSteady);
-
-  ServeSpec fleet_side;
-  fleet_side.fleet.clock = ClockKind::kSteady;
-  auto from_fleet = resolved_fleet_options(fleet_side);
-  ASSERT_TRUE(from_fleet.is_ok());
-  EXPECT_EQ(from_fleet->clock, ClockKind::kSteady);
+  EXPECT_FALSE(replay_job({"--clock", "bogus"}).is_ok());
 }
 
 TEST(ServeSpecTest, SteadyClockReplayPacesTheTraceInRealTime) {
@@ -1325,7 +1321,7 @@ TEST(ServeSpecTest, SteadyClockReplayPacesTheTraceInRealTime) {
   ServeSpec steady;
   steady.fleet.instances = 2;
   steady.fleet.keep_records = true;
-  steady.clock = ClockKind::kSteady;
+  steady.fleet.clock = ClockKind::kSteady;
   auto steady_run = simulate_fleet(service, workload, steady);
   ASSERT_TRUE(steady_run.is_ok());
 
