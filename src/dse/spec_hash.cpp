@@ -48,12 +48,14 @@ void absorb_traffic(util::Hash128& h, const TrafficSpec& traffic) {
   h.absorb_double(traffic.fleet.batch_timeout_us);
   h.absorb_double(traffic.fleet.switch_penalty_us);
   h.absorb_double(traffic.fleet.sla_bound_us);
-  // The shard count is part of the serving model (it changes the stats) and
-  // keep_records changes what a v3 artifact stores; threads, the checkpoint
-  // path, and the progress tail percentile are execution details that never
-  // affect results.
+  // The shard count is part of the serving model (it changes the stats),
+  // keep_records changes what a v3 artifact stores, and the latency mode
+  // selects the p99 candidates are scored on (exact or sketch); threads, the
+  // checkpoint path, and the progress tail percentile are execution details
+  // that never affect results.
   h.absorb(static_cast<std::uint64_t>(traffic.fleet.shards));
   h.absorb(static_cast<std::uint64_t>(traffic.fleet.keep_records));
+  h.absorb(static_cast<std::uint64_t>(traffic.fleet.latency_mode));
   h.absorb(static_cast<std::uint64_t>(traffic.max_batch));
   h.absorb(static_cast<std::uint64_t>(traffic.max_users));
   h.absorb(static_cast<std::uint64_t>(traffic.use_simulator));

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "serving/engine.hpp"
+#include "serving/shard_loop.hpp"
 #include "util/format.hpp"
 #include "util/log.hpp"
 
@@ -45,6 +45,14 @@ Status validate_daemon_options(const DaemonOptions& options) {
         format_exact(options.admission_headroom));
   }
   return Status::ok();
+}
+
+/// Arms `plan`'s admission gate as `options` configure it.
+void set_admission(ReplayPlan& plan, const DaemonOptions& options) {
+  plan.admission_window =
+      options.admission_enabled ? options.admission_window : 0;
+  plan.admission_bound_us =
+      options.admission_headroom * plan.options.sla_bound_us;
 }
 
 /// Either entry point's result, its shed count fed to the metrics registry.
@@ -85,8 +93,56 @@ struct Connection {
   bool reading = true;        ///< false after EOF or an overlong line
 };
 
-/// The receiver <-> serving-loop handoff, guarded by `mutex`.
-struct Handoff {
+/// One async-signal-safe wake-pipe write ('s' = shutdown, 'r' = replies).
+/// The receiver drains the pipe on every wake, so it never fills up.
+void poke(int fd, char byte) {
+  if (fd < 0) return;
+  [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
+}
+
+/// The receiver <-> serving-loop handoff, guarded by `mutex`. Its loop end
+/// is run_shard's arrival source and observer at once: peek() tells three
+/// states apart — a request due now (stamped at the clock reading it is
+/// taken at); nothing yet (an arrival at +infinity: the steady clock sleeps
+/// until the receiver's wake()); intake closed (nullptr) — and each
+/// dispatched or shed request queues one reply line for the receiver.
+struct Handoff : ShardObserver {
+  Handoff(Clock& clock, int wake_fd) : clock(clock), wake_fd(wake_fd) {}
+
+  const Request* peek(const ShardObserver&) {
+    static const Request nothing_yet{.arrival_us = kInf};
+    if (!head) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (arrivals.empty()) return intake_closed ? nullptr : &nothing_yet;
+      head = arrivals.front();
+      head->arrival_us = clock.now_us();
+      arrivals.pop_front();
+    }
+    return &*head;
+  }
+  void pop() { head.reset(); }
+  void on_batch(const Batch& batch, int instance, double, double finish_us) {
+    for (const Request& r : batch.requests) {
+      answer(r.id, "ok " + std::to_string(r.id) + " " +
+                       std::to_string(r.branch) + " " +
+                       std::to_string(instance) + " " +
+                       std::to_string(finish_us - r.arrival_us) + "\n");
+    }
+  }
+  void on_shed(const Request& r) {
+    answer(r.id, "shed " + std::to_string(r.id) + "\n");
+  }
+  void answer(std::int64_t id, std::string line) {
+    std::unique_lock<std::mutex> lock(mutex);
+    const bool first = replies.empty();
+    replies.emplace_back(id, std::move(line));
+    lock.unlock();
+    if (first) poke(wake_fd, 'r');  // later ones find it pending
+  }
+
+  Clock& clock;
+  const int wake_fd;
+  std::optional<Request> head;  ///< the arrival the loop is looking at
   std::mutex mutex;
   std::deque<Request> arrivals;  ///< parsed requests, in receive order
   bool intake_closed = false;    ///< shutdown seen: no arrival follows
@@ -94,13 +150,6 @@ struct Handoff {
   std::vector<std::pair<std::int64_t, std::string>> replies;
   std::atomic<double> finish_by_us = kInf;  ///< set when the loop returns
 };
-
-/// One async-signal-safe wake-pipe write ('s' = shutdown, 'r' = replies).
-/// The receiver drains the pipe on every wake, so it never fills up.
-void poke(int fd, char byte) {
-  if (fd < 0) return;
-  [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
-}
 
 /// The receiver thread, the only code that touches client sockets: it
 /// queues parsed requests for the serving loop, routes the loop's replies
@@ -278,11 +327,21 @@ void Daemon::request_shutdown() { poke(wake_pipe_[1], 's'); }
 StatusOr<DaemonResult> Daemon::run_trace(const std::vector<Request>& trace,
                                          const util::RunScope* scope) const {
   if (Status s = validate_daemon_options(options_); !s.is_ok()) return s;
+  // A checkpoint block carries no shed count, so admitted + shed could not
+  // balance over a resumed or process-sharded run.
+  const FleetOptions& fleet = spec_.fleet;
+  if (options_.admission_enabled && (!fleet.checkpoint_path.empty() ||
+                                     fleet.process_count > 1)) {
+    return Status::invalid_argument(
+        std::string("daemon: admission_enabled cannot be combined with ") +
+        (fleet.checkpoint_path.empty() ? "process_count > 1"
+                                       : "checkpoint_path"));
+  }
+  auto plan = plan_replay(service_, spec_, &trace);
+  if (!plan.is_ok()) return plan.status();
+  set_admission(*plan, options_);
   std::int64_t shed = 0;
-  auto stats = simulate_fleet_admitted(
-      service_, trace, spec_,
-      options_.admission_enabled ? options_.admission_window : 0,
-      options_.admission_headroom, &shed, scope);
+  auto stats = run_replay(std::move(*plan), service_, spec_, scope, &shed);
   return daemon_result(std::move(stats), shed);
 }
 
@@ -306,73 +365,57 @@ StatusOr<DaemonResult> Daemon::serve() {
   // The session's clock: fault schedules run in its microseconds since
   // serve() started, and the receiver wakes it on every arrival.
   SteadyClock clock(0);
-  Handoff handoff;
-  int listen_fd = -1;
-  std::thread receiver;
-  // Listening waits for a validated spec: a rejected one leaves the path be.
-  const auto start_listening = [&]() -> Status {
-    listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    ::unlink(options_.socket_path.c_str());
-    if (listen_fd < 0 ||
-        ::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(listen_fd, 16) != 0) {
-      return Status::internal("daemon: cannot listen on " +
-                              options_.socket_path + ": " +
-                              std::strerror(errno));
-    }
-    receiver = std::thread([&] {
-      receive_loop(listen_fd, wake_pipe_[0], service_.num_branches(),
-                   handoff, clock);
-    });
-    return Status::ok();
-  };
-  const auto answer = [&](std::int64_t id, std::string line) {
-    std::unique_lock<std::mutex> lock(handoff.mutex);
-    const bool first = handoff.replies.empty();
-    handoff.replies.emplace_back(id, std::move(line));
-    lock.unlock();
-    if (first) poke(wake_pipe_[1], 'r');  // later ones find it pending
-  };
-  std::optional<Request> head;  // the arrival the loop is looking at
-  const Request nothing_yet{.arrival_us = kInf};
-  LiveSession session{
-      start_listening,
-      [&]() -> const Request* {
-        if (!head) {
-          const std::lock_guard<std::mutex> lock(handoff.mutex);
-          if (handoff.arrivals.empty()) {
-            return handoff.intake_closed ? nullptr : &nothing_yet;
-          }
-          head = handoff.arrivals.front();
-          head->arrival_us = clock.now_us();
-          handoff.arrivals.pop_front();
-        }
-        return &*head;
-      },
-      [&] { head.reset(); },
-      [&](const Request& r, int instance, double latency_us) {
-        answer(r.id, "ok " + std::to_string(r.id) + " " +
-                         std::to_string(r.branch) + " " +
-                         std::to_string(instance) + " " +
-                         std::to_string(latency_us) + "\n");
-      },
-      [&](const Request& r) {
-        answer(r.id, "shed " + std::to_string(r.id) + "\n");
-      }};
-  std::int64_t shed = 0;
-  auto stats = session.run(
-      service_, spec_, clock,
-      options_.admission_enabled ? options_.admission_window : 0,
-      options_.admission_headroom, &shed);
-  if (receiver.joinable()) {
-    handoff.finish_by_us = clock.now_us() + kLingerUs;
-    poke(wake_pipe_[1], 'r');
-    receiver.join();
-    ::unlink(options_.socket_path.c_str());
+  // An empty trace: the plan validates the spec and lays out the one shard.
+  const std::vector<Request> no_trace;
+  auto plan = plan_replay(service_, spec_, &no_trace);
+  if (!plan.is_ok()) return plan.status();
+  const FleetOptions& fleet = plan->options;
+  // What a live session cannot honour is rejected by name, never dropped.
+  const char* unhonoured =
+      fleet.shards != 1 ? "shards != 1 (deploy one daemon per shard)"
+      : !fleet.checkpoint_path.empty() ? "checkpoint_path"
+      : fleet.clock != ClockKind::kSteady
+          ? "a virtual clock (run_trace replays virtual time)"
+          : nullptr;
+  if (unhonoured != nullptr) {
+    return Status::invalid_argument(
+        std::string("daemon: a live session cannot honour ") + unhonoured);
   }
-  if (listen_fd >= 0) ::close(listen_fd);
-  return daemon_result(std::move(stats), shed);
+  set_admission(*plan, options_);
+
+  // Listening waits for a validated spec: a rejected one leaves the path be.
+  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ::unlink(options_.socket_path.c_str());
+  if (listen_fd < 0 ||
+      ::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
+             sizeof(addr)) != 0 ||
+      ::listen(listen_fd, 16) != 0) {
+    const int error = errno;
+    if (listen_fd >= 0) ::close(listen_fd);
+    return Status::internal("daemon: cannot listen on " + options_.socket_path +
+                            ": " + std::strerror(error));
+  }
+  Handoff handoff(clock, wake_pipe_[1]);
+  std::thread receiver([&] {
+    receive_loop(listen_fd, wake_pipe_[0], service_.num_branches(), handoff,
+                 clock);
+  });
+  ShardTally tally;
+  auto shard = run_shard(service_, handoff, clock, *plan, spec_.elastic, 0,
+                         /*expected_requests=*/0, /*scope=*/nullptr, tally,
+                         handoff);
+  handoff.finish_by_us = clock.now_us() + kLingerUs;
+  poke(wake_pipe_[1], 'r');
+  receiver.join();
+  ::unlink(options_.socket_path.c_str());
+  ::close(listen_fd);
+  if (!shard.is_ok()) return shard.status();
+  std::vector<ShardStats> shards;
+  shards.push_back(std::move(shard).value());
+  ServingStats stats =
+      merge_shard_stats(std::move(shards), service_, fleet.sla_bound_us,
+                        plan->provisioned_total, 0);
+  return daemon_result(std::move(stats), tally.shed);
 }
 
 }  // namespace fcad::serving

@@ -1,5 +1,5 @@
 // The serving daemon: the step from "simulator" to "system". Both entry
-// points run the fleet's one shard loop (run_shard, fleet.cpp) and its
+// points run the fleet's one shard loop (run_shard, shard_loop.hpp) and its
 // admission gate:
 //
 //  - run_trace(): simulate_fleet's replay with the gate in each shard's

@@ -30,12 +30,6 @@ FleetEngine::FleetEngine(const ServiceModel& service,
       tracer_(obs::tracer()),
       dispatcher_(config.policy, config.instances, service.num_branches(),
                   config.initial_active),
-      // Sketch mode disables the tracker (partial_tail reads the sketch), so
-      // its O(expected) tail reserve never happens on billion-request runs.
-      tail_(config.latency_mode == LatencyMode::kSketch
-                ? 0
-                : config.expected_requests,
-            config.progress_tail_pct),
       first_arrival_us_(kInf) {
   cells_.reserve(static_cast<std::size_t>(std::max(1, config.max_cells)));
   const std::vector<int> capacities = service.capacities();
@@ -106,72 +100,68 @@ void FleetEngine::close() {
   for (Cell& cell : cells_) cell.agg.close();
 }
 
-void FleetEngine::dispatch_ready() {
-  const double now_us = clock_->now_us();
-  while (true) {
-    // Across cells, serve the ready batch whose head-of-line request has
-    // waited longest (ties toward the lowest cell index) — the same
-    // fairness rule ready_branch applies across branches within a cell.
-    std::size_t cell_index = 0;
-    int branch = -1;
-    double oldest_us = kInf;
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      const int b = cells_[i].agg.ready_branch(now_us);
-      if (b < 0) continue;
-      const double head_us = cells_[i].agg.head_arrival_us(b);
-      if (branch < 0 || head_us < oldest_us) {
-        cell_index = i;
-        branch = b;
-        oldest_us = head_us;
-      }
+int FleetEngine::dispatch_next(double now_us, double& finish_us) {
+  // Across cells, serve the ready batch whose head-of-line request has
+  // waited longest (ties toward the lowest cell index) — the same fairness
+  // rule ready_branch applies across branches within a cell.
+  std::size_t cell_index = 0;
+  int branch = -1;
+  double oldest_us = kInf;
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    const int b = cells_[i].agg.ready_branch(now_us);
+    if (b < 0) continue;
+    const double head_us = cells_[i].agg.head_arrival_us(b);
+    if (branch < 0 || head_us < oldest_us) {
+      cell_index = i;
+      branch = b;
+      oldest_us = head_us;
     }
-    if (branch < 0) break;
-    const int k = dispatcher_.pick(branch, now_us);
-    if (k < 0) break;
-    BatchAggregator& aggregator = cells_[cell_index].agg;
-    aggregator.pop_ready(now_us, batch_);
-    const Batch& batch = batch_;
-
-    const double finish_us = dispatcher_.dispatch(
-        k, branch, now_us,
-        service_.branches[static_cast<std::size_t>(branch)].pass_us,
-        config_.switch_penalty_us,
-        static_cast<std::int64_t>(batch.requests.size()));
-
-    if (tracer_ != nullptr) {
-      tracer_->complete(
-          instance_lane(config_.first_instance + k),
-          "batch b" + std::to_string(branch), "serving", now_us,
-          finish_us - now_us,
-          {{"branch", static_cast<double>(branch)},
-           {"requests", static_cast<double>(batch.requests.size())}});
-    }
-    ++stats_.batches;
-    stats_.fill_sum += static_cast<double>(batch.requests.size()) /
-                       static_cast<double>(aggregator.capacity(branch));
-    stats_.makespan_us = std::max(stats_.makespan_us, finish_us);
-    for (const Request& r : batch.requests) {
-      const double latency = finish_us - r.arrival_us;
-      if (config_.latency_mode == LatencyMode::kSketch) {
-        stats_.latency_sketch.add(latency);
-        stats_.wait_sketch.add(now_us - r.arrival_us);
-      } else {
-        stats_.latencies.push_back(latency);
-        stats_.waits.push_back(now_us - r.arrival_us);
-        tail_.add(latency);
-      }
-      if (controller_ != nullptr) controller_->on_complete(latency);
-      if (latency > config_.sla_bound_us) ++stats_.sla_violations;
-      ++stats_.completed;
-      ++stats_.branch_completed[static_cast<std::size_t>(r.branch)];
-      if (config_.keep_records) {
-        stats_.records.push_back({r.id, r.user, r.branch,
-                                  config_.first_instance + k, r.arrival_us,
-                                  now_us, finish_us});
-      }
-    }
-    if (batch_hook_) batch_hook_(batch, k, now_us, finish_us);
   }
+  if (branch < 0) return -1;
+  const int k = dispatcher_.pick(branch, now_us);
+  if (k < 0) return -1;
+  BatchAggregator& aggregator = cells_[cell_index].agg;
+  aggregator.pop_ready(now_us, batch_);
+  const Batch& batch = batch_;
+
+  finish_us = dispatcher_.dispatch(
+      k, branch, now_us,
+      service_.branches[static_cast<std::size_t>(branch)].pass_us,
+      config_.switch_penalty_us,
+      static_cast<std::int64_t>(batch.requests.size()));
+
+  if (tracer_ != nullptr) {
+    tracer_->complete(
+        instance_lane(config_.first_instance + k),
+        "batch b" + std::to_string(branch), "serving", now_us,
+        finish_us - now_us,
+        {{"branch", static_cast<double>(branch)},
+         {"requests", static_cast<double>(batch.requests.size())}});
+  }
+  ++stats_.batches;
+  stats_.fill_sum += static_cast<double>(batch.requests.size()) /
+                     static_cast<double>(aggregator.capacity(branch));
+  stats_.makespan_us = std::max(stats_.makespan_us, finish_us);
+  for (const Request& r : batch.requests) {
+    const double latency = finish_us - r.arrival_us;
+    if (config_.latency_mode == LatencyMode::kSketch) {
+      stats_.latency_sketch.add(latency);
+      stats_.wait_sketch.add(now_us - r.arrival_us);
+    } else {
+      stats_.latencies.push_back(latency);
+      stats_.waits.push_back(now_us - r.arrival_us);
+    }
+    if (controller_ != nullptr) controller_->on_complete(latency);
+    if (latency > config_.sla_bound_us) ++stats_.sla_violations;
+    ++stats_.completed;
+    ++stats_.branch_completed[static_cast<std::size_t>(r.branch)];
+    if (config_.keep_records) {
+      stats_.records.push_back({r.id, r.user, r.branch,
+                                config_.first_instance + k, r.arrival_us,
+                                now_us, finish_us});
+    }
+  }
+  return k;
 }
 
 double FleetEngine::next_event_us() {
@@ -236,14 +226,6 @@ void FleetEngine::set_instance_active(int local_instance, bool on,
                                         local_instance),
                      "serving", now_us);
   }
-}
-
-double FleetEngine::partial_tail() const {
-  if (config_.latency_mode == LatencyMode::kSketch) {
-    if (stats_.latency_sketch.count() == 0) return 0;
-    return stats_.latency_sketch.quantile(config_.progress_tail_pct);
-  }
-  return tail_.partial();
 }
 
 double FleetEngine::total_busy_us() const {

@@ -1,5 +1,5 @@
 // The event-driven serving engine behind the one shard loop (run_shard in
-// fleet.cpp) that the offline replays and the online daemon share: batch
+// shard_loop.hpp) that the offline replays and the online daemon share: batch
 // aggregation, free-instance dispatch, and exact latency/SLA accounting for
 // one shard, all driven through an injected serving::Clock. Decisions are
 // functions of clock readings only, so the same trace produces identical
@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -75,19 +75,26 @@ struct ShardStats {
 /// clock — the engine keeps the aggregation/dispatch/accounting state and
 /// never reads a time source other than the injected clock.
 ///
-/// The canonical loop (run_shard in fleet.cpp; Daemon::serve runs it too):
+/// The canonical loop is run_shard in the internal header shard_loop.hpp —
+/// every replay and Daemon::serve run it:
 ///   while (work remains) {
 ///     enqueue every arrival due by now_us();     // or shed at admission
 ///     close() after the last arrival;
-///     dispatch_ready();
+///     dispatch_ready(on_batch);
 ///     t = min(next arrival, next_event_us());
 ///     advance_to(t);                             // jumps or really sleeps
 ///   }
+/// Progress is one of its write-only observers, not engine state: the
+/// engine keeps no tail tracker, and the partial tail is tracked only when
+/// a progress listener exists.
 struct FleetEngineConfig {
   DispatchPolicy policy{};
   double batch_timeout_us = 4000;
   double switch_penalty_us = 0;
   double sla_bound_us = 33333.3;
+  /// Unread: the progress tail lives in run_shard's progress observer. Kept
+  /// only because perfbench's traced copy of the loop still sets it; goes
+  /// once perfbench runs run_shard with an observer (ROADMAP item 2).
   double progress_tail_pct = 99;
   bool keep_records = false;
   int shard_index = 0;     ///< obs shard lane (tid = shard index)
@@ -99,61 +106,24 @@ struct FleetEngineConfig {
   /// Cap on the user-range cells dynamic resharding may split this shard
   /// into (1 = the classic single-aggregator shard).
   int max_cells = 1;
-  /// Upper bound on requests this engine will see (TailTracker sizing and
-  /// stream reservations). A live session, whose count is open-ended,
-  /// passes 0 and grows its streams as requests arrive.
+  /// Upper bound on requests this engine will see (stream reservations). A
+  /// live session, whose count is open-ended, passes 0 and grows its
+  /// streams as requests arrive.
   std::int64_t expected_requests = 0;
-  /// kSketch replaces the exact latency/wait streams (and the TailTracker)
-  /// with bounded-memory quantile sketches seeded by `sketch_seed` — the
-  /// billion-request mode. The default keeps today's exact accounting.
+  /// kSketch replaces the exact latency/wait streams with bounded-memory
+  /// quantile sketches seeded by `sketch_seed` — the billion-request mode.
+  /// The default keeps today's exact accounting.
   LatencyMode latency_mode = LatencyMode::kExact;
   std::uint64_t sketch_seed = 0;
 };
 
-/// Daemon::run_trace's replay: simulate_fleet with the admission gate over
-/// each shard's arrivals (`admission_window` 0 = off); `*shed` receives the
-/// requests it refused.
-StatusOr<ServingStats> simulate_fleet_admitted(
-    const ServiceModel& service, const std::vector<Request>& trace,
-    const ServeSpec& spec, int admission_window, double admission_headroom,
-    std::int64_t* shed, const util::RunScope* scope);
-
-/// Daemon::serve's arrival source for run_shard (fleet.cpp). peek() tells
-/// three states apart: a request due now (stamped at the clock reading);
-/// nothing yet (an arrival at +infinity: the steady clock sleeps until the
-/// receiver's wake()); closed (nullptr). answer() and shed() only write
-/// replies, to each dispatched request or each one refused at admission.
-struct LiveSession {
-  std::function<Status()> start;  ///< run() calls it once the spec is valid
-  std::function<const Request*()> peek;
-  std::function<void()> pop;
-  std::function<void(const Request&, int instance, double latency_us)> answer;
-  std::function<void(const Request&)> shed;
-
-  /// run_shard on the caller's steady `clock` until intake closes and the
-  /// engine drains, then the shared merge. Rejects by name what a live
-  /// session cannot honour: shards != 1, checkpoints, a virtual clock.
-  StatusOr<ServingStats> run(const ServiceModel& service,
-                             const ServeSpec& spec, Clock& clock,
-                             int admission_window, double admission_headroom,
-                             std::int64_t* shed_count);
-};
-
 class FleetEngine {
  public:
-  /// Invoked once per dispatched batch, after the engine's own accounting.
-  /// The shard loop counts global progress, feeds its rolling-p99
-  /// admission window and answers live clients here.
-  using BatchHook = std::function<void(const Batch& batch, int instance,
-                                       double dispatch_us, double finish_us)>;
-
   /// `service` must outlive the engine.
   FleetEngine(const ServiceModel& service, const FleetEngineConfig& config,
               Clock* clock);
 
   double now_us() { return clock_->now_us(); }
-
-  void set_batch_hook(BatchHook hook) { batch_hook_ = std::move(hook); }
 
   /// Feeds completion latencies to the elastic controller's reshard
   /// trigger; the controller must outlive the engine's event loop.
@@ -187,8 +157,20 @@ class FleetEngine {
   void close();
 
   /// Dispatches every ready batch a free instance exists for, at the
-  /// current clock reading.
-  void dispatch_ready();
+  /// current clock reading, calling on_batch(batch, instance, dispatch_us,
+  /// finish_us) after each batch's accounting — a direct call the shard
+  /// loop inlines.
+  template <typename OnBatch>
+  void dispatch_ready(OnBatch&& on_batch) {
+    const double now_us = clock_->now_us();
+    double finish_us = 0;
+    for (int k; (k = dispatch_next(now_us, finish_us)) >= 0;) {
+      on_batch(std::as_const(batch_), k, now_us, finish_us);
+    }
+  }
+  void dispatch_ready() {
+    dispatch_ready([](const Batch&, int, double, double) {});
+  }
 
   /// Next engine-internal event: an instance freeing up when a batch is
   /// ready, else the earliest batching deadline, else +infinity. The caller
@@ -208,11 +190,6 @@ class FleetEngine {
     for (const Cell& cell : cells_) total += cell.agg.pending();
     return total;
   }
-  std::int64_t completed() const { return stats_.completed; }
-  /// Partial progress-tail estimate over completions so far: the exact
-  /// TailTracker value in exact mode, the sketch quantile in sketch mode
-  /// (where the tracker is disabled to keep memory bounded).
-  double partial_tail() const;
   const ShardStats& stats() const { return stats_; }
 
   /// Finalizes per-instance counters and the shard overview trace span,
@@ -232,6 +209,12 @@ class FleetEngine {
 
   Cell& route(int user);
 
+  /// One step of dispatch_ready: pops the oldest ready batch into batch_ and
+  /// starts it on the instance the policy picks, accounting every request;
+  /// returns that instance and sets `finish_us`, or -1 when no ready batch
+  /// or no free instance remains.
+  int dispatch_next(double now_us, double& finish_us);
+
   const ServiceModel& service_;
   FleetEngineConfig config_;
   Clock* clock_;
@@ -241,9 +224,7 @@ class FleetEngine {
   /// is allocated once per engine rather than once per batch.
   Batch batch_;
   Dispatcher dispatcher_;
-  TailTracker tail_;
   ShardStats stats_;
-  BatchHook batch_hook_;
   ElasticController* controller_ = nullptr;
   bool closed_ = false;
   double first_arrival_us_;

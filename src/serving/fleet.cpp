@@ -7,10 +7,8 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -19,7 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serving/binary_io.hpp"
-#include "serving/engine.hpp"
+#include "serving/shard_loop.hpp"
 #include "serving/stream.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
@@ -28,226 +26,11 @@
 namespace fcad::serving {
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Checkpoint v3 leading/trailing magics. Earlier formats (text v1, binary
 /// v2) fail the magic check and are rejected like any unreadable file.
 constexpr char kCheckpointMagic[8] = {'F', 'C', 'A', 'D', 'F', 'L', 'T', '3'};
 constexpr std::uint32_t kCheckpointVersion = 3;
 constexpr std::uint32_t kCheckpointTrailer = 0x33544c46;  // "FLT3"
-
-/// Progress plumbing shared by every shard: a global completion counter
-/// drives the ~20-tick cadence; the emitting shard supplies its local
-/// partial tail estimate.
-struct ProgressSink {
-  const util::RunScope* scope = nullptr;
-  std::int64_t offered = 0;
-  std::int64_t chunk = 0;
-  std::atomic<std::int64_t> completed{0};
-  std::atomic<std::int64_t> next_at{0};
-  std::atomic<std::int64_t> last_emitted{-1};
-  std::mutex mutex;
-
-  void emit(std::int64_t step, double partial_tail) {
-    scope->emit({"fleet",
-                 static_cast<int>(std::min<std::int64_t>(step, 1LL << 30)),
-                 static_cast<int>(std::min<std::int64_t>(offered, 1LL << 30)),
-                 partial_tail});
-    last_emitted.store(step, std::memory_order_relaxed);
-  }
-
-  /// The engine is passed, not its tail value: partial_tail() costs O(tail)
-  /// (or a sketch walk), and this is called once per event-loop iteration —
-  /// only a due tick (at most ~20 per replay) may pay for the estimate.
-  void maybe_emit(const FleetEngine& engine) {
-    if (chunk <= 0) return;  // no listener to tick
-    const std::int64_t c = completed.load(std::memory_order_relaxed);
-    if (c < next_at.load(std::memory_order_relaxed)) return;
-    std::lock_guard<std::mutex> lock(mutex);
-    if (c < next_at.load(std::memory_order_relaxed)) return;  // lost the race
-    emit(c, engine.partial_tail());
-    next_at.store((c / chunk + 1) * chunk, std::memory_order_relaxed);
-  }
-};
-
-/// A shard's arrivals: a request stream filtered down to `user % num_shards
-/// == shard`, buffering one request. A trace replay streams the shard's own
-/// pre-partitioned slice (every request passes the filter); a streaming
-/// replay gives each shard a full copy of the generated stream, so the
-/// shard sees exactly the slice the static partition would hand it without
-/// the workload ever being materialized.
-class ShardSource {
- public:
-  ShardSource(std::unique_ptr<RequestStream> stream, int shard,
-              int num_shards)
-      : stream_(std::move(stream)), shard_(shard), num_shards_(num_shards) {}
-
-  /// Next arrival without consuming it; nullptr once exhausted. Stable
-  /// until the next pop().
-  const Request* peek() {
-    while (!buffered_) {
-      std::optional<Request> r = stream_->next();
-      if (!r) return nullptr;
-      if (r->user % num_shards_ == shard_) buffered_ = *r;
-    }
-    return &*buffered_;
-  }
-  void pop() { buffered_.reset(); }
-  /// Inspect after exhaustion: an error when the stream ended early.
-  Status finish_status() const { return stream_->finish_status(); }
-  /// A replay has no one to answer (LiveSession's hooks do).
-  void answer(const Request&, int, double) {}
-  void shed(const Request&) {}
-
- private:
-  std::unique_ptr<RequestStream> stream_;
-  int shard_;
-  int num_shards_;
-  std::optional<Request> buffered_;
-};
-
-/// Everything one replay needs, validated once: the fleet options, the
-/// derived workload, the elastic shard plans, the shard range this process
-/// owns, and the fingerprint that binds checkpoints and sketches to the run.
-struct ReplayPlan {
-  FleetOptions options;
-  /// The generated workload with `branches` derived from the service model
-  /// (streaming replays only; a trace replay ignores spec.workload).
-  WorkloadOptions workload;
-  std::vector<ShardElasticPlan> shards;
-  int provisioned_total = 0;
-  /// This process's contiguous shard range [shard_lo, shard_hi).
-  int shard_lo = 0;
-  int shard_hi = 0;
-  /// Requests the whole replay offers: the trace size or the stream target.
-  std::int64_t offered = 0;
-  /// The arrival-sorted per-shard slices of a trace replay (empty for a
-  /// streaming replay); run_replay moves each into its shard's stream.
-  std::vector<std::vector<Request>> trace_shards;
-  std::string fingerprint;
-  std::uint64_t sketch_seed = 0;
-  /// Daemon::run_trace's admission gate: window size (0 = off), p99 bound.
-  int admission_window = 0;
-  double admission_bound_us = 0;
-};
-
-/// One shard's event-driven replay: arrivals pulled from `source` (in
-/// non-decreasing time order) over the shard's slice of the instance pool,
-/// run through the shared FleetEngine on this shard's own clock —
-/// VirtualClock jumps between events (bit-exact, reproducible), SteadyClock
-/// paces them at their trace timestamps in real time, so recorded dispatch
-/// times and latencies include genuine scheduler jitter — that is the point
-/// of wall mode, not a defect. An arrival the plan's admission gate sheds
-/// is counted in `*shed` instead of enqueued (`source`, a ShardSource or a
-/// LiveSession, answers). The only failure mode is cancellation via scope.
-template <typename Source>
-StatusOr<ShardStats> run_shard(const ServiceModel& service, Source& source,
-                               Clock& clock, const ReplayPlan& plan,
-                               const ElasticSpec& elastic, int shard_index,
-                               std::int64_t expected_requests,
-                               ProgressSink* sink, std::int64_t* shed) {
-  const FleetOptions& options = plan.options;
-  const ShardElasticPlan& shard_plan =
-      plan.shards[static_cast<std::size_t>(shard_index)];
-  const util::RunScope* scope = sink->scope;
-  FleetEngineConfig config;
-  config.policy = options.policy;
-  config.batch_timeout_us = options.batch_timeout_us;
-  config.switch_penalty_us = options.switch_penalty_us;
-  config.sla_bound_us = options.sla_bound_us;
-  config.progress_tail_pct = options.progress_tail_pct;
-  config.keep_records = options.keep_records;
-  config.shard_index = shard_index;
-  config.first_instance = shard_plan.first_instance;
-  config.instances = shard_plan.provisioned;
-  config.initial_active = shard_plan.initial_active;
-  config.max_cells = elastic.reshard_enabled() ? elastic.reshard.max_cells : 1;
-  config.expected_requests = expected_requests;
-  config.latency_mode = options.latency_mode;
-  config.sketch_seed = plan.sketch_seed;
-  FleetEngine engine(service, config, &clock);
-
-  // The controller exists whenever a policy or fault schedule has work to
-  // do; its decisions are functions of shard-local state at virtual-time
-  // readings, so its presence never couples shards or threads.
-  std::optional<ElasticController> controller;
-  if (elastic.enabled() || !shard_plan.faults.empty()) {
-    controller.emplace(elastic, shard_plan, options.sla_bound_us);
-    engine.set_controller(&*controller);
-  }
-  std::optional<RollingP99Window> admission;
-  if (plan.admission_window > 0) admission.emplace(plan.admission_window);
-
-  engine.set_batch_hook([sink, &admission, &source](const Batch& batch,
-                                                    int instance, double,
-                                                    double finish_us) {
-    sink->completed.fetch_add(static_cast<std::int64_t>(batch.requests.size()),
-                              std::memory_order_relaxed);
-    for (const Request& r : batch.requests) {
-      source.answer(r, instance, finish_us - r.arrival_us);
-      if (admission) admission->add(finish_us - r.arrival_us);
-    }
-  });
-
-  while (true) {
-    if (scope != nullptr && scope->should_stop()) {
-      return Status::cancelled("fleet replay cancelled after " +
-                               std::to_string(sink->completed.load()) + "/" +
-                               std::to_string(sink->offered) + " requests");
-    }
-    // Ingest (or shed) every arrival due by the clock reading. The gate
-    // sheds once the window's p99 passes the bound and no scale-up headroom
-    // is left: grow first, drop load last.
-    while (const Request* r = source.peek()) {
-      if (r->arrival_us > engine.now_us()) break;
-      if (admission && admission->full() &&
-          admission->p99() > plan.admission_bound_us &&
-          (!controller || !controller->can_scale_up())) {
-        ++*shed;
-        source.shed(*r);
-      } else {
-        engine.enqueue(*r);
-      }
-      source.pop();
-    }
-    const Request* upcoming = source.peek();
-    if (upcoming == nullptr) engine.close();
-
-    if (controller) controller->tick(engine, engine.now_us());
-    engine.dispatch_ready();
-    sink->maybe_emit(engine);
-
-    // Advance to the next event: an arrival, a batching deadline, an
-    // elastic boundary (evaluation cadence or fault transition), or — when
-    // a batch is ready but every instance is busy — an instance freeing up.
-    double t_us = engine.next_event_us();
-    if (upcoming != nullptr) {
-      t_us = std::min(t_us, upcoming->arrival_us);
-    }
-    if (controller) {
-      t_us = std::min(t_us, controller->next_event_us(engine.now_us()));
-    }
-    // The controller's evaluation cadence stays finite after the work is
-    // done, so only a closed source and a drained engine end the loop; a
-    // live source with nothing received yet sleeps at +infinity to wake().
-    if (upcoming == nullptr && (engine.drained() || t_us == kInf)) break;
-    // Virtual time must advance strictly every iteration — an equal-time
-    // event would loop forever on exact readings. A steady clock, by
-    // contrast, keeps moving between calls, so the wall reading can
-    // legitimately overtake the event schedule; advance_to on a
-    // past deadline is then an immediate return and the next iteration
-    // processes whatever became due.
-    if (options.clock == ClockKind::kVirtual) {
-      FCAD_CHECK_MSG(t_us > engine.now_us() && t_us < kInf,
-                     "fleet: simulation time did not advance");
-    }
-    engine.advance_to(t_us);
-  }
-
-  ShardStats out = engine.take_stats();
-  FCAD_CHECK_MSG(out.completed == out.offered,
-                 "fleet: lost requests in flight");
-  return out;
-}
 
 // ------------------------------------------------- checkpoint format (v3) --
 // Raw fixed-width fields (serving/binary_io.hpp, like the sketch's own
@@ -604,10 +387,8 @@ Status validate_fleet_spec(const ServiceModel& service,
   return Status::ok();
 }
 
-/// Validates `spec` once for every entry point. `trace` is the materialized
-/// workload of a trace replay (partitioned here into the plan's per-shard
-/// slices), or nullptr for a streaming replay, whose workload is generated
-/// per shard from spec.workload.
+}  // namespace
+
 StatusOr<ReplayPlan> plan_replay(const ServiceModel& service,
                                  const ServeSpec& spec,
                                  const std::vector<Request>* trace) {
@@ -712,6 +493,8 @@ StatusOr<ReplayPlan> plan_replay(const ServiceModel& service,
   return plan;
 }
 
+namespace {
+
 /// Shard `shard`'s request stream: its slice of the trace (moved out of
 /// the plan — each shard runs once), or its own copy of the generated
 /// workload stream — memory O(users), never O(requests). The generator is
@@ -726,6 +509,74 @@ StatusOr<std::unique_ptr<RequestStream>> shard_stream(ReplayPlan& plan,
   }
   return make_request_stream(plan.workload, spec.scenario);
 }
+
+/// The ~20-tick progress cadence the shards of an observed replay share: a
+/// global completion count (resumed shards included) and the next tick's
+/// threshold.
+struct ProgressTicks {
+  void emit(std::int64_t step, double partial_tail) {
+    scope->emit({"fleet",
+                 static_cast<int>(std::min<std::int64_t>(step, 1LL << 30)),
+                 static_cast<int>(std::min<std::int64_t>(offered, 1LL << 30)),
+                 partial_tail});
+    last_emitted.store(step, std::memory_order_relaxed);
+  }
+
+  const util::RunScope* scope;
+  std::int64_t offered;
+  std::int64_t chunk;
+  std::atomic<std::int64_t> completed;
+  std::atomic<std::int64_t> next_at;
+  std::atomic<std::int64_t> last_emitted{-1};
+  std::mutex mutex;
+};
+
+/// run_shard's observer on a replay with a progress listener: counts the
+/// shard's completions into the shared ticks and keeps its partial tail — a
+/// TailTracker over its exact latencies, or the engine's own sketch in
+/// sketch mode (no O(expected) tracker reserve on billion-request runs).
+/// Due ticks fire after a dispatch; only they (~20 per replay) read the tail.
+class ProgressObserver : public ShardObserver {
+ public:
+  ProgressObserver(ProgressTicks& ticks, const FleetOptions& options,
+                   std::int64_t expected_requests)
+      : ticks_(ticks),
+        pct_(options.progress_tail_pct),
+        sketch_(options.latency_mode == LatencyMode::kSketch),
+        tail_(sketch_ ? 0 : expected_requests, pct_) {}
+
+  void on_start(const FleetEngine& engine) { engine_ = &engine; }
+  void on_batch(const Batch& batch, int, double, double finish_us) {
+    ticks_.completed.fetch_add(
+        static_cast<std::int64_t>(batch.requests.size()),
+        std::memory_order_relaxed);
+    if (sketch_) return;
+    for (const Request& r : batch.requests) tail_.add(finish_us - r.arrival_us);
+  }
+  void on_phase(ShardPhase phase) {
+    if (phase != ShardPhase::kDispatch) return;
+    const std::int64_t c = ticks_.completed.load(std::memory_order_relaxed);
+    if (c < ticks_.next_at.load(std::memory_order_relaxed)) return;
+    std::lock_guard<std::mutex> lock(ticks_.mutex);
+    if (c < ticks_.next_at.load(std::memory_order_relaxed)) return;  // lost
+    ticks_.emit(c, partial_tail());
+    ticks_.next_at.store((c / ticks_.chunk + 1) * ticks_.chunk,
+                         std::memory_order_relaxed);
+  }
+
+ private:
+  double partial_tail() const {
+    if (!sketch_) return tail_.partial();
+    const QuantileSketch& sketch = engine_->stats().latency_sketch;
+    return sketch.count() == 0 ? 0 : sketch.quantile(pct_);
+  }
+
+  ProgressTicks& ticks_;
+  double pct_;
+  bool sketch_;
+  TailTracker tail_;
+  const FleetEngine* engine_ = nullptr;
+};
 
 /// The exact final tail-percentile estimate for the terminal progress tick,
 /// computed from the per-shard streams BEFORE merge_shard_stats consumes
@@ -756,17 +607,13 @@ double final_tail_estimate(const std::vector<ShardStats>& shards,
   return tail.partial();
 }
 
-/// Runs the owned shard range of `plan`: resumes finished shards from the
-/// checkpoint, simulates the rest across the thread pool (checkpointing each
-/// as it finishes), folds cancellation, and merges the owned shards in
-/// shard-index order. A plan owning every shard returns the fleet-wide
-/// stats; a process-sharded one returns its owned shards' stats. `shed`,
-/// when set, receives the requests the admission gate refused.
+}  // namespace
+
 StatusOr<ServingStats> run_replay(ReplayPlan plan,
                                   const ServiceModel& service,
                                   const ServeSpec& spec,
                                   const util::RunScope* scope,
-                                  std::int64_t* shed = nullptr) {
+                                  std::int64_t* shed) {
   const FleetOptions& options = plan.options;
   const int num_shards = options.shards;
 
@@ -787,26 +634,26 @@ StatusOr<ServingStats> run_replay(ReplayPlan plan,
     }
   }
 
-  // Progress ticks (and the tail estimates they carry) are armed only for
-  // a scope with a listener; emit() would drop every event otherwise.
-  const bool observed = scope != nullptr && scope->observed();
-  ProgressSink sink;
-  sink.scope = scope;
-  sink.offered = plan.offered;
-  sink.chunk = observed ? std::max<std::int64_t>(1, plan.offered / 20) : 0;
   std::int64_t already_completed = 0;
   for (const auto& slot : slots) {
     if (slot) already_completed += slot->completed;
   }
-  sink.completed.store(already_completed);
-  sink.next_at.store(
-      sink.chunk > 0 ? (already_completed / sink.chunk + 1) * sink.chunk : 0);
+  // Progress — ticks, and the tail estimates they carry — is an observer
+  // that exists only for a scope with a listener: an unobserved replay runs
+  // the bare loop and tracks no tail.
+  const bool observed = scope != nullptr && scope->observed();
+  std::optional<ProgressTicks> ticks;
+  if (observed) {
+    const std::int64_t chunk = std::max<std::int64_t>(1, plan.offered / 20);
+    ticks.emplace(scope, plan.offered, chunk, already_completed,
+                  (already_completed / chunk + 1) * chunk);
+  }
 
   std::mutex slot_mutex;
   const int owned = plan.shard_hi - plan.shard_lo;
   std::vector<Status> shard_status(static_cast<std::size_t>(owned),
                                    Status::ok());
-  std::vector<std::int64_t> shard_shed(static_cast<std::size_t>(owned), 0);
+  std::vector<ShardTally> tallies(static_cast<std::size_t>(owned));
   auto run_one = [&](std::int64_t i) {
     const int s = plan.shard_lo + static_cast<int>(i);
     const auto index = static_cast<std::size_t>(s);
@@ -822,12 +669,16 @@ StatusOr<ServingStats> run_replay(ReplayPlan plan,
       return;
     }
     ShardSource source(std::move(stream).value(), s, num_shards);
-    const Request* first = source.peek();
+    const Request* first = source.peek(ShardObserver{});
     const std::unique_ptr<Clock> clock =
         make_clock(options.clock, first != nullptr ? first->arrival_us : 0);
+    ShardTally& tally = tallies[static_cast<std::size_t>(i)];
     auto result =
-        run_shard(service, source, *clock, plan, spec.elastic, s, expected,
-                  &sink, &shard_shed[static_cast<std::size_t>(i)]);
+        ticks ? run_shard(service, source, *clock, plan, spec.elastic, s,
+                          expected, scope, tally,
+                          ProgressObserver(*ticks, options, expected))
+              : run_shard(service, source, *clock, plan, spec.elastic, s,
+                          expected, scope, tally);
     if (Status fs = source.finish_status(); !fs.is_ok()) {
       status = fs;
       return;
@@ -868,9 +719,15 @@ StatusOr<ServingStats> run_replay(ReplayPlan plan,
     }
     return s;
   }
+  std::int64_t total_shed = 0;
+  std::int64_t total_completed = already_completed;
+  for (const ShardTally& tally : tallies) {
+    total_shed += tally.shed;
+    total_completed += tally.completed;
+  }
   if (cancelled) {
     return Status::cancelled("fleet replay cancelled after " +
-                             std::to_string(sink.completed.load()) + "/" +
+                             std::to_string(total_completed) + "/" +
                              std::to_string(plan.offered) + " requests");
   }
 
@@ -887,10 +744,8 @@ StatusOr<ServingStats> run_replay(ReplayPlan plan,
   // estimate even when it lands exactly at completed == offered, so only
   // the single-shard loop (whose tracker saw every sample) may skip the
   // terminal emit. Computed before the merge, which consumes the shards.
-  std::int64_t total_completed = 0;
-  for (const ShardStats& shard : shards) total_completed += shard.completed;
   const bool terminal_tick =
-      observed && (owned > 1 || sink.last_emitted.load() != total_completed);
+      observed && (owned > 1 || ticks->last_emitted.load() != total_completed);
   const double final_tail =
       terminal_tick ? final_tail_estimate(shards, total_completed, options)
                     : 0;
@@ -899,8 +754,6 @@ StatusOr<ServingStats> run_replay(ReplayPlan plan,
       merge_shard_stats(std::move(shards), service, options.sla_bound_us,
                         plan.provisioned_total, resumed);
 
-  const std::int64_t total_shed =
-      std::accumulate(shard_shed.begin(), shard_shed.end(), std::int64_t{0});
   FCAD_CHECK_MSG(stats.completed == stats.offered,
                  "fleet: lost requests in flight");
   if (owned == num_shards) {
@@ -909,12 +762,10 @@ StatusOr<ServingStats> run_replay(ReplayPlan plan,
   }
   if (shed != nullptr) *shed = total_shed;
 
-  if (terminal_tick) sink.emit(stats.completed, final_tail);
+  if (terminal_tick) ticks->emit(stats.completed, final_tail);
 
   return stats;
 }
-
-}  // namespace
 
 const char* to_string(DispatchPolicy policy) {
   switch (policy) {
@@ -947,62 +798,9 @@ StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
                                       const std::vector<Request>& requests,
                                       const ServeSpec& spec,
                                       const util::RunScope* scope) {
-  return simulate_fleet_admitted(service, requests, spec, 0, 0, nullptr,
-                                 scope);
-}
-
-StatusOr<ServingStats> simulate_fleet_admitted(
-    const ServiceModel& service, const std::vector<Request>& trace,
-    const ServeSpec& spec, int admission_window, double admission_headroom,
-    std::int64_t* shed, const util::RunScope* scope) {
-  // A checkpoint block carries no shed count, so admitted + shed could not
-  // balance over a resumed or process-sharded run.
-  if (admission_window > 0 && (!spec.fleet.checkpoint_path.empty() ||
-                               spec.fleet.process_count > 1)) {
-    return Status::invalid_argument(
-        std::string("daemon: admission_enabled cannot be combined with ") +
-        (spec.fleet.checkpoint_path.empty() ? "process_count > 1"
-                                            : "checkpoint_path"));
-  }
-  auto plan = plan_replay(service, spec, &trace);
+  auto plan = plan_replay(service, spec, &requests);
   if (!plan.is_ok()) return plan.status();
-  plan->admission_window = admission_window;
-  plan->admission_bound_us = admission_headroom * plan->options.sla_bound_us;
-  return run_replay(std::move(plan).value(), service, spec, scope, shed);
-}
-
-StatusOr<ServingStats> LiveSession::run(const ServiceModel& service,
-                                        const ServeSpec& spec, Clock& clock,
-                                        int admission_window,
-                                        double admission_headroom,
-                                        std::int64_t* shed_count) {
-  // An empty trace: the plan validates the spec and lays out the shard.
-  const std::vector<Request> no_trace;
-  auto plan = plan_replay(service, spec, &no_trace);
-  if (!plan.is_ok()) return plan.status();
-  const FleetOptions& options = plan->options;
-  // What a live session cannot honour is rejected by name, never dropped.
-  const char* unhonoured =
-      options.shards != 1 ? "shards != 1 (deploy one daemon per shard)"
-      : !options.checkpoint_path.empty() ? "checkpoint_path"
-      : options.clock != ClockKind::kSteady
-          ? "a virtual clock (run_trace replays virtual time)"
-          : nullptr;
-  if (unhonoured != nullptr) {
-    return Status::invalid_argument(
-        std::string("daemon: a live session cannot honour ") + unhonoured);
-  }
-  plan->admission_window = admission_window;
-  plan->admission_bound_us = admission_headroom * options.sla_bound_us;
-  if (Status s = start(); !s.is_ok()) return s;
-  ProgressSink sink;
-  auto shard = run_shard(service, *this, clock, *plan, spec.elastic, 0,
-                         /*expected_requests=*/0, &sink, shed_count);
-  if (!shard.is_ok()) return shard.status();
-  std::vector<ShardStats> shards;
-  shards.push_back(std::move(shard).value());
-  return merge_shard_stats(std::move(shards), service, options.sla_bound_us,
-                           plan->provisioned_total, 0);
+  return run_replay(std::move(plan).value(), service, spec, scope);
 }
 
 StatusOr<ServingStats> simulate_fleet_stream(const ServiceModel& service,

@@ -19,7 +19,7 @@
 // serialized atomically in the one binary checkpoint format (v3), and a
 // replay cancelled via RunControl resumes from the completed shards instead
 // of restarting. The trace, stream, and merge entry points below share one
-// validated replay plan and one shard runner.
+// validated replay plan and one shard loop (serving/shard_loop.hpp).
 #pragma once
 
 #include <string>
@@ -146,7 +146,9 @@ struct ServeSpec {
 /// ~20 "fleet" ProgressEvents over the replay, whose best_fitness field
 /// carries the *partial tail-latency estimate* (microseconds, exact
 /// nearest-rank at `progress_tail_pct` over the emitting shard's completions
-/// so far). Progress observation never changes the stats.
+/// so far). Progress is a write-only observer of the shard loop (run_shard,
+/// internal serving/shard_loop.hpp), created — with its tail tracking —
+/// only when a listener exists, so it never changes the stats.
 StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
                                       const std::vector<Request>& requests,
                                       const ServeSpec& spec,

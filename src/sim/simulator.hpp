@@ -38,8 +38,14 @@ struct BranchSimResult {
 
 struct StageSimStats {
   int stage = -1;
-  std::int64_t busy_cycles = 0;   ///< MAC-active cycles, one frame
-  std::int64_t stall_cycles = 0;  ///< waiting on inputs / DDR, one frame
+  /// row_cycles summed over every row of every H-partition slab of the
+  /// final DDR pass, divided by the frame count. The slabs run in parallel,
+  /// so this is engine-cycles across slabs, not the stage's per-frame span.
+  std::int64_t busy_cycles = 0;
+  /// Cycles rows waited on their producer's output, summed over slabs the
+  /// same way. Weight-fetch and previous-frame waits, DDR-bound row steps
+  /// and row/tile overheads are not counted.
+  std::int64_t stall_cycles = 0;
 };
 
 struct SimResult {

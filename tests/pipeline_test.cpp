@@ -358,6 +358,20 @@ TEST(ArtifactCacheTest, SpecChangeMissesTheCache) {
   EXPECT_NE(pipeline.artifact_cache_key(spec), other.artifact_cache_key(spec));
 }
 
+TEST(ArtifactCacheTest, TrafficKeyTracksTheLatencyMode) {
+  // Exact and sketch accounting score candidates on different p99 values,
+  // so a kTraffic artifact cached in one mode must never serve the other.
+  Pipeline pipeline(nn::zoo::avatar_decoder(), arch::platform_zu9cg());
+  dse::SearchSpec exact = fast_options().spec;
+  exact.kind = dse::SearchKind::kTraffic;
+  dse::SearchSpec sketch = exact;
+  sketch.traffic.fleet.latency_mode = serving::LatencyMode::kSketch;
+  ASSERT_FALSE(pipeline.artifact_cache_key(exact).empty());
+  ASSERT_FALSE(pipeline.artifact_cache_key(sketch).empty());
+  EXPECT_NE(pipeline.artifact_cache_key(exact),
+            pipeline.artifact_cache_key(sketch));
+}
+
 TEST(ArtifactCacheTest, UncacheableSpecsBypassTheCache) {
   Pipeline pipeline(nn::zoo::avatar_decoder(), arch::platform_zu9cg());
   dse::SearchSpec spec = fast_options().spec;

@@ -1,13 +1,18 @@
 // Compact golden forms of a serving run for bit-for-bit expectations: the
-// stats CSV row as one line, a 128-bit digest of the full stats text, and a
-// 128-bit digest of every per-request decision.
+// stats CSV row as one line, a 128-bit digest of the full stats text, a
+// 128-bit digest of every per-request decision, and the pinned sequence of
+// "fleet" progress ticks.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "serving/stats.hpp"
 #include "util/hash.hpp"
+#include "util/run_control.hpp"
 
 namespace fcad::serving {
 
@@ -43,6 +48,26 @@ inline std::string decisions_digest(const ServingStats& stats) {
     h.absorb_double(r.finish_us);
   }
   return h.hex();
+}
+
+/// One pinned "fleet" ProgressEvent: the completion count it reports, the
+/// offered total, and the partial tail estimate (best_fitness) it carries.
+struct FleetTick {
+  int step;
+  int total_steps;
+  double tail_us;
+};
+
+/// `events` are exactly the `pinned` fleet ticks, tail estimates bit for bit.
+inline void expect_fleet_ticks(const std::vector<util::ProgressEvent>& events,
+                               const std::vector<FleetTick>& pinned) {
+  ASSERT_EQ(events.size(), pinned.size());
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    EXPECT_EQ(events[i].stage, "fleet") << "tick " << i;
+    EXPECT_EQ(events[i].step, pinned[i].step) << "tick " << i;
+    EXPECT_EQ(events[i].total_steps, pinned[i].total_steps) << "tick " << i;
+    EXPECT_EQ(events[i].best_fitness, pinned[i].tail_us) << "tick " << i;
+  }
 }
 
 }  // namespace fcad::serving

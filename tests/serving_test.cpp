@@ -601,6 +601,30 @@ TEST(FleetTest, RunControlStreamsPartialPercentiles) {
     EXPECT_GE(events[i].step, events[i - 1].step);
   }
   EXPECT_DOUBLE_EQ(events.back().best_fitness, observed->latency.p99);
+  // The whole tick sequence, pinned: which completion counts tick and the
+  // exact partial tail each carries.
+  expect_fleet_ticks(
+      events, {{40, 748, 10000},
+               {74, 748, 11683.803571711745},
+               {112, 748, 15185.495979460655},
+               {148, 748, 15185.495979460655},
+               {186, 748, 15185.495979460655},
+               {224, 748, 14474.201945701469},
+               {259, 748, 14474.201945701469},
+               {297, 748, 14474.201945701469},
+               {334, 748, 14330.356241963629},
+               {370, 748, 14330.356241963629},
+               {408, 748, 14330.356241963629},
+               {444, 748, 14330.356241963629},
+               {483, 748, 14330.356241963629},
+               {519, 748, 14474.201945701469},
+               {555, 748, 15112.265649867128},
+               {594, 748, 15458.365155116422},
+               {630, 748, 15185.495979460655},
+               {666, 748, 15185.495979460655},
+               {705, 748, 15112.265649867128},
+               {740, 748, 15112.265649867128},
+               {748, 748, 15112.265649867128}});
 
   // Observation never changes the stats.
   auto unobserved = run_fleet(service, *workload, options);
@@ -949,6 +973,28 @@ TEST(FleetTest, ShardedProgressEndsWithExactGlobalTail) {
   }
   EXPECT_EQ(events.back().step, static_cast<int>(stats->completed));
   EXPECT_DOUBLE_EQ(events.back().best_fitness, stats->latency.p99);
+  // Pinned: shard-local in-loop estimates, then the exact global terminal.
+  expect_fleet_ticks(events, {{48, 974, 13127.042398011807},
+                              {97, 974, 13127.042398011807},
+                              {144, 974, 12939.664472018194},
+                              {192, 974, 12939.664472018194},
+                              {240, 974, 12927.435057131952},
+                              {288, 974, 12651.079038513082},
+                              {336, 974, 17444.147243533633},
+                              {384, 974, 13331.350805842492},
+                              {432, 974, 13596.894944895525},
+                              {481, 974, 13331.350805842492},
+                              {528, 974, 12359.584266264224},
+                              {576, 974, 13297.460358463926},
+                              {624, 974, 12925.967779925442},
+                              {672, 974, 12925.967779925442},
+                              {720, 974, 12925.967779925442},
+                              {769, 974, 12000},
+                              {816, 974, 12708.633172712638},
+                              {864, 974, 12480.711040492053},
+                              {912, 974, 12708.633172712638},
+                              {960, 974, 12999.447302240063},
+                              {974, 974, 13243.109885479615}});
 }
 
 namespace {
