@@ -6,6 +6,7 @@
 #include <cstring>
 #include <istream>
 #include <limits>
+#include <numeric>
 #include <ostream>
 #include <sstream>
 
@@ -65,6 +66,13 @@ double QuantileSketch::representative(std::int32_t index) const {
 }
 
 void QuantileSketch::add_bucket(std::int32_t index, std::int64_t n) {
+  // Inside the span (the steady state) nothing grows or folds; an index
+  // below lo_ wraps to a huge offset.
+  const auto offset = static_cast<std::size_t>(index - lo_);
+  if (offset < counts_.size()) {
+    counts_[offset] += n;
+    return;
+  }
   if (counts_.empty()) {
     lo_ = index;
     counts_.push_back(n);
@@ -72,40 +80,31 @@ void QuantileSketch::add_bucket(std::int32_t index, std::int64_t n) {
   }
   const std::int32_t hi = lo_ + static_cast<std::int32_t>(counts_.size()) - 1;
   if (index > hi) {
-    counts_.resize(static_cast<std::size_t>(counts_.size()) +
-                       static_cast<std::size_t>(index - hi),
-                   0);
-    counts_[static_cast<std::size_t>(index - lo_)] += n;
+    counts_.resize(counts_.size() + static_cast<std::size_t>(index - hi), 0);
+    counts_.back() += n;
     // A raised ceiling may push the span past the cap; fold everything
     // below the new floor into it. The floor position depends only on the
     // largest index ever seen, which keeps the state a pure function of
     // the value multiset.
     const std::int32_t floor = index - kMaxBuckets + 1;
     if (lo_ < floor) {
-      std::int64_t folded = 0;
-      const auto cut = static_cast<std::size_t>(floor - lo_);
-      for (std::size_t i = 0; i < cut; ++i) folded += counts_[i];
-      counts_.erase(counts_.begin(),
-                    counts_.begin() + static_cast<std::ptrdiff_t>(cut));
+      const auto cut = counts_.begin() + (floor - lo_);
+      const std::int64_t folded =
+          std::accumulate(counts_.begin(), cut, std::int64_t{0});
+      counts_.erase(counts_.begin(), cut);
       counts_.front() += folded;
       lo_ = floor;
       ++compactions_;
     }
     return;
   }
-  if (index < lo_) {
-    const std::int32_t floor = hi - kMaxBuckets + 1;
-    const std::int32_t target = std::max(index, floor);
-    if (target < lo_) {
-      counts_.insert(counts_.begin(),
-                     static_cast<std::size_t>(lo_ - target), 0);
-      lo_ = target;
-    }
-    counts_[static_cast<std::size_t>(target - lo_)] += n;
-    if (index < floor) ++compactions_;  // mass folded into the floor
-    return;
-  }
-  counts_[static_cast<std::size_t>(index - lo_)] += n;
+  // index < lo_: the span may grow down only as far as the floor the cap
+  // allows; mass below it folds into the floor bucket.
+  const std::int32_t target = std::max(index, hi - kMaxBuckets + 1);
+  counts_.insert(counts_.begin(), static_cast<std::size_t>(lo_ - target), 0);
+  lo_ = target;
+  counts_.front() += n;
+  if (index < target) ++compactions_;
 }
 
 void QuantileSketch::add(double v) {
@@ -144,9 +143,18 @@ Status QuantileSketch::merge(const QuantileSketch& other) {
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
   compactions_ += other.compactions_;
-  for (std::size_t i = 0; i < other.counts_.size(); ++i) {
-    if (other.counts_[i] == 0) continue;
-    add_bucket(other.lo_ + static_cast<std::int32_t>(i), other.counts_[i]);
+  // Inside this span a bucket adds in place (an empty one adds nothing);
+  // outside it, add_bucket grows or folds the span exactly as if other's
+  // nonzero buckets were added one by one in index order.
+  std::int32_t index = other.lo_;
+  for (std::int64_t n : other.counts_) {
+    const auto offset = static_cast<std::size_t>(index - lo_);
+    if (offset < counts_.size()) {
+      counts_[offset] += n;
+    } else if (n != 0) {
+      add_bucket(index, n);
+    }
+    ++index;
   }
   return Status::ok();
 }
@@ -161,12 +169,11 @@ double QuantileSketch::quantile(double pct) const {
   if (k >= count_) return max_;  // the top rank is tracked exactly
   std::int64_t cum = zero_count_;
   if (k <= cum) return 0;  // exact-zero prefix (queue waits hit this)
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i];
-    if (cum >= k) {
-      const double v = representative(lo_ + static_cast<std::int32_t>(i));
-      return std::min(std::max(v, min_), max_);
-    }
+  std::int32_t index = lo_;
+  for (std::int64_t n : counts_) {
+    cum += n;
+    if (cum >= k) return std::min(std::max(representative(index), min_), max_);
+    ++index;
   }
   return max_;  // unreachable when the invariants hold
 }
@@ -212,8 +219,8 @@ bool QuantileSketch::read_binary(std::istream& in, QuantileSketch& out) {
   if (n > static_cast<std::uint32_t>(kMaxBuckets)) return false;
   sketch.lo_ = static_cast<std::int32_t>(lo);
   sketch.counts_.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!get_raw(in, sketch.counts_[i])) return false;
+  for (std::int64_t& c : sketch.counts_) {
+    if (!get_raw(in, c)) return false;
   }
   out = std::move(sketch);
   return true;

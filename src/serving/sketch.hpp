@@ -27,9 +27,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "util/status.hpp"
 
@@ -128,7 +128,11 @@ class QuantileSketch {
   double max_ = 0;
   std::int64_t compactions_ = 0;
   std::int32_t lo_ = 0;  ///< index of counts_[0]; meaningless when empty
-  std::vector<std::int64_t> counts_;
+  /// Dense bucket span [lo_, lo_ + size). A deque because the span grows at
+  /// both ends: a new minimum prepends and a new maximum appends, each in
+  /// O(buckets added) with no reallocation, no copy of the existing buckets
+  /// and no 2x capacity slack (a vector shifts everything on a prepend).
+  std::deque<std::int64_t> counts_;
 };
 
 }  // namespace fcad::serving

@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <queue>
+#include <tuple>
 #include <utility>
 
 namespace fcad::serving {
@@ -37,14 +38,16 @@ struct ActivityWindows {
   }
 };
 
-/// The merged lazy generator behind every non-trace workload: per-user
-/// candidate streams (thinned by the scenario's acceptance rule when it
-/// shapes arrivals) folded through a min-heap in (arrival, user) order,
-/// with the branch fan-out and dense ids applied per popped frame event.
-/// Draw-for-draw identical to the materialized generators it replaced:
-/// each user's candidate and acceptance rngs are private to that user and
-/// consumed in per-user time order in both formulations, and a min-heap
-/// pop sequence over (t, user) pairs IS their lexicographic sort.
+/// The merged lazy generator behind every non-trace workload: each user's
+/// candidate stream is thinned by the scenario's acceptance rule (when it
+/// shapes arrivals) before it reaches a min-heap, which holds only each
+/// user's next accepted frame event and merges them in (arrival, user)
+/// order; the branch fan-out and dense ids apply per popped event. Each
+/// user's candidate and acceptance rngs are private to that user and
+/// consumed in per-user time order, so thinning per user draws exactly
+/// what thinning after the merge would, and a min-heap pop sequence over
+/// (t, user) pairs IS their lexicographic sort. The goldens in
+/// stream_test pin the resulting order.
 class GeneratedRequestStream final : public RequestStream {
  public:
   GeneratedRequestStream(const WorkloadOptions& options,
@@ -114,18 +117,12 @@ class GeneratedRequestStream final : public RequestStream {
         }
       }
     }
-    // A stream past its horizon can never emit again; keep it out of the
-    // heap so exhausted extra/churned users cost nothing.
-    for (int user = 0; user < total_users; ++user) {
-      UserEntry& entry = users_[static_cast<std::size_t>(user)];
-      const double t = entry.candidates.next(entry.horizon_us);
-      if (t < entry.horizon_us) heap_.push({t, user});
-    }
+    for (int user = 0; user < total_users; ++user) push_next_accepted(user);
   }
 
   std::optional<Request> next() override {
     if (target_ > 0 && emitted_ >= target_) return std::nullopt;
-    while (branch_ >= branches_) {  // current frame event fully fanned out
+    if (branch_ >= branches_) {  // current frame event fully fanned out
       if (heap_.empty()) {
         if (target_ > 0) {
           status_ = Status::invalid_argument(
@@ -134,17 +131,10 @@ class GeneratedRequestStream final : public RequestStream {
         }
         return std::nullopt;
       }
-      const auto [t_us, user] = heap_.top();
+      std::tie(event_t_us_, event_user_) = heap_.top();
       heap_.pop();
-      UserEntry& entry = users_[static_cast<std::size_t>(user)];
-      const bool accepted = accept(entry, t_us);
-      const double t = entry.candidates.next(entry.horizon_us);
-      if (t < entry.horizon_us) heap_.push({t, user});
-      if (accepted) {
-        event_t_us_ = t_us;
-        event_user_ = user;
-        branch_ = 0;
-      }
+      push_next_accepted(event_user_);
+      branch_ = 0;
     }
     Request r;
     r.id = emitted_++;
@@ -163,6 +153,21 @@ class GeneratedRequestStream final : public RequestStream {
     ActivityWindows activity;
     double horizon_us;  ///< retire bound: min(duration, last activity)
   };
+
+  /// Draws `user`'s candidates (and their acceptance draws) until one is
+  /// accepted and pushes only that one; a user whose next candidate is past
+  /// its horizon can never emit again and stays out of the heap.
+  void push_next_accepted(int user) {
+    UserEntry& entry = users_[static_cast<std::size_t>(user)];
+    for (;;) {
+      const double t = entry.candidates.next(entry.horizon_us);
+      if (t >= entry.horizon_us) return;
+      if (accept(entry, t)) {
+        heap_.push({t, user});
+        return;
+      }
+    }
+  }
 
   bool accept(UserEntry& entry, double t_us) {
     if (!thinned_) return true;

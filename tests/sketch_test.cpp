@@ -6,6 +6,7 @@
 // round trip while rejecting torn or foreign blocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <sstream>
@@ -148,6 +149,58 @@ TEST(SketchTest, BinaryRoundTripIsExactAndTornBlocksAreRejected) {
   std::istringstream foreign(bad);
   QuantileSketch out;
   EXPECT_FALSE(QuantileSketch::read_binary(foreign, out));
+}
+
+TEST(SketchTest, AddOrderNeverChangesTheBytes) {
+  // Ascending input grows the bucket span only at its top, descending only
+  // at its bottom; both must land on the shuffled input's exact state.
+  std::vector<double> values = lognormal_samples(kSeed, 20'000);
+  values.push_back(0);
+  std::sort(values.begin(), values.end());
+  auto sketch_of = [](const std::vector<double>& in) {
+    QuantileSketch s(kSeed);
+    for (double v : in) s.add(v);
+    return s;
+  };
+  const QuantileSketch ascending = sketch_of(values);
+  std::vector<double> order(values.rbegin(), values.rend());
+  const QuantileSketch descending = sketch_of(order);
+  std::shuffle(order.begin(), order.end(), std::mt19937_64(kSeed));
+  const QuantileSketch shuffled = sketch_of(order);
+  EXPECT_EQ(ascending.compactions(), 0);
+  EXPECT_EQ(descending.to_bytes(), ascending.to_bytes());
+  EXPECT_EQ(shuffled.to_bytes(), ascending.to_bytes());
+}
+
+TEST(SketchTest, SpanPastTheCapFoldsTheSameFromEitherEnd) {
+  // One sample per bucket over kMaxBuckets + kOver buckets. Growing the
+  // span upwards folds its bottom bucket into the floor once per new top
+  // bucket; growing it downwards folds each sample below the floor as it
+  // arrives. Either way the floor holds kOver + 1 samples after kOver
+  // compactions.
+  constexpr int kOver = 100;
+  const double log_gamma = std::log((1 + QuantileSketch::kDefaultAlpha) /
+                                    (1 - QuantileSketch::kDefaultAlpha));
+  const int first = static_cast<int>(std::floor(std::log(1e-3) / log_gamma));
+  std::vector<double> ladder;
+  for (int i = first; i < first + QuantileSketch::kMaxBuckets + kOver; ++i) {
+    ladder.push_back(std::exp((i - 0.5) * log_gamma));  // mid-bucket
+  }
+  QuantileSketch from_below(kSeed);
+  for (double v : ladder) from_below.add(v);
+  QuantileSketch from_above(kSeed);
+  for (auto it = ladder.rbegin(); it != ladder.rend(); ++it) {
+    from_above.add(*it);
+  }
+  EXPECT_EQ(from_below.compactions(), kOver);
+  EXPECT_EQ(from_above.compactions(), kOver);
+  EXPECT_EQ(from_below.buckets(), QuantileSketch::kMaxBuckets);
+  EXPECT_EQ(from_above.to_bytes(), from_below.to_bytes());
+  // The folded state round-trips through the binary encoding.
+  std::istringstream in(from_below.to_bytes());
+  QuantileSketch loaded;
+  ASSERT_TRUE(QuantileSketch::read_binary(in, loaded));
+  EXPECT_EQ(loaded.to_bytes(), from_below.to_bytes());
 }
 
 TEST(SketchTest, SeedDerivationIsStableAndFingerprintBound) {

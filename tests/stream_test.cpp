@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -23,6 +25,7 @@
 #include "serving/stream.hpp"
 #include "serving/workload.hpp"
 #include "serving_goldens.hpp"
+#include "util/hash.hpp"
 #include "util/run_control.hpp"
 #include "util/status.hpp"
 
@@ -123,6 +126,109 @@ TEST(StreamTest, StreamMatchesGeneratorsDrawForDraw) {
       expect_same_trace(*generated_d, *drained_d);
     }
   }
+}
+
+/// Count, arrival sum and 64-bit digest of (id, user, branch, arrival bits)
+/// over every request `stream` yields until it ends.
+struct StreamDigest {
+  std::int64_t count = 0;
+  double arrival_sum = 0;
+  std::uint64_t hash = 0;
+};
+
+StreamDigest digest_stream(RequestStream& stream) {
+  StreamDigest d;
+  util::Hash128 h;
+  while (std::optional<Request> r = stream.next()) {
+    ++d.count;
+    d.arrival_sum += r->arrival_us;
+    h.absorb(static_cast<std::uint64_t>(r->id));
+    h.absorb(static_cast<std::uint64_t>(r->user));
+    h.absorb(static_cast<std::uint64_t>(r->branch));
+    h.absorb_double(r->arrival_us);
+  }
+  d.hash = h.lo ^ h.hi;
+  return d;
+}
+
+StreamDigest digest_of(const WorkloadOptions& wl,
+                       const ScenarioSpec& scenario) {
+  auto stream = make_request_stream(wl, scenario);
+  EXPECT_TRUE(stream.is_ok());
+  if (!stream.is_ok()) return {};
+  const StreamDigest d = digest_stream(**stream);
+  EXPECT_TRUE((*stream)->finish_status().is_ok());
+  return d;
+}
+
+void expect_digest(const StreamDigest& got, std::int64_t count,
+                   double arrival_sum, std::uint64_t hash) {
+  EXPECT_EQ(got.count, count);
+  EXPECT_EQ(got.arrival_sum, arrival_sum)
+      << std::setprecision(17) << got.arrival_sum;
+  EXPECT_EQ(got.hash, hash) << std::hex << "0x" << got.hash;
+}
+
+TEST(StreamTest, ShapedStreamsMatchPinnedGoldens) {
+  // Pinned output of the thinned generator, independent of the generator
+  // itself (the materialized entry points drain this same stream, so only
+  // goldens can catch a change in the seeded draw or merge order).
+  {
+    // perfbench's replay_stream_drift shape: four diurnal periods over the
+    // replay span, a 1.5x flash crowd with 4 extra users in each.
+    WorkloadOptions wl;
+    wl.users = 8;
+    wl.branches = 3;
+    wl.target_requests = 20000;
+    const double span_s = 20000.0 / (8 * 30.0 * 3.0);
+    ScenarioSpec drift;
+    drift.diurnal.period_s = span_s / 4;
+    drift.diurnal.amplitude = 0.6;
+    for (int k = 0; k < 4; ++k) {
+      const double start = span_s * (0.1 + 0.25 * k);
+      drift.flash.push_back({start, start + span_s / 40, 1.5, 4});
+    }
+    SCOPED_TRACE("drift");
+    expect_digest(digest_of(wl, drift), 20000, 225436840423.28546,
+                  0xaf0530c36cc0aeb3ULL);
+  }
+  {
+    // Churn alone thins (peak 1) a bursty process; user 4 leaves and
+    // rejoins.
+    WorkloadOptions wl = stream_workload(6000, 9);
+    wl.process = ArrivalProcess::kBursty;
+    ScenarioSpec churn;
+    churn.churn = {{1, 0.3, 1.2}, {4, 0.0, 0.8}, {4, 1.5, 3.0}};
+    SCOPED_TRACE("churn + bursty");
+    expect_digest(digest_of(wl, churn), 6000, 49522305556.52565,
+                  0x2271594ac9782a68ULL);
+  }
+  {
+    WorkloadOptions wl = stream_workload(0, 3);
+    wl.duration_s = 3.0;
+    SCOPED_TRACE("duration-bounded");
+    expect_digest(digest_of(wl, shaped_scenario()), 2332, 3032470912.0751071,
+                  0x9b586b43a50e35cbULL);
+  }
+}
+
+TEST(StreamTest, UnreachableTargetEndsAtPinnedRequest) {
+  // Every user churns out by 1 s, far short of the target: the stream must
+  // end after the last accepted event and report why.
+  WorkloadOptions wl = stream_workload(100000, 5);
+  wl.users = 3;
+  ScenarioSpec spec;
+  spec.churn = {{0, 0.0, 1.0}, {1, 0.2, 0.9}, {2, 0.0, 0.5}};
+  auto stream = make_request_stream(wl, spec);
+  ASSERT_TRUE(stream.is_ok());
+  expect_digest(digest_stream(**stream), 156, 75841081.865011945,
+                0xcc1215c8756a2aaULL);
+  const Status status = (*stream)->finish_status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("target_requests unreachable"),
+            std::string::npos)
+      << status.message();
+  EXPECT_FALSE((*stream)->next().has_value()) << "an ended stream stays ended";
 }
 
 TEST(StreamTest, ScenarioStreamMatchesScenarioGenerator) {
