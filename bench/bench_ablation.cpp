@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
     TablePrinter t({"alpha", "branch FPS", "min FPS", "fitness"});
     for (double alpha : {0.0, 0.05, 0.5, 5.0}) {
       dse::SearchSpec spec = base_spec();
-      spec.search.fitness.alpha = alpha;
+      spec.search.objective = dse::Objective::batch_fitness({.alpha = alpha});
       const dse::SearchResult result = run_search(spec);
       t.add_row({format_fixed(alpha, 2), fps_cell(result.eval),
                  format_fixed(result.eval.min_fps, 1),

@@ -113,37 +113,11 @@ DistributionEval evaluate_distribution(const arch::ReorganizedModel& model,
                    budget.bw, static_cast<int>(budget.l))) {
     ++unmet;
   }
-  std::vector<double> fps;
-  fps.reserve(eval.branches.size());
-  for (const arch::BranchEval& be : eval.branches) fps.push_back(be.fps);
-  if (opt.objective.empty()) {
-    ce.fitness = fitness_score(fps, cust.priorities, unmet, opt.fitness);
-  } else {
-    ObjectiveInput input;
-    input.fps = std::move(fps);
-    input.priorities = cust.priorities;
-    input.unmet_targets = unmet;
-    input.min_fps = eval.min_fps;
-    input.dsps = eval.dsps;
-    input.brams = eval.brams;
-    input.bw_gbps = eval.bw_gbps;
-    input.accuracy_proxy = eval.accuracy_proxy;
-    ce.fitness = opt.objective.score(input);
-  }
+  ce.fitness =
+      opt.objective.score(objective_input(eval, cust.priorities, unmet));
   ce.feasible = unmet == 0;
   if (cache) cache->insert(key, {ce.fitness, ce.feasible});
   return ce;
-}
-
-DistributionEval evaluate_distribution(const arch::ReorganizedModel& model,
-                                       const ResourceBudget& budget,
-                                       const ResourceDistribution& rd,
-                                       const Customization& cust,
-                                       const CrossBranchOptions& opt,
-                                       SearchTrace& trace) {
-  return evaluate_distribution(
-      model, build_branch_tables(model, cust.resolved_datapath()), budget, rd,
-      cust, opt, trace);
 }
 
 SearchResult cross_branch_search(const arch::ReorganizedModel& model,

@@ -14,7 +14,6 @@
 
 #include "arch/evaluate.hpp"
 #include "dse/design_space.hpp"
-#include "dse/fitness.hpp"
 #include "dse/in_branch.hpp"
 #include "dse/objective.hpp"
 #include "dse/run_control.hpp"
@@ -30,7 +29,6 @@ struct CrossBranchOptions {
   /// bit-identical for any value: RNG streams are drawn outside the parallel
   /// region and reductions happen in candidate order.
   int threads = 0;
-  FitnessParams fitness;
   /// Attraction weights toward the candidate's local best and the global
   /// best (each scaled by an independent U[0,1) draw per move).
   double w_local = 0.7;
@@ -41,11 +39,11 @@ struct CrossBranchOptions {
   arch::EvalMode eval_mode = arch::EvalMode::kAnalytical;
   /// Accelerator clock (from the target platform).
   double freq_mhz = 200.0;
-  /// Candidate objective. Empty scores the legacy fitness_score() with
-  /// `fitness` (bit-identical to Objective::batch_fitness(fitness)); a
-  /// non-empty composition replaces it for this search and for every
-  /// registered strategy (dse/strategy.hpp).
-  Objective objective;
+  /// Candidate objective, the one fitness of this search and of every
+  /// registered strategy (dse/strategy.hpp). Defaults to the paper's batch
+  /// fitness; the variance weight alpha is set here, through
+  /// Objective::batch_fitness({.alpha = ...}). Must not be empty.
+  Objective objective = Objective::batch_fitness();
   /// Stage name used in ProgressEvents emitted by this search.
   std::string progress_label = "search";
 };
@@ -114,14 +112,6 @@ DistributionEval evaluate_distribution(const arch::ReorganizedModel& model,
                                        const CrossBranchOptions& options,
                                        SearchTrace& trace,
                                        FitnessCache* cache = nullptr);
-
-/// As above, building the branch tables for this one call.
-DistributionEval evaluate_distribution(const arch::ReorganizedModel& model,
-                                       const ResourceBudget& budget,
-                                       const ResourceDistribution& rd,
-                                       const Customization& customization,
-                                       const CrossBranchOptions& options,
-                                       SearchTrace& trace);
 
 /// The demand-proportional warm-start distribution used to seed Algorithm
 /// 1's swarm (compute ∝ owned MACs x batch, memory ∝ minimum-parallelism

@@ -4,19 +4,9 @@ namespace fcad::dse {
 namespace {
 
 ObjectiveInput input_from_search(const SearchResult& result) {
-  ObjectiveInput input;
-  input.fps.reserve(result.eval.branches.size());
-  for (const arch::BranchEval& be : result.eval.branches) {
-    input.fps.push_back(be.fps);
-  }
-  input.priorities.assign(input.fps.size(), 1.0);
-  input.unmet_targets = result.feasible ? 0 : 1;
-  input.min_fps = result.eval.min_fps;
-  input.dsps = result.eval.dsps;
-  input.brams = result.eval.brams;
-  input.bw_gbps = result.eval.bw_gbps;
-  input.accuracy_proxy = result.eval.accuracy_proxy;
-  return input;
+  return objective_input(result.eval,
+                         std::vector<double>(result.eval.branches.size(), 1.0),
+                         result.feasible ? 0 : 1);
 }
 
 }  // namespace

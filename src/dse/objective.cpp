@@ -2,10 +2,38 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
+#include "arch/evaluate.hpp"
 #include "util/status.hpp"
 
 namespace fcad::dse {
+
+double variance(const std::vector<double>& values) {
+  if (values.empty()) return 0.0;
+  double mean = 0;
+  for (double v : values) mean += v;
+  mean /= static_cast<double>(values.size());
+  double var = 0;
+  for (double v : values) var += (v - mean) * (v - mean);
+  return var / static_cast<double>(values.size());
+}
+
+ObjectiveInput objective_input(const arch::AcceleratorEval& eval,
+                               std::vector<double> priorities,
+                               int unmet_targets) {
+  ObjectiveInput input;
+  input.fps.reserve(eval.branches.size());
+  for (const arch::BranchEval& be : eval.branches) input.fps.push_back(be.fps);
+  input.priorities = std::move(priorities);
+  input.unmet_targets = unmet_targets;
+  input.min_fps = eval.min_fps;
+  input.dsps = eval.dsps;
+  input.brams = eval.brams;
+  input.bw_gbps = eval.bw_gbps;
+  input.accuracy_proxy = eval.accuracy_proxy;
+  return input;
+}
 
 Objective& Objective::add(std::string name, double weight, TermFn value) {
   FCAD_CHECK_MSG(static_cast<bool>(value), "Objective term '" + name +
@@ -107,8 +135,8 @@ Objective::Term Objective::sla_violations() {
 }
 
 Objective Objective::batch_fitness(const FitnessParams& params) {
-  // Same accumulation order as fitness_score(): weighted-FPS sum, minus the
-  // variance penalty, minus the infeasibility demerits.
+  // Weighted-FPS sum, minus the variance penalty, minus the infeasibility
+  // demerits.
   Objective objective;
   Term t = throughput();
   objective.add(t.name, 1.0, t.value);
@@ -120,8 +148,7 @@ Objective Objective::batch_fitness(const FitnessParams& params) {
 }
 
 Objective Objective::sla(const SlaParams& params) {
-  // Same accumulation order as sla_fitness_score(): users, plus the headroom
-  // shaping, minus the violation mass.
+  // Users, plus the headroom shaping, minus the violation mass.
   Objective objective;
   Term t = users_served();
   objective.add(t.name, 1.0, t.value);

@@ -1,13 +1,13 @@
-// dse::Objective — the pluggable, composable optimization objective of the
-// unified search API. An Objective is an ordered list of weighted terms
-// (throughput, resource balance, feasibility, SLA terms, ...) scored against
-// an ObjectiveInput; every SearchDriver entry point optimizes one Objective,
-// so custom scenarios plug in a new composition instead of a new engine
-// function.
+// dse::Objective — the one fitness of every search (Algorithm 1, line 12):
+// an ordered list of weighted terms (throughput, resource balance,
+// feasibility, SLA terms, ...) scored against an ObjectiveInput. Every
+// candidate of every SearchKind is scored through Objective::score, so
+// custom scenarios plug in a new composition instead of a new engine
+// function. The paper's S(Perf, U) - alpha * Var(Perf), with a demerit per
+// missed batch target, is the canned composition batch_fitness().
 //
-// Floating-point contract: terms accumulate in insertion order, so the
-// canned compositions `batch_fitness()` and `sla()` reproduce the legacy
-// fitness_score() / sla_fitness_score() values bit-for-bit (pinned by
+// Floating-point contract: terms accumulate in insertion order, so a
+// composition's score is reproducible bit for bit (pinned by
 // objective_test.cpp).
 #pragma once
 
@@ -15,9 +15,35 @@
 #include <string>
 #include <vector>
 
-#include "dse/fitness.hpp"
+namespace fcad::arch {
+struct AcceleratorEval;
+}  // namespace fcad::arch
 
 namespace fcad::dse {
+
+/// Weights of the batch fitness S(Perf, U) - alpha * Var(Perf), with a
+/// large constant demerit per branch that missed its batch target so
+/// infeasible candidates still rank against each other but never beat a
+/// feasible one.
+struct FitnessParams {
+  double alpha = 0.05;              ///< variance penalty weight
+  double infeasible_demerit = 1e7;  ///< per branch missing its batch target
+};
+
+/// SLA-aware serving objective: maximize users served subject to a tail
+/// latency bound (the telepresence SLA — every stream decoded within its
+/// frame budget at p99). Users dominate; a sub-unit latency bonus breaks
+/// ties among configs serving the same user count; any p99 overshoot or
+/// violation mass is penalized hard enough that a config meeting the bound
+/// always beats one that misses it.
+struct SlaParams {
+  double p99_bound_us = 33333.3;    ///< one 30 Hz frame period
+  double over_bound_demerit = 1e6;  ///< per unit of relative p99 overshoot
+  double violation_weight = 1e3;    ///< per unit of SLA-violation rate
+};
+
+/// Population variance of `values` (sigma^2 of Sec. VI-B).
+double variance(const std::vector<double>& values);
 
 /// Everything a scored candidate exposes to the objective. The hardware
 /// fields are always filled by the search; the serving fields only by
@@ -43,6 +69,14 @@ struct ObjectiveInput {
   double p99_latency_us = 0;       ///< serving tail latency
   double sla_violation_rate = 0;   ///< fraction of requests over the bound
 };
+
+/// The hardware half of an ObjectiveInput, read off an evaluated
+/// configuration: per-branch FPS and the resource totals. `priorities` are
+/// per-branch; `unmet_targets` counts branches that missed their batch
+/// target (+1 when the global budget is blown). Serving fields stay unset.
+ObjectiveInput objective_input(const arch::AcceleratorEval& eval,
+                               std::vector<double> priorities,
+                               int unmet_targets);
 
 class Objective {
  public:
@@ -82,17 +116,16 @@ class Objective {
   /// means a more accurate datapath.
   static Term accuracy_proxy();  ///< -accuracy penalty
   static Term users_served(); ///< served user streams
-  /// Sub-unit tie-break bonus within the bound, hard demerit over it
-  /// (the piecewise headroom shaping of sla_fitness_score).
+  /// Sub-unit tie-break bonus within the bound, hard demerit over it.
   static Term latency_headroom(const SlaParams& params);
   static Term sla_violations(); ///< -violation rate (weight carries the scale)
 
-  // ---- canned compositions (legacy equivalents, bit-for-bit) -------------
-  /// throughput + alpha*balance + demerit*feasibility
-  /// == fitness_score(fps, priorities, unmet_targets, params).
+  // ---- canned compositions ----------------------------------------------
+  /// throughput + alpha*balance + demerit*feasibility: the paper's fitness
+  /// and the default of every hardware search.
   static Objective batch_fitness(const FitnessParams& params = {});
-  /// users + headroom + violation_weight*violations
-  /// == sla_fitness_score(users, p99, rate, params).
+  /// users + headroom + violation_weight*violations: the default serving
+  /// score of kTraffic.
   static Objective sla(const SlaParams& params = {});
 
  private:

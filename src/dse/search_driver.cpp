@@ -50,9 +50,10 @@ StatusOr<SearchOutcome> SearchDriver::run(const SearchSpec& spec) const {
   CrossBranchOptions options = spec.search;
   options.freq_mhz = platform_.freq_mhz;
   options.threads = scope.threads(spec.search.threads);
-  // kTraffic scores *serving* candidates with the spec objective; its inner
-  // hardware searches keep the batch-fitness default.
-  if (spec.kind != SearchKind::kTraffic) {
+  // An empty spec objective keeps the kind's default. kTraffic scores
+  // *serving* candidates with the spec objective; its inner hardware
+  // searches keep the `search.objective` batch fitness.
+  if (spec.kind != SearchKind::kTraffic && !spec.objective.empty()) {
     options.objective = spec.objective;
   }
 
@@ -485,17 +486,8 @@ StatusOr<SearchOutcome> SearchDriver::run_traffic(
       // requested count.
     }
 
-    ObjectiveInput input;
-    input.fps.reserve(search.eval.branches.size());
-    for (const arch::BranchEval& be : search.eval.branches) {
-      input.fps.push_back(be.fps);
-    }
-    input.priorities = cust.priorities;
-    input.min_fps = search.eval.min_fps;
-    input.dsps = search.eval.dsps;
-    input.brams = search.eval.brams;
-    input.bw_gbps = search.eval.bw_gbps;
-    input.accuracy_proxy = search.eval.accuracy_proxy;
+    ObjectiveInput input =
+        objective_input(search.eval, cust.priorities, /*unmet_targets=*/0);
     input.has_serving = true;
     input.users_served = users_served;
     input.p99_latency_us = stats.latency.p99;

@@ -117,11 +117,11 @@ struct SearchSpec {
   /// Swarm parameters. `freq_mhz` and `threads` are resolved by the driver
   /// (from the platform and `control`, respectively).
   CrossBranchOptions search;
-  /// Candidate objective. Empty uses the kind's default: batch fitness
-  /// (== legacy fitness_score) everywhere except kTraffic, whose serving
-  /// candidates score with Objective::sla (== legacy sla_fitness_score).
-  /// For kTraffic a non-empty objective replaces the *serving* score; the
-  /// inner hardware searches keep the batch-fitness default.
+  /// Candidate objective. Empty uses the kind's default: `search.objective`
+  /// (Objective::batch_fitness() unless set) everywhere except kTraffic,
+  /// whose serving candidates score with Objective::sla at
+  /// `fleet.sla_bound_us`. For kTraffic a non-empty objective replaces the
+  /// *serving* score; the inner hardware searches keep `search.objective`.
   Objective objective;
   /// Progress observer, cancellation token, deadline, thread override.
   RunControl control;

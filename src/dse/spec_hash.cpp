@@ -14,20 +14,28 @@ void absorb_customization(util::Hash128& h, const Customization& cust) {
   for (double p : cust.priorities) h.absorb_double(p);
 }
 
+// Term names and exact weights, not describe(): its %g weights would let two
+// objectives a few ulps apart share a key. A term's value function cannot be
+// hashed; its name stands for it.
+void absorb_objective(util::Hash128& h, const Objective& objective) {
+  h.absorb(objective.terms().size());
+  for (const Objective::Term& term : objective.terms()) {
+    h.absorb_string(term.name);
+    h.absorb_double(term.weight);
+  }
+}
+
 void absorb_options(util::Hash128& h, const CrossBranchOptions& opt) {
   h.absorb(static_cast<std::uint64_t>(opt.iterations));
   h.absorb(static_cast<std::uint64_t>(opt.population));
   h.absorb(opt.seed);
-  h.absorb_double(opt.fitness.alpha);
-  h.absorb_double(opt.fitness.infeasible_demerit);
   h.absorb_double(opt.w_local);
   h.absorb_double(opt.w_global);
   h.absorb_double(opt.jitter);
   h.absorb(static_cast<std::uint64_t>(opt.eval_mode));
   // freq_mhz and threads are resolved by the driver (platform / RunControl)
-  // and never change results; progress_label is cosmetic. The objective
-  // hashes by description — term names and weights.
-  h.absorb_string(opt.objective.empty() ? "" : opt.objective.describe());
+  // and never change results; progress_label is cosmetic.
+  absorb_objective(h, opt.objective);
 }
 
 void absorb_traffic(util::Hash128& h, const TrafficSpec& traffic) {
@@ -70,7 +78,7 @@ util::Hash128 spec_hash(const SearchSpec& spec) {
   h.absorb_string(spec.strategy.empty() ? kDefaultStrategy : spec.strategy);
   absorb_customization(h, spec.customization);
   absorb_options(h, spec.search);
-  h.absorb_string(spec.objective.empty() ? "" : spec.objective.describe());
+  absorb_objective(h, spec.objective);
   switch (spec.kind) {
     case SearchKind::kOptimize:
       break;

@@ -4,16 +4,17 @@
 // SearchArtifact can stand in for re-running the search.
 //
 // The hash covers every field that influences results — kind, strategy
-// name, customization, swarm options (including the seed and fitness
-// weights), the kind-specific payloads (traffic/sweep/batch/convergence) —
-// and deliberately excludes fields that do not: RunControl (threads never
-// change results; progress observers are pure observers) and the
-// progress_label. Two caveats the caller owns:
+// name, customization, swarm options (including the seed and the
+// objective's weights), the kind-specific payloads
+// (traffic/sweep/batch/convergence) — and deliberately excludes fields that
+// do not: RunControl (threads never change results; progress observers are
+// pure observers) and the progress_label. Two caveats the caller owns:
 //   * a RunControl deadline makes results timing-dependent — Pipeline skips
 //     the artifact cache for deadline-bearing specs;
-//   * a custom Objective hashes by its describe() string (term names +
-//     weights); two different TermFns with identical descriptions would
-//     collide, so describe custom terms distinctly.
+//   * an Objective hashes by its term names and exact weights; two
+//     different TermFns under the same name would collide, so name custom
+//     terms distinctly. Parameters a term captures (latency_headroom's
+//     SlaParams) are not hashed either.
 #pragma once
 
 #include "dse/search_driver.hpp"

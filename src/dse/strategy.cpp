@@ -380,6 +380,7 @@ SearchResult run_strategy(Strategy& strategy, const StrategyContext& ctx,
                           const RunScope* scope) {
   const CrossBranchOptions& options = ctx.options;
   FCAD_CHECK(options.population >= 1 && options.iterations >= 1);
+  FCAD_CHECK(!options.objective.empty());
   FCAD_CHECK(ctx.customization.batch_sizes.size() ==
              static_cast<std::size_t>(ctx.model.num_branches()));
   const auto t0 = std::chrono::steady_clock::now();

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "arch/platform.hpp"
-#include "dse/fitness.hpp"
 #include "dse/in_branch.hpp"
+#include "dse/objective.hpp"
 #include "dse/search_driver.hpp"
 #include "dse/spec_hash.hpp"
 #include "nn/builder.hpp"
@@ -85,6 +85,25 @@ TEST(SpecHashTest, DefaultDatapathHashesLikeExplicitPipelinedInt8) {
   EXPECT_NE(spec_hash(implicit).hex(), spec_hash(int16).hex());
 }
 
+TEST(SpecHashTest, ObjectiveWeightsHashExactly) {
+  // Two alphas that print alike under %g must still key apart, whether the
+  // objective is set on the spec or on the search options.
+  SearchSpec a;
+  a.objective = Objective::batch_fitness({.alpha = 0.05});
+  SearchSpec b;
+  b.objective = Objective::batch_fitness({.alpha = 0.05000001});
+  ASSERT_EQ(a.objective.describe(), b.objective.describe());
+  EXPECT_NE(spec_hash(a).hex(), spec_hash(b).hex());
+
+  SearchSpec c;
+  c.search.objective = Objective::batch_fitness({.alpha = 0.05});
+  SearchSpec d;
+  d.search.objective = Objective::batch_fitness({.alpha = 0.05000001});
+  EXPECT_NE(spec_hash(c).hex(), spec_hash(d).hex());
+  // The same weights hash alike.
+  EXPECT_EQ(spec_hash(c).hex(), spec_hash(SearchSpec{}).hex());
+}
+
 TEST(CustomizationTest, BadDatapathRejected) {
   Customization c;
   c.datapath = "systolic-int8";
@@ -128,24 +147,32 @@ TEST(FitnessTest, VarianceHandValue) {
 
 TEST(FitnessTest, PriorityWeightedSum) {
   // alpha = 0 isolates S = sum fps_j * P_j.
-  FitnessParams p;
-  p.alpha = 0;
-  EXPECT_DOUBLE_EQ(fitness_score({10, 20}, {1, 2}, 0, p), 50.0);
+  ObjectiveInput input;
+  input.fps = {10, 20};
+  input.priorities = {1, 2};
+  EXPECT_DOUBLE_EQ(Objective::batch_fitness({.alpha = 0}).score(input), 50.0);
 }
 
 TEST(FitnessTest, VariancePenaltyPrefersBalance) {
-  FitnessParams p;
-  p.alpha = 1.0;
-  const double balanced = fitness_score({30, 30}, {1, 1}, 0, p);
-  const double skewed = fitness_score({10, 50}, {1, 1}, 0, p);
-  EXPECT_GT(balanced, skewed);  // same sum, lower variance wins
+  const Objective objective = Objective::batch_fitness({.alpha = 1.0});
+  ObjectiveInput balanced;
+  balanced.fps = {30, 30};
+  balanced.priorities = {1, 1};
+  ObjectiveInput skewed = balanced;
+  skewed.fps = {10, 50};
+  // same sum, lower variance wins
+  EXPECT_GT(objective.score(balanced), objective.score(skewed));
 }
 
 TEST(FitnessTest, InfeasibleNeverBeatsFeasible) {
-  FitnessParams p;
-  const double feasible = fitness_score({1, 1, 1}, {1, 1, 1}, 0, p);
-  const double infeasible = fitness_score({1000, 1000, 1000}, {1, 1, 1}, 1, p);
-  EXPECT_GT(feasible, infeasible);
+  const Objective objective = Objective::batch_fitness();
+  ObjectiveInput feasible;
+  feasible.fps = {1, 1, 1};
+  feasible.priorities = {1, 1, 1};
+  ObjectiveInput infeasible = feasible;
+  infeasible.fps = {1000, 1000, 1000};
+  infeasible.unmet_targets = 1;
+  EXPECT_GT(objective.score(feasible), objective.score(infeasible));
 }
 
 // ------------------------------------------------------------ in-branch --

@@ -1,9 +1,10 @@
-// dse::Objective: term composition, and the bit-for-bit equivalence of the
-// canned compositions with the legacy fitness_score / sla_fitness_score —
-// the contract that lets the unified driver replace the old entry points
-// without changing a single search result.
+// dse::Objective: term composition, and the canned compositions pinned bit
+// for bit — every search scores through Objective::score, so a drift in
+// these scores would change every search result.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "arch/platform.hpp"
@@ -15,8 +16,21 @@
 namespace fcad::dse {
 namespace {
 
-TEST(ObjectiveTest, BatchFitnessMatchesLegacyBitForBit) {
+// FNV-1a-style fold of a score's bit pattern into a running 64-bit digest.
+std::uint64_t fold_bits(std::uint64_t digest, double score) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &score, sizeof bits);
+  return (digest ^ bits) * 0x100000001b3ULL;
+}
+
+constexpr std::uint64_t kFoldSeed = 0xcbf29ce484222325ULL;
+
+TEST(ObjectiveTest, BatchFitnessMatchesPinnedGolden) {
+  // The digest was captured from the paper's fitness written out directly
+  // (sum_j fps_j * P_j - alpha * Var(fps) - demerit * unmet) over the same
+  // 200 seeded inputs.
   Rng rng(2024);
+  std::uint64_t digest = kFoldSeed;
   for (int trial = 0; trial < 200; ++trial) {
     ObjectiveInput input;
     const int branches = 1 + static_cast<int>(rng.next_range(0, 5));
@@ -28,15 +42,16 @@ TEST(ObjectiveTest, BatchFitnessMatchesLegacyBitForBit) {
     FitnessParams params;
     params.alpha = rng.next_range(0.0, 1.0);
     params.infeasible_demerit = rng.next_range(1e3, 1e8);
-    EXPECT_EQ(Objective::batch_fitness(params).score(input),
-              fitness_score(input.fps, input.priorities, input.unmet_targets,
-                            params))
-        << "trial " << trial;
+    digest = fold_bits(digest, Objective::batch_fitness(params).score(input));
   }
+  EXPECT_EQ(digest, 0x0395713a1286f285ULL);
 }
 
-TEST(ObjectiveTest, SlaMatchesLegacyBitForBit) {
+TEST(ObjectiveTest, SlaMatchesPinnedGolden) {
+  // Captured like the batch digest, from the SLA score written out
+  // directly (users + clamped headroom or overshoot demerit - violations).
   Rng rng(77);
+  std::uint64_t digest = kFoldSeed;
   for (int trial = 0; trial < 200; ++trial) {
     ObjectiveInput input;
     input.has_serving = true;
@@ -48,11 +63,9 @@ TEST(ObjectiveTest, SlaMatchesLegacyBitForBit) {
     params.p99_bound_us = rng.next_range(10000.0, 50000.0);
     params.over_bound_demerit = rng.next_range(1e3, 1e7);
     params.violation_weight = rng.next_range(1.0, 1e4);
-    EXPECT_EQ(Objective::sla(params).score(input),
-              sla_fitness_score(input.users_served, input.p99_latency_us,
-                                input.sla_violation_rate, params))
-        << "trial " << trial;
+    digest = fold_bits(digest, Objective::sla(params).score(input));
   }
+  EXPECT_EQ(digest, 0x04193a275c9c2b1aULL);
 }
 
 TEST(ObjectiveTest, TermsAccumulateWithWeightsInOrder) {
@@ -81,8 +94,8 @@ TEST(ObjectiveTest, ScoringAnEmptyObjectiveIsAnInvariantViolation) {
 }
 
 TEST(ObjectiveTest, ExplicitBatchFitnessReproducesDefaultSearchExactly) {
-  // A search with options.objective = batch_fitness(options.fitness) must be
-  // indistinguishable from the legacy empty-objective path.
+  // A search with an explicitly spelled-out batch_fitness() must be
+  // indistinguishable from one left at the default objective.
   auto model = arch::reorganize(nn::zoo::avatar_decoder());
   ASSERT_TRUE(model.is_ok());
   const auto budget = ResourceBudget::from_platform(arch::platform_zu9cg());
@@ -94,22 +107,23 @@ TEST(ObjectiveTest, ExplicitBatchFitnessReproducesDefaultSearchExactly) {
   options.population = 24;
   options.iterations = 4;
   options.seed = 99;
-  const SearchResult legacy =
+  const SearchResult implicit =
       cross_branch_search(*model, budget, cust, options);
-  options.objective = Objective::batch_fitness(options.fitness);
+  options.objective =
+      Objective::batch_fitness({.alpha = 0.05, .infeasible_demerit = 1e7});
   const SearchResult composed =
       cross_branch_search(*model, budget, cust, options);
 
-  EXPECT_EQ(legacy.fitness, composed.fitness);
-  EXPECT_EQ(legacy.feasible, composed.feasible);
-  EXPECT_EQ(legacy.trace.best_fitness, composed.trace.best_fitness);
-  EXPECT_EQ(legacy.trace.convergence_iteration,
+  EXPECT_EQ(implicit.fitness, composed.fitness);
+  EXPECT_EQ(implicit.feasible, composed.feasible);
+  EXPECT_EQ(implicit.trace.best_fitness, composed.trace.best_fitness);
+  EXPECT_EQ(implicit.trace.convergence_iteration,
             composed.trace.convergence_iteration);
-  ASSERT_EQ(legacy.config.branches.size(), composed.config.branches.size());
-  for (std::size_t b = 0; b < legacy.config.branches.size(); ++b) {
-    EXPECT_EQ(legacy.config.branches[b].batch,
+  ASSERT_EQ(implicit.config.branches.size(), composed.config.branches.size());
+  for (std::size_t b = 0; b < implicit.config.branches.size(); ++b) {
+    EXPECT_EQ(implicit.config.branches[b].batch,
               composed.config.branches[b].batch);
-    EXPECT_EQ(legacy.config.branches[b].units,
+    EXPECT_EQ(implicit.config.branches[b].units,
               composed.config.branches[b].units);
   }
 }
@@ -142,11 +156,10 @@ TEST(ObjectiveTest, CustomCompositionSteersTheSearch) {
 
   ASSERT_EQ(balanced_winner.config.branches.size(), 3u);
   EXPECT_TRUE(balanced_winner.feasible);
-  // Scored under the default metric, the specialist cannot beat the
+  // Scored under the default objective, the specialist cannot beat the
   // generalist that optimized it.
-  std::vector<double> fps;
-  for (const auto& be : balanced_winner.eval.branches) fps.push_back(be.fps);
-  EXPECT_LE(fitness_score(fps, cust.priorities, 0, options.fitness),
+  EXPECT_LE(Objective::batch_fitness().score(
+                objective_input(balanced_winner.eval, cust.priorities, 0)),
             default_winner.fitness);
 }
 

@@ -372,6 +372,18 @@ TEST(ArtifactCacheTest, TrafficKeyTracksTheLatencyMode) {
             pipeline.artifact_cache_key(sketch));
 }
 
+TEST(ArtifactCacheTest, KeyTracksExactObjectiveWeights) {
+  // Two alphas a few ulps apart run different searches, so they must never
+  // share a cached artifact — even though describe() prints them alike.
+  Pipeline pipeline(nn::zoo::avatar_decoder(), arch::platform_zu9cg());
+  dse::SearchSpec a = fast_options().spec;
+  a.objective = dse::Objective::batch_fitness({.alpha = 0.05});
+  dse::SearchSpec b = fast_options().spec;
+  b.objective = dse::Objective::batch_fitness({.alpha = 0.05000001});
+  ASSERT_FALSE(pipeline.artifact_cache_key(a).empty());
+  EXPECT_NE(pipeline.artifact_cache_key(a), pipeline.artifact_cache_key(b));
+}
+
 TEST(ArtifactCacheTest, UncacheableSpecsBypassTheCache) {
   Pipeline pipeline(nn::zoo::avatar_decoder(), arch::platform_zu9cg());
   dse::SearchSpec spec = fast_options().spec;

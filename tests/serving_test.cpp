@@ -1195,27 +1195,33 @@ TEST(ServiceModelTest, PassTimeFollowsBatchOverFps) {
 }
 
 // ---------------------------------------------------------- SLA objective --
+double sla_score(int users, double p99_us, double violation_rate,
+                 const dse::SlaParams& params) {
+  dse::ObjectiveInput input;
+  input.has_serving = true;
+  input.users_served = users;
+  input.p99_latency_us = p99_us;
+  input.sla_violation_rate = violation_rate;
+  return dse::Objective::sla(params).score(input);
+}
+
 TEST(SlaFitnessTest, MoreUsersWinWithinTheBound) {
   dse::SlaParams params;
   params.p99_bound_us = 10000;
-  EXPECT_GT(dse::sla_fitness_score(10, 9000, 0, params),
-            dse::sla_fitness_score(8, 1000, 0, params));
+  EXPECT_GT(sla_score(10, 9000, 0, params), sla_score(8, 1000, 0, params));
 }
 
 TEST(SlaFitnessTest, MeetingTheBoundBeatsMissingIt) {
   dse::SlaParams params;
   params.p99_bound_us = 10000;
-  EXPECT_GT(dse::sla_fitness_score(1, 9999, 0, params),
-            dse::sla_fitness_score(100, 10001, 0.01, params));
+  EXPECT_GT(sla_score(1, 9999, 0, params), sla_score(100, 10001, 0.01, params));
 }
 
 TEST(SlaFitnessTest, LatencyBreaksTiesOnlyWithinSameUserCount) {
   dse::SlaParams params;
   params.p99_bound_us = 10000;
-  EXPECT_GT(dse::sla_fitness_score(5, 2000, 0, params),
-            dse::sla_fitness_score(5, 8000, 0, params));
-  EXPECT_GT(dse::sla_fitness_score(6, 9999, 0, params),
-            dse::sla_fitness_score(5, 1, 0, params));
+  EXPECT_GT(sla_score(5, 2000, 0, params), sla_score(5, 8000, 0, params));
+  EXPECT_GT(sla_score(6, 9999, 0, params), sla_score(5, 1, 0, params));
 }
 
 // --------------------------------------------------------- traffic search --
@@ -1319,9 +1325,8 @@ TEST(TrafficSearchTest, OutcomeFollowsTheFleetSlaBound) {
     EXPECT_EQ(result.stats.sla_bound_us, bound_us);
     EXPECT_EQ(result.sla_met, bound_us > 1.0);
     EXPECT_EQ(result.users_served, bound_us > 1.0 ? 1 : 0);
-    EXPECT_DOUBLE_EQ(
-        result.sla_fitness,
-        dse::sla_fitness_score(result.users_served, result.stats.latency.p99,
+    EXPECT_DOUBLE_EQ(result.sla_fitness,
+                     sla_score(result.users_served, result.stats.latency.p99,
                                result.stats.sla_violation_rate,
                                {.p99_bound_us = bound_us}));
   }

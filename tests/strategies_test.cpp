@@ -103,9 +103,11 @@ TEST(StrategyTest, EvaluateDistributionSharesObjective) {
   const CrossBranchOptions opt = fast_options();
   const SearchResult result = run_named("particle-swarm", opt);
   SearchTrace trace;
+  const Customization cust = decoder_customization();
   const DistributionEval ce = evaluate_distribution(
-      decoder_model(), budget, result.distribution, decoder_customization(),
-      opt, trace);
+      decoder_model(),
+      build_branch_tables(decoder_model(), cust.resolved_datapath()), budget,
+      result.distribution, cust, opt, trace);
   EXPECT_DOUBLE_EQ(ce.fitness, result.fitness);
 }
 
