@@ -379,7 +379,7 @@ int run(const ArgParser& args) {
     }
   }
   if (status.is_ok() && (args.has("simulate") || args.has("chart"))) {
-    status = pipeline.simulate({});
+    status = pipeline.simulate();
   }
   auto result = status.is_ok()
                     ? pipeline.result()

@@ -9,9 +9,14 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
 }
 
-std::int64_t bram_bits(const ResourceModelParams& p) {
-  return static_cast<std::int64_t>(p.bram_kbits) * 1024;
-}
+constexpr std::int64_t kBramBits = 18 * 1024;  ///< one BRAM18K block
+/// Widest access per block: 36-bit port, doubled by true-dual-port reads.
+constexpr std::int64_t kBramMaxWidth = 72;
+/// Kernels larger than this many BRAM18K-equivalents of storage are
+/// streamed from DDR each frame instead of held resident.
+constexpr std::int64_t kResidentWeightLimitBrams = 64;
+/// Control/FIFO overhead blocks per unit (bias FIFO, AXI skid buffers).
+constexpr int kOverheadBrams = 2;
 
 /// Bit-packed stream size: elements of `bits` width each, rounded up to
 /// whole bytes once per stream (so int4 streams really move half the bytes
@@ -22,25 +27,21 @@ std::int64_t stream_bytes(std::int64_t elements, int bits) {
 
 /// Blocks needed to hold `bits` with at least `min_banks` independently
 /// addressable banks (the banking minimum from the parallel access pattern).
-int brams_for(std::int64_t bits, std::int64_t min_banks,
-              const ResourceModelParams& p) {
-  const std::int64_t capacity_blocks = ceil_div(bits, bram_bits(p));
+int brams_for(std::int64_t bits, std::int64_t min_banks) {
+  const std::int64_t capacity_blocks = ceil_div(bits, kBramBits);
   return static_cast<int>(std::max(capacity_blocks, min_banks));
 }
 
 }  // namespace
 
-bool weights_resident(const FusedStage& stage, nn::DataType ww,
-                      const ResourceModelParams& params) {
+bool weights_resident(const FusedStage& stage, nn::DataType ww) {
   const std::int64_t weight_bits = stage.weight_params * nn::bits(ww);
-  return ceil_div(weight_bits, bram_bits(params)) <=
-         params.resident_weight_limit_brams;
+  return ceil_div(weight_bits, kBramBits) <= kResidentWeightLimitBrams;
 }
 
 UnitResources unit_resources(const FusedStage& stage, const UnitConfig& cfg,
                              const Datapath& dp,
-                             const UnitStreamContext& ctx,
-                             const ResourceModelParams& params) {
+                             const UnitStreamContext& ctx) {
   UnitResources r;
   const int dw_bits = nn::bits(dp.dw);
   const int ww_bits = nn::bits(dp.ww);
@@ -60,33 +61,31 @@ UnitResources unit_resources(const FusedStage& stage, const UnitConfig& cfg,
   // its own output-channel kernels through a cpf-wide word). Streamed
   // kernels only need the in-flight tile, which lives in the PE array
   // (LUTRAM/FF) plus a small double-buffered staging FIFO.
-  const bool resident = weights_resident(stage, dp.ww, params);
+  const bool resident = weights_resident(stage, dp.ww);
   if (resident) {
     const std::int64_t weight_bits = stage.weight_params * ww_bits;
     const std::int64_t weight_word_banks =
         static_cast<std::int64_t>(cfg.kpf) *
-        ceil_div(static_cast<std::int64_t>(cfg.cpf) * ww_bits,
-                 params.bram_max_width);
-    r.brams += brams_for(weight_bits, weight_word_banks, params);
+        ceil_div(static_cast<std::int64_t>(cfg.cpf) * ww_bits, kBramMaxWidth);
+    r.brams += brams_for(weight_bits, weight_word_banks);
   } else {
     const std::int64_t tile_bits =
         2LL * cfg.lanes() * stage.kernel * stage.kernel * ww_bits;
-    r.brams += brams_for(tile_bits, /*min_banks=*/2, params);
+    r.brams += brams_for(tile_bits, /*min_banks=*/2);
     r.param_stream_bytes += stream_bytes(stage.weight_params, ww_bits);
   }
 
-  // Input line buffer: K + extra rows of the input feature map, banked per
+  // Input line buffer: a K-row rotating buffer of the input feature map with
+  // a register window (new rows overwrite the oldest in place), banked per
   // H-partition slab with cpf-channel-wide words.
-  const std::int64_t rows = stage.kernel + params.extra_linebuf_rows;
-  const std::int64_t line_bits =
-      rows * stage.in_w * stage.in_ch * static_cast<std::int64_t>(dw_bits);
+  const std::int64_t line_bits = static_cast<std::int64_t>(stage.kernel) *
+                                 stage.in_w * stage.in_ch * dw_bits;
   const std::int64_t line_banks =
       static_cast<std::int64_t>(cfg.h) *
-      ceil_div(static_cast<std::int64_t>(cfg.cpf) * dw_bits,
-               params.bram_max_width);
-  r.brams += brams_for(line_bits, line_banks, params);
+      ceil_div(static_cast<std::int64_t>(cfg.cpf) * dw_bits, kBramMaxWidth);
+  r.brams += brams_for(line_bits, line_banks);
 
-  r.brams += params.overhead_brams;
+  r.brams += kOverheadBrams;
 
   // --- external bandwidth -----------------------------------------------
   if (stage.has_bias) {

@@ -11,9 +11,6 @@
 //     weights for stages whose kernels are too large to keep resident, and
 //     the first/last stage feature streams — byte counts are bit-packed, so
 //     sub-byte widths (int4, int8x4) halve their stream traffic.
-//
-// Every constant lives in ResourceModelParams so the calibration against the
-// paper's Table II / IV magnitudes is in one place (see bench_ablation).
 #pragma once
 
 #include <cstdint>
@@ -25,23 +22,9 @@
 
 namespace fcad::arch {
 
-struct ResourceModelParams {
-  int bram_kbits = 18;          ///< one BRAM18K block
-  /// Widest access per block: 36-bit port, doubled by true-dual-port reads.
-  int bram_max_width = 72;
-  /// Rows beyond K kept in the input line buffer. 0 = K-row rotating buffer
-  /// with a register window (new rows overwrite the oldest in place).
-  int extra_linebuf_rows = 0;
-  /// Kernels larger than this many BRAM18K-equivalents of storage are
-  /// streamed from DDR each frame instead of held resident.
-  int resident_weight_limit_brams = 64;
-  /// Control/FIFO overhead blocks per unit (bias FIFO, AXI skid buffers).
-  int overhead_brams = 2;
-};
-
-/// Whether this stage's weights stay in BRAM or stream from DDR per frame.
-bool weights_resident(const FusedStage& stage, nn::DataType ww,
-                      const ResourceModelParams& params = {});
+/// Whether this stage's weights stay in BRAM or stream from DDR per frame:
+/// kernels larger than 64 BRAM18K-equivalents of storage stream.
+bool weights_resident(const FusedStage& stage, nn::DataType ww);
 
 struct UnitResources {
   int dsps = 0;
@@ -71,7 +54,6 @@ struct UnitStreamContext {
 /// Full resource estimate of one configured unit on `dp`.
 UnitResources unit_resources(const FusedStage& stage, const UnitConfig& cfg,
                              const Datapath& dp,
-                             const UnitStreamContext& ctx = {},
-                             const ResourceModelParams& params = {});
+                             const UnitStreamContext& ctx = {});
 
 }  // namespace fcad::arch

@@ -8,6 +8,26 @@
 namespace fcad::baselines {
 namespace {
 
+/// BRAM blocks per MAC lane (16-bit operands) and fixed overhead,
+/// calibrated against the paper's 512-lane -> 576 BRAM and 1024-lane ->
+/// 1120 BRAM points.
+constexpr double kBramsPerLane16 = 1.0625;
+constexpr double kBramsFixed = 32.0;
+constexpr int kMaxLanesLog2 = 14;
+/// The engine's spatial tiling (Winograd-style output tiles) exposes only a
+/// bounded number of pixels in parallel.
+constexpr int kMaxSpf = 16;
+/// Instruction decode / engine reconfiguration between layers.
+constexpr double kReconfigCycles = 2000;
+/// Fraction of the engine's BRAM usable as feature ping-pong storage;
+/// feature maps that exceed it spill to DDR between layers.
+constexpr double kFeatureBufferFraction = 0.5;
+/// Sustained MAC issue rate of the shared engine relative to peak: the
+/// on-the-fly im2col / Winograd transforms and line turnarounds steal
+/// slots. Calibrated so the engine lands in the paper's 70-78% efficiency
+/// band.
+constexpr double kDatapathEfficiency = 0.78;
+
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
 }
@@ -17,20 +37,16 @@ int engine_dsps(int lanes, nn::DataType dtype) {
       ceil_div(lanes, nn::multipliers_per_dsp(dtype)));
 }
 
-int engine_brams(int lanes, nn::DataType dtype,
-                 const HybridDnnParams& params) {
+int engine_brams(int lanes, nn::DataType dtype) {
   // Buffer capacity scales with data width; the calibration points are
   // 16-bit, so 8-bit engines need half the per-lane storage.
-  const double per_lane = params.brams_per_lane_16 *
-                          (nn::bits(dtype) / 16.0);
-  return static_cast<int>(
-      std::ceil(params.brams_fixed + per_lane * lanes));
+  const double per_lane = kBramsPerLane16 * (nn::bits(dtype) / 16.0);
+  return static_cast<int>(std::ceil(kBramsFixed + per_lane * lanes));
 }
 
 /// Best power-of-two split (cpf, kpf, spf) of `lanes` for one layer, with
 /// the spatial dimension bounded by the engine's output-tile width.
-HybridDnnLayerExec best_split(const arch::FusedStage& st, int lanes,
-                              const HybridDnnParams& params) {
+HybridDnnLayerExec best_split(const arch::FusedStage& st, int lanes) {
   HybridDnnLayerExec best;
   best.compute_cycles = 1e300;
   int log2_lanes = 0;
@@ -43,7 +59,7 @@ HybridDnnLayerExec best_split(const arch::FusedStage& st, int lanes,
       const int cpf = 1 << ci;
       const int kpf = 1 << ki;
       const int spf = 1 << si;
-      if (spf > params.max_spf) continue;
+      if (spf > kMaxSpf) continue;
       const double cycles = static_cast<double>(
           ceil_div(st.in_ch, cpf) * ceil_div(st.out_ch, kpf) *
           ceil_div(st.out_h, spf) * st.out_w * k2);
@@ -55,7 +71,7 @@ HybridDnnLayerExec best_split(const arch::FusedStage& st, int lanes,
       }
     }
   }
-  best.compute_cycles /= params.datapath_efficiency;
+  best.compute_cycles /= kDatapathEfficiency;
   return best;
 }
 
@@ -63,17 +79,16 @@ HybridDnnLayerExec best_split(const arch::FusedStage& st, int lanes,
 
 HybridDnnResult run_hybriddnn(const arch::ReorganizedModel& model,
                               const arch::Platform& platform,
-                              nn::DataType dtype,
-                              const HybridDnnParams& params) {
+                              nn::DataType dtype) {
   HybridDnnResult result;
 
   // Coarse-grained engine selection: largest power-of-two lane count that
   // fits both budgets.
   int lanes = 0;
-  for (int l = 0; l <= params.max_lanes_log2; ++l) {
+  for (int l = 0; l <= kMaxLanesLog2; ++l) {
     const int candidate = 1 << l;
     if (engine_dsps(candidate, dtype) <= platform.dsps &&
-        engine_brams(candidate, dtype, params) <= platform.brams18k) {
+        engine_brams(candidate, dtype) <= platform.brams18k) {
       lanes = candidate;
     }
   }
@@ -81,17 +96,17 @@ HybridDnnResult run_hybriddnn(const arch::ReorganizedModel& model,
   const int next = lanes * 2;
   result.bram_blocked_scaling =
       engine_dsps(next, dtype) <= platform.dsps &&
-      engine_brams(next, dtype, params) > platform.brams18k;
+      engine_brams(next, dtype) > platform.brams18k;
 
   result.lanes = lanes;
   result.dsps = engine_dsps(lanes, dtype);
-  result.brams = engine_brams(lanes, dtype, params);
+  result.brams = engine_brams(lanes, dtype);
 
   // Sequential execution of every stage on the shared engine. Feature maps
   // that overflow the engine's ping-pong buffers spill to DDR; weights
   // always stream (the folded engine reloads kernels per layer).
   const double feature_capacity_bytes =
-      params.feature_buffer_fraction * result.brams * 2304.0;  // 18 Kbit
+      kFeatureBufferFraction * result.brams * 2304.0;  // 18 Kbit
   const double bytes_per_cycle =
       platform.bw_gbps * 1e9 / (platform.freq_mhz * 1e6);
   const int elem_bytes = nn::bytes(dtype);
@@ -99,7 +114,7 @@ HybridDnnResult run_hybriddnn(const arch::ReorganizedModel& model,
   std::int64_t total_mac_ops = 0;
   for (std::size_t s = 0; s < model.fused.stages.size(); ++s) {
     const arch::FusedStage& st = model.fused.stages[s];
-    HybridDnnLayerExec exec = best_split(st, lanes, params);
+    HybridDnnLayerExec exec = best_split(st, lanes);
     exec.stage = static_cast<int>(s);
 
     const double in_bytes =
@@ -114,8 +129,8 @@ HybridDnnResult run_hybriddnn(const arch::ReorganizedModel& model,
     exec.ddr_cycles = ddr_bytes / bytes_per_cycle;
 
     exec.memory_bound = exec.ddr_cycles > exec.compute_cycles;
-    exec.cycles = std::max(exec.compute_cycles, exec.ddr_cycles) +
-                  params.reconfig_cycles;
+    exec.cycles =
+        std::max(exec.compute_cycles, exec.ddr_cycles) + kReconfigCycles;
     exec.utilization =
         static_cast<double>(st.macs) / (exec.cycles * lanes);
     total_cycles += exec.cycles;

@@ -16,28 +16,6 @@
 
 namespace fcad::baselines {
 
-struct HybridDnnParams {
-  /// BRAM blocks per MAC lane (16-bit operands) and fixed overhead,
-  /// calibrated against the paper's 512-lane -> 576 BRAM and 1024-lane ->
-  /// 1120 BRAM points.
-  double brams_per_lane_16 = 1.0625;
-  double brams_fixed = 32.0;
-  int max_lanes_log2 = 14;
-  /// The engine's spatial tiling (Winograd-style output tiles) exposes only
-  /// a bounded number of pixels in parallel.
-  int max_spf = 16;
-  /// Instruction decode / engine reconfiguration between layers.
-  double reconfig_cycles = 2000;
-  /// Fraction of the engine's BRAM usable as feature ping-pong storage;
-  /// feature maps that exceed it spill to DDR between layers.
-  double feature_buffer_fraction = 0.5;
-  /// Sustained MAC issue rate of the shared engine relative to peak: the
-  /// on-the-fly im2col / Winograd transforms and line turnarounds steal
-  /// slots. Calibrated so the engine lands in the paper's 70-78%
-  /// efficiency band.
-  double datapath_efficiency = 0.78;
-};
-
 struct HybridDnnLayerExec {
   int stage = -1;
   int cpf = 1, kpf = 1, spf = 1;  ///< chosen engine split for this layer
@@ -65,7 +43,6 @@ struct HybridDnnResult {
 /// network on it, layer by layer.
 HybridDnnResult run_hybriddnn(const arch::ReorganizedModel& model,
                               const arch::Platform& platform,
-                              nn::DataType dtype,
-                              const HybridDnnParams& params = {});
+                              nn::DataType dtype);
 
 }  // namespace fcad::baselines

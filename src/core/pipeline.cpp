@@ -505,7 +505,7 @@ Status Pipeline::optimize(const dse::SearchSpec& spec) {
   return Status::ok();
 }
 
-Status Pipeline::simulate(const sim::SimOptions& options) {
+Status Pipeline::simulate() {
   if (sim_) return Status::ok();
   if (!search_) {
     return Status::invalid_argument(
@@ -520,8 +520,7 @@ Status Pipeline::simulate(const sim::SimOptions& options) {
   obs::Tracer* const tracer = obs::tracer();
   const obs::WallSpan span(tracer, pipeline_lane(tracer), "pipeline.simulate",
                            "pipeline");
-  sim_ = SimArtifact{
-      sim::simulate(reorg_->model, best.config, platform_, options)};
+  sim_ = SimArtifact{sim::simulate(reorg_->model, best.config, platform_)};
   return Status::ok();
 }
 
@@ -559,7 +558,7 @@ StatusOr<PipelineResult> Pipeline::run(const PipelineOptions& options) {
   if (Status s = construct(); !s.is_ok()) return s;
   if (Status s = optimize(options.spec); !s.is_ok()) return s;
   if (options.run_simulation) {
-    if (Status s = simulate(options.sim); !s.is_ok()) return s;
+    if (Status s = simulate(); !s.is_ok()) return s;
   }
   return result();
 }

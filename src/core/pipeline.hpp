@@ -81,7 +81,6 @@ struct PipelineOptions {
   /// The optimization stage's request (defaults to SearchKind::kOptimize).
   dse::SearchSpec spec;
   bool run_simulation = false;  ///< cycle-level validation of the winner
-  sim::SimOptions sim;
 };
 
 /// Flat result of a full pipeline pass.
@@ -108,7 +107,7 @@ class Pipeline {
   Status analyze();
   Status construct();
   Status optimize(const dse::SearchSpec& spec);
-  Status simulate(const sim::SimOptions& options = {});
+  Status simulate();
 
   /// Cached artifacts; null until the stage has run.
   const ProfileArtifact* profile() const {

@@ -97,7 +97,7 @@ DistributionEval evaluate_distribution(const arch::ReorganizedModel& model,
   // them has been scored, the rest are cache hits.
   FitnessCache::Key key;
   if (cache) {
-    key = FitnessCache::config_key(ce.config, met_mask, opt.eval_mode);
+    key = FitnessCache::config_key(ce.config, met_mask);
     if (const auto entry = cache->find(key)) {
       ce.fitness = entry->fitness;
       ce.feasible = entry->feasible;
@@ -105,8 +105,9 @@ DistributionEval evaluate_distribution(const arch::ReorganizedModel& model,
     }
   }
 
+  // Candidates score analytically; the loop re-evaluates its winner quantized.
   const arch::AcceleratorEval eval =
-      arch::evaluate(model, ce.config, opt.eval_mode);
+      arch::evaluate(model, ce.config, arch::EvalMode::kAnalytical);
   // A candidate must also respect the global budget once quantization and
   // cross-branch caps are accounted for.
   if (!eval.within(static_cast<int>(budget.c), static_cast<int>(budget.m),

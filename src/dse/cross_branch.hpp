@@ -29,14 +29,6 @@ struct CrossBranchOptions {
   /// bit-identical for any value: RNG streams are drawn outside the parallel
   /// region and reductions happen in candidate order.
   int threads = 0;
-  /// Attraction weights toward the candidate's local best and the global
-  /// best (each scaled by an independent U[0,1) draw per move).
-  double w_local = 0.7;
-  double w_global = 0.7;
-  /// Uniform mutation half-width applied to every fraction per move.
-  double jitter = 0.05;
-  /// Evaluation mode used inside the search loop.
-  arch::EvalMode eval_mode = arch::EvalMode::kAnalytical;
   /// Accelerator clock (from the target platform).
   double freq_mhz = 200.0;
   /// Candidate objective, the one fitness of this search and of every

@@ -5,11 +5,9 @@
 namespace fcad::dse {
 
 FitnessCache::Key FitnessCache::config_key(const arch::AcceleratorConfig& config,
-                                           std::uint64_t met_mask,
-                                           arch::EvalMode mode) {
+                                           std::uint64_t met_mask) {
   util::Hash128 h;
   h.absorb(met_mask);
-  h.absorb(static_cast<std::uint64_t>(mode));
   h.absorb(static_cast<std::uint64_t>(config.datapath.mac));
   h.absorb(static_cast<std::uint64_t>(config.datapath.dw));
   h.absorb(static_cast<std::uint64_t>(config.datapath.ww));

@@ -48,10 +48,9 @@ class FitnessCache {
 
   /// Key of a discrete accelerator configuration. `met_mask` carries the
   /// per-branch met-batch-target flags (bit b = branch b met), which are
-  /// decided by the in-branch pass, not by the config itself; `mode` is the
-  /// evaluation mode the entry was computed under.
+  /// decided by the in-branch pass, not by the config itself.
   static Key config_key(const arch::AcceleratorConfig& config,
-                        std::uint64_t met_mask, arch::EvalMode mode);
+                        std::uint64_t met_mask);
 
   /// Returns the cached entry (counting a hit) or nothing. A lookup that
   /// finds nothing is counted by the insert() that follows it.

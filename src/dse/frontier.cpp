@@ -57,6 +57,7 @@ std::vector<ObjectiveInput> frontier_candidates(const SearchOutcome& outcome) {
       input.has_serving = true;
       input.users_served = outcome.traffic.users_served;
       input.p99_latency_us = outcome.traffic.stats.latency.p99;
+      input.sla_bound_us = outcome.traffic.stats.sla_bound_us;
       input.sla_violation_rate = outcome.traffic.stats.sla_violation_rate;
       candidates.push_back(input);
       break;

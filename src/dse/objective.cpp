@@ -8,6 +8,14 @@
 #include "util/status.hpp"
 
 namespace fcad::dse {
+namespace {
+
+/// Demerit per unit of relative p99 overshoot over the SLA bound.
+constexpr double kOverBoundDemerit = 1e6;
+/// Weight of the SLA-violation rate in Objective::sla.
+constexpr double kViolationWeight = 1e3;
+
+}  // namespace
 
 double variance(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
@@ -118,13 +126,12 @@ Objective::Term Objective::users_served() {
           }};
 }
 
-Objective::Term Objective::latency_headroom(const SlaParams& params) {
-  FCAD_CHECK(params.p99_bound_us > 0);
-  return {"latency-headroom", 1.0, [params](const ObjectiveInput& in) {
-            const double headroom =
-                1.0 - in.p99_latency_us / params.p99_bound_us;
+Objective::Term Objective::latency_headroom() {
+  return {"latency-headroom", 1.0, [](const ObjectiveInput& in) {
+            FCAD_CHECK(in.sla_bound_us > 0);
+            const double headroom = 1.0 - in.p99_latency_us / in.sla_bound_us;
             if (headroom >= 0) return std::min(headroom, 0.999);
-            return params.over_bound_demerit * headroom;
+            return kOverBoundDemerit * headroom;
           }};
 }
 
@@ -147,15 +154,15 @@ Objective Objective::batch_fitness(const FitnessParams& params) {
   return objective;
 }
 
-Objective Objective::sla(const SlaParams& params) {
+Objective Objective::sla() {
   // Users, plus the headroom shaping, minus the violation mass.
   Objective objective;
   Term t = users_served();
   objective.add(t.name, 1.0, t.value);
-  t = latency_headroom(params);
+  t = latency_headroom();
   objective.add(t.name, 1.0, t.value);
   t = sla_violations();
-  objective.add(t.name, params.violation_weight, t.value);
+  objective.add(t.name, kViolationWeight, t.value);
   return objective;
 }
 

@@ -30,18 +30,6 @@ struct FitnessParams {
   double infeasible_demerit = 1e7;  ///< per branch missing its batch target
 };
 
-/// SLA-aware serving objective: maximize users served subject to a tail
-/// latency bound (the telepresence SLA — every stream decoded within its
-/// frame budget at p99). Users dominate; a sub-unit latency bonus breaks
-/// ties among configs serving the same user count; any p99 overshoot or
-/// violation mass is penalized hard enough that a config meeting the bound
-/// always beats one that misses it.
-struct SlaParams {
-  double p99_bound_us = 33333.3;    ///< one 30 Hz frame period
-  double over_bound_demerit = 1e6;  ///< per unit of relative p99 overshoot
-  double violation_weight = 1e3;    ///< per unit of SLA-violation rate
-};
-
 /// Population variance of `values` (sigma^2 of Sec. VI-B).
 double variance(const std::vector<double>& values);
 
@@ -67,6 +55,7 @@ struct ObjectiveInput {
   bool has_serving = false;
   int users_served = 0;            ///< user streams served within the SLA
   double p99_latency_us = 0;       ///< serving tail latency
+  double sla_bound_us = 0;         ///< p99 bound the replay was scored at
   double sla_violation_rate = 0;   ///< fraction of requests over the bound
 };
 
@@ -116,17 +105,24 @@ class Objective {
   /// means a more accurate datapath.
   static Term accuracy_proxy();  ///< -accuracy penalty
   static Term users_served(); ///< served user streams
-  /// Sub-unit tie-break bonus within the bound, hard demerit over it.
-  static Term latency_headroom(const SlaParams& params);
+  /// Relative p99 headroom h = 1 - p99 / sla_bound_us: the sub-unit
+  /// tie-break bonus min(h, 0.999) within the bound, a hard demerit (1e6 per
+  /// unit of h) over it.
+  static Term latency_headroom();
   static Term sla_violations(); ///< -violation rate (weight carries the scale)
 
   // ---- canned compositions ----------------------------------------------
   /// throughput + alpha*balance + demerit*feasibility: the paper's fitness
   /// and the default of every hardware search.
   static Objective batch_fitness(const FitnessParams& params = {});
-  /// users + headroom + violation_weight*violations: the default serving
-  /// score of kTraffic.
-  static Objective sla(const SlaParams& params = {});
+  /// users + headroom + 1e3*violations: the default serving score of
+  /// kTraffic. Maximizes users served subject to the replay's p99 bound
+  /// (the telepresence SLA: every stream decoded within its frame budget at
+  /// p99). Users dominate; the headroom bonus breaks ties among configs
+  /// serving the same user count; p99 overshoot and violation mass are
+  /// penalized hard enough that a config meeting the bound always beats
+  /// one that misses it.
+  static Objective sla();
 
  private:
   std::vector<Term> terms_;

@@ -341,9 +341,7 @@ StatusOr<SearchOutcome> SearchDriver::run_traffic(
         "); leave it at its default");
   }
   const Objective objective =
-      spec.objective.empty()
-          ? Objective::sla({.p99_bound_us = traffic.fleet.sla_bound_us})
-          : spec.objective;
+      spec.objective.empty() ? Objective::sla() : spec.objective;
 
   SearchOutcome outcome;
   outcome.kind = SearchKind::kTraffic;
@@ -491,6 +489,7 @@ StatusOr<SearchOutcome> SearchDriver::run_traffic(
     input.has_serving = true;
     input.users_served = users_served;
     input.p99_latency_us = stats.latency.p99;
+    input.sla_bound_us = stats.sla_bound_us;
     input.sla_violation_rate = stats.sla_violation_rate;
     out.result.sla_fitness = objective.score(input);
     out.result.search = std::move(search);

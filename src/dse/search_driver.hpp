@@ -34,8 +34,8 @@ const char* to_string(SearchKind kind);
 
 /// Traffic description for SearchKind::kTraffic. `workload.branches` must
 /// stay at its default (it is derived from the model). Candidates are scored
-/// by Objective::sla at `fleet.sla_bound_us` with the default weights unless
-/// SearchSpec::objective overrides the scoring.
+/// by Objective::sla at `fleet.sla_bound_us` unless SearchSpec::objective
+/// overrides the scoring.
 struct TrafficSpec {
   /// Arrival process over `users` streams. Leave `branches` alone.
   serving::WorkloadOptions workload;

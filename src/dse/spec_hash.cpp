@@ -29,10 +29,6 @@ void absorb_options(util::Hash128& h, const CrossBranchOptions& opt) {
   h.absorb(static_cast<std::uint64_t>(opt.iterations));
   h.absorb(static_cast<std::uint64_t>(opt.population));
   h.absorb(opt.seed);
-  h.absorb_double(opt.w_local);
-  h.absorb_double(opt.w_global);
-  h.absorb_double(opt.jitter);
-  h.absorb(static_cast<std::uint64_t>(opt.eval_mode));
   // freq_mhz and threads are resolved by the driver (platform / RunControl)
   // and never change results; progress_label is cosmetic.
   absorb_objective(h, opt.objective);
@@ -73,7 +69,7 @@ void absorb_traffic(util::Hash128& h, const TrafficSpec& traffic) {
 
 util::Hash128 spec_hash(const SearchSpec& spec) {
   util::Hash128 h;
-  h.absorb_string("fcad-search-spec v1");
+  h.absorb_string("fcad-search-spec v2");
   h.absorb(static_cast<std::uint64_t>(spec.kind));
   h.absorb_string(spec.strategy.empty() ? kDefaultStrategy : spec.strategy);
   absorb_customization(h, spec.customization);

@@ -13,8 +13,7 @@
 //     the artifact cache for deadline-bearing specs;
 //   * an Objective hashes by its term names and exact weights; two
 //     different TermFns under the same name would collide, so name custom
-//     terms distinctly. Parameters a term captures (latency_headroom's
-//     SlaParams) are not hashed either.
+//     terms distinctly.
 #pragma once
 
 #include "dse/search_driver.hpp"

@@ -54,14 +54,17 @@ void consider(const DistributionEval& ce, const ResourceDistribution& rd,
 /// One PSO-style move of `frac` toward the local and global bests by a
 /// random distance, plus uniform jitter (Algorithm 1, line 16).
 void evolve(std::vector<double>& frac, const std::vector<double>& local_best,
-            const std::vector<double>& global_best,
-            const CrossBranchOptions& opt, Rng& rng) {
-  const double r1 = rng.next_double() * opt.w_local;
-  const double r2 = rng.next_double() * opt.w_global;
+            const std::vector<double>& global_best, Rng& rng) {
+  // Attraction weights toward each best, scaled by a U[0,1) draw per move.
+  constexpr double kLocalWeight = 0.7;
+  constexpr double kGlobalWeight = 0.7;
+  constexpr double kJitter = 0.05;  // uniform mutation half-width
+  const double r1 = rng.next_double() * kLocalWeight;
+  const double r2 = rng.next_double() * kGlobalWeight;
   for (std::size_t j = 0; j < frac.size(); ++j) {
     frac[j] += r1 * (local_best[j] - frac[j]) +
                r2 * (global_best[j] - frac[j]) +
-               rng.next_range(-opt.jitter, opt.jitter);
+               rng.next_range(-kJitter, kJitter);
   }
   renormalize(frac);
 }
@@ -106,17 +109,14 @@ class ParticleSwarmStrategy : public Strategy {
     return ctx.options.iterations;
   }
 
-  std::vector<ResourceDistribution> propose(const StrategyContext& ctx,
+  std::vector<ResourceDistribution> propose(const StrategyContext&,
                                             int round) override {
     if (round > 0) {
       // Line 16: evolve every particle toward its bests.
       for (Particle& p : swarm_) {
-        evolve(p.rd.c_frac, p.best_rd.c_frac, global_best_.c_frac,
-               ctx.options, rng_);
-        evolve(p.rd.m_frac, p.best_rd.m_frac, global_best_.m_frac,
-               ctx.options, rng_);
-        evolve(p.rd.bw_frac, p.best_rd.bw_frac, global_best_.bw_frac,
-               ctx.options, rng_);
+        evolve(p.rd.c_frac, p.best_rd.c_frac, global_best_.c_frac, rng_);
+        evolve(p.rd.m_frac, p.best_rd.m_frac, global_best_.m_frac, rng_);
+        evolve(p.rd.bw_frac, p.best_rd.bw_frac, global_best_.bw_frac, rng_);
       }
     }
     std::vector<ResourceDistribution> batch;

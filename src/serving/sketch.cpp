@@ -18,6 +18,15 @@ namespace {
 
 constexpr std::uint32_t kSketchMagic = 0x46534b31;  // "FSK1"
 
+/// Whether add() can produce bucket `index`: samples lie in (0, kMaxSample]
+/// and index_of is monotone, so spans in this range never overflow int32.
+bool index_reachable(std::int64_t index, double inv_log_gamma) {
+  const double lo = std::log(std::numeric_limits<double>::denorm_min());
+  const double hi = std::log(QuantileSketch::kMaxSample);
+  return index >= std::ceil(lo * inv_log_gamma) &&
+         index <= std::ceil(hi * inv_log_gamma);
+}
+
 }  // namespace
 
 const char* to_string(LatencyMode mode) {
@@ -201,7 +210,9 @@ bool QuantileSketch::read_binary(std::istream& in, QuantileSketch& out) {
   std::uint64_t seed = 0;
   double alpha = 0;
   if (!get_raw(in, seed) || !get_raw(in, alpha)) return false;
-  if (!(alpha > 0 && alpha < 1)) return false;
+  // Every writer uses the default alpha, and the index bounds below hold
+  // only at it (a tiny alpha would widen them past int32).
+  if (alpha != kDefaultAlpha) return false;
   QuantileSketch sketch(seed, alpha);
   std::uint32_t lo = 0;
   std::uint32_t n = 0;
@@ -218,10 +229,29 @@ bool QuantileSketch::read_binary(std::istream& in, QuantileSketch& out) {
       (static_cast<unsigned __int128>(sum_hi) << 64) | sum_lo);
   if (n > static_cast<std::uint32_t>(kMaxBuckets)) return false;
   sketch.lo_ = static_cast<std::int32_t>(lo);
+  // A block that parses but breaks an invariant the readers rely on is as
+  // corrupt as a torn one. (An empty span's top, lo - 1, is reachable.)
+  // Samples lie in [0, kMaxSample], and min is 0 exactly when a zero was
+  // added, max is 0 exactly when nothing else was.
+  const double inv = sketch.inv_log_gamma_;
+  const double min = sketch.min_;
+  const double max = sketch.max_;
+  if (!index_reachable(sketch.lo_, inv) ||
+      !index_reachable(std::int64_t{sketch.lo_} + n - 1, inv) ||
+      sketch.zero_count_ < 0 || sketch.count_ < sketch.zero_count_ ||
+      (sketch.count_ > 0 &&
+       (!(0 <= min && min <= max && max <= kMaxSample) ||
+        (min == 0) != (sketch.zero_count_ > 0) ||
+        (max == 0) != (sketch.zero_count_ == sketch.count_)))) {
+    return false;
+  }
+  std::int64_t mass = sketch.zero_count_;
   sketch.counts_.resize(n);
   for (std::int64_t& c : sketch.counts_) {
-    if (!get_raw(in, c)) return false;
+    if (!get_raw(in, c) || c < 0 || c > sketch.count_ - mass) return false;
+    mass += c;
   }
+  if (mass != sketch.count_) return false;
   out = std::move(sketch);
   return true;
 }

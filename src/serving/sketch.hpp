@@ -102,8 +102,11 @@ class QuantileSketch {
   /// identically as long as no compaction fired. Used by the sketch-mode
   /// shard blocks of the fleet checkpoint format.
   void write_binary(std::ostream& os) const;
-  /// Reads the encoding back; false on a torn or malformed block (the
-  /// checkpoint loader then rejects the file wholesale).
+  /// Reads the encoding back; false on a torn block or a broken invariant
+  /// (an alpha other than kDefaultAlpha, an unreachable bucket index,
+  /// negative or mismatched counts, min/max outside [0, kMaxSample] or out
+  /// of order or disagreeing with the zero count), and the checkpoint
+  /// loader then rejects the file wholesale.
   static bool read_binary(std::istream& in, QuantileSketch& out);
   /// write_binary into a string (byte-identity tests and checkpoints).
   std::string to_bytes() const;

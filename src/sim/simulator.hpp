@@ -17,18 +17,6 @@
 
 namespace fcad::sim {
 
-struct SimOptions {
-  int frames = 4;               ///< simulated frames (steady state by the end)
-  int row_overhead_cycles = 8;  ///< control overhead per row
-  /// Accumulator drain / weight-select penalty per output-channel tile per
-  /// row — the dominant source of the few-percent analytical-vs-real gap.
-  int tile_overhead_cycles = 12;
-  /// Achievable fraction of the DDR's nominal bandwidth (burst boundaries,
-  /// refresh, arbitration).
-  double ddr_efficiency = 0.85;
-  int ddr_passes = 2;           ///< congestion fix-point iterations
-};
-
 struct BranchSimResult {
   double fps = 0;              ///< steady-state, all batch copies
   double latency_cycles = 0;   ///< first-frame completion (pipeline fill)
@@ -60,6 +48,6 @@ struct SimResult {
 /// Simulates `config` on `model` with the platform's bandwidth and clock.
 SimResult simulate(const arch::ReorganizedModel& model,
                    const arch::AcceleratorConfig& config,
-                   const arch::Platform& platform, const SimOptions& options = {});
+                   const arch::Platform& platform);
 
 }  // namespace fcad::sim

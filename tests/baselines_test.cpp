@@ -5,6 +5,7 @@
 #include "baselines/hybriddnn.hpp"
 #include "baselines/soc865.hpp"
 #include "nn/zoo/avatar_decoder.hpp"
+#include "util/hash.hpp"
 
 namespace fcad::baselines {
 namespace {
@@ -89,6 +90,38 @@ TEST(DnnBuilderTest, EightBitPacksTwoPerDsp) {
 }
 
 // ------------------------------------------------------------- HybridDNN --
+TEST(HybridDnnTest, MatchesPinnedGoldenOnTheThreeSchemes) {
+  // Every field of the int16 engine on Table II's three schemes, folded bit
+  // for bit: the calibration constants must not drift.
+  util::Hash128 digest;
+  for (const arch::Platform& p : {arch::platform_z7045(),
+                                  arch::platform_zu17eg(),
+                                  arch::platform_zu9cg()}) {
+    const HybridDnnResult r =
+        run_hybriddnn(mimic_model(), p, nn::DataType::kInt16);
+    digest.absorb(static_cast<std::uint64_t>(r.lanes));
+    digest.absorb(static_cast<std::uint64_t>(r.dsps));
+    digest.absorb(static_cast<std::uint64_t>(r.brams));
+    digest.absorb_double(r.fps);
+    digest.absorb_double(r.gops);
+    digest.absorb_double(r.efficiency);
+    digest.absorb(static_cast<std::uint64_t>(r.bram_blocked_scaling));
+    digest.absorb(r.layers.size());
+    for (const HybridDnnLayerExec& e : r.layers) {
+      digest.absorb(static_cast<std::uint64_t>(e.stage));
+      digest.absorb(static_cast<std::uint64_t>(e.cpf));
+      digest.absorb(static_cast<std::uint64_t>(e.kpf));
+      digest.absorb(static_cast<std::uint64_t>(e.spf));
+      digest.absorb_double(e.compute_cycles);
+      digest.absorb_double(e.ddr_cycles);
+      digest.absorb_double(e.cycles);
+      digest.absorb(static_cast<std::uint64_t>(e.memory_bound));
+      digest.absorb_double(e.utilization);
+    }
+  }
+  EXPECT_EQ(digest.hex(), "52e00ff444cc76df3887d9977c037b2e");
+}
+
 TEST(HybridDnnTest, EngineIsPowerOfTwo) {
   for (const arch::Platform& p : arch::all_platforms()) {
     const HybridDnnResult r =

@@ -34,6 +34,7 @@ ObjectiveInput serving_candidate(int users, double p99_us, int dsps) {
   input.has_serving = true;
   input.users_served = users;
   input.p99_latency_us = p99_us;
+  input.sla_bound_us = 33333.3;  // one 30 Hz frame period
   return input;
 }
 
@@ -61,7 +62,6 @@ TEST(FrontierTest, ThroughputVersusFeasibility) {
 TEST(FrontierTest, SlaVersusDsps) {
   // Four serving candidates: more users cost more DSPs (a genuine
   // trade-off), one config is strictly dominated, one misses the SLA hard.
-  const SlaParams sla;
   const std::vector<ObjectiveInput> candidates = {
       serving_candidate(/*users=*/8, /*p99=*/20000, /*dsps=*/2000),
       serving_candidate(/*users=*/4, /*p99=*/15000, /*dsps=*/900),
@@ -80,7 +80,7 @@ TEST(FrontierTest, SlaVersusDsps) {
   // The latency-headroom SLA term works as an axis too: the same frontier
   // machinery, different trade-off.
   const auto by_headroom = extract_frontier(
-      candidates, Objective::latency_headroom(sla), Objective::dsp_cost());
+      candidates, Objective::latency_headroom(), Objective::dsp_cost());
   EXPECT_TRUE(by_headroom[3].on_frontier);  // best headroom, cheapest
   EXPECT_FALSE(by_headroom[2].on_frontier);
 }

@@ -95,15 +95,14 @@ TEST(IntegrationTest, InBranchExploitsAmpleBandwidth) {
 
 TEST(IntegrationTest, SimulatorSteadyStateByHand) {
   // One stage, 32 conv rows in 2 slabs (16 rows each in parallel):
-  // steady frame period ~ 16 * (row_cycles + tile_overhead + row_overhead).
+  // steady frame period ~ 16 * (row_cycles + 4 out-tile passes x 12 drain
+  // cycles + 8 row-overhead cycles).
   const auto model = tiny_model();
   arch::AcceleratorConfig config;
   config.branches.push_back({.batch = 1, .units = {{4, 4, 2}}});
-  sim::SimOptions opt;
-  const auto result = sim::simulate(model, config, arch::platform_zu9cg(), opt);
+  const auto result = sim::simulate(model, config, arch::platform_zu9cg());
   const double row_cycles = 4.0 * 4 * 32 * 9;  // in_tiles*out_tiles*W*K^2
-  const double step =
-      row_cycles + 4 * opt.tile_overhead_cycles + opt.row_overhead_cycles;
+  const double step = row_cycles + 4 * 12 + 8;
   const double expected_fps = 200e6 / (16.0 * step);
   EXPECT_NEAR(result.branches[0].fps, expected_fps, 0.01 * expected_fps);
 }

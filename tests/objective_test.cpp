@@ -48,8 +48,9 @@ TEST(ObjectiveTest, BatchFitnessMatchesPinnedGolden) {
 }
 
 TEST(ObjectiveTest, SlaMatchesPinnedGolden) {
-  // Captured like the batch digest, from the SLA score written out
-  // directly (users + clamped headroom or overshoot demerit - violations).
+  // Captured like the batch digest, from the default SLA score (users +
+  // clamped headroom or 1e6 * overshoot - 1e3 * violations) over the same
+  // 200 seeded inputs, when the bound was a parameter of Objective::sla.
   Rng rng(77);
   std::uint64_t digest = kFoldSeed;
   for (int trial = 0; trial < 200; ++trial) {
@@ -59,13 +60,10 @@ TEST(ObjectiveTest, SlaMatchesPinnedGolden) {
     // Cover headroom > 0, ~0, and deep over-bound alike.
     input.p99_latency_us = rng.next_range(0.0, 120000.0);
     input.sla_violation_rate = rng.next_range(0.0, 0.5);
-    SlaParams params;
-    params.p99_bound_us = rng.next_range(10000.0, 50000.0);
-    params.over_bound_demerit = rng.next_range(1e3, 1e7);
-    params.violation_weight = rng.next_range(1.0, 1e4);
-    digest = fold_bits(digest, Objective::sla(params).score(input));
+    input.sla_bound_us = rng.next_range(10000.0, 50000.0);
+    digest = fold_bits(digest, Objective::sla().score(input));
   }
-  EXPECT_EQ(digest, 0x04193a275c9c2b1aULL);
+  EXPECT_EQ(digest, 0x0be952b68e0fd2a6ULL);
 }
 
 TEST(ObjectiveTest, TermsAccumulateWithWeightsInOrder) {

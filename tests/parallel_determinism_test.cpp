@@ -624,8 +624,8 @@ TEST(FitnessCacheStressTest, ConcurrentFindInsertStaysConsistent) {
   std::atomic<std::int64_t> mismatches{0};
   pool.parallel_for(kOps, [&](std::int64_t op) {
     const int c = static_cast<int>(op % kConfigs);
-    const FitnessCache::Key key = FitnessCache::config_key(
-        config_for(c), /*met_mask=*/1, arch::EvalMode::kAnalytical);
+    const FitnessCache::Key key =
+        FitnessCache::config_key(config_for(c), /*met_mask=*/1);
     auto entry = cache.find(key);
     if (!entry) {
       FitnessCache::Entry fresh;
@@ -656,14 +656,10 @@ TEST(FitnessCacheStressTest, DistinctConfigsGetDistinctKeys) {
   branch.units.push_back(arch::UnitConfig{2, 3, 4});
   config.branches.push_back(branch);
 
-  const auto base = FitnessCache::config_key(config, 1, arch::EvalMode::kAnalytical);
-  EXPECT_FALSE(base ==
-               FitnessCache::config_key(config, 0, arch::EvalMode::kAnalytical));
-  EXPECT_FALSE(base ==
-               FitnessCache::config_key(config, 1, arch::EvalMode::kQuantized));
+  const auto base = FitnessCache::config_key(config, 1);
+  EXPECT_FALSE(base == FitnessCache::config_key(config, 0));
   config.branches[0].units[0] = arch::UnitConfig{4, 3, 2};
-  EXPECT_FALSE(base ==
-               FitnessCache::config_key(config, 1, arch::EvalMode::kAnalytical));
+  EXPECT_FALSE(base == FitnessCache::config_key(config, 1));
 }
 
 TEST(ParallelDeterminismTest, DaemonVirtualClockTraceIdenticalAcrossThreads) {

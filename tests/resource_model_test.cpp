@@ -75,14 +75,14 @@ TEST(ResourceModelTest, FatKernelsStream) {
   EXPECT_EQ(r.param_stream_bytes, st.weight_params + st.bias_params);
 }
 
-TEST(ResourceModelTest, ResidencyThresholdConfigurable) {
-  const FusedStage st = make_stage(64, 64, 32, 32, 4);  // 65k weights, 8-bit
-  ResourceModelParams strict;
-  strict.resident_weight_limit_brams = 1;
-  ResourceModelParams loose;
-  loose.resident_weight_limit_brams = 1000;
-  EXPECT_FALSE(weights_resident(st, nn::DataType::kInt8, strict));
-  EXPECT_TRUE(weights_resident(st, nn::DataType::kInt8, loose));
+TEST(ResourceModelTest, ResidencyThresholdIsSixtyFourBlocks) {
+  // 96 x 96 x 4 x 4 int8 weights fill exactly 64 BRAM18K blocks (64 x 18
+  // Kbit): still resident. One more weight needs a 65th block and streams.
+  FusedStage st = make_stage(96, 96, 32, 32, 4);
+  ASSERT_EQ(st.weight_params * 8, 64 * 18 * 1024);
+  EXPECT_TRUE(weights_resident(st, nn::DataType::kInt8));
+  st.weight_params += 1;
+  EXPECT_FALSE(weights_resident(st, nn::DataType::kInt8));
 }
 
 TEST(ResourceModelTest, UntiedBiasStreamsPerPixelBytes) {

@@ -1195,33 +1195,29 @@ TEST(ServiceModelTest, PassTimeFollowsBatchOverFps) {
 }
 
 // ---------------------------------------------------------- SLA objective --
+/// Objective::sla() against a p99 bound.
 double sla_score(int users, double p99_us, double violation_rate,
-                 const dse::SlaParams& params) {
+                 double bound_us) {
   dse::ObjectiveInput input;
   input.has_serving = true;
   input.users_served = users;
   input.p99_latency_us = p99_us;
+  input.sla_bound_us = bound_us;
   input.sla_violation_rate = violation_rate;
-  return dse::Objective::sla(params).score(input);
+  return dse::Objective::sla().score(input);
 }
 
 TEST(SlaFitnessTest, MoreUsersWinWithinTheBound) {
-  dse::SlaParams params;
-  params.p99_bound_us = 10000;
-  EXPECT_GT(sla_score(10, 9000, 0, params), sla_score(8, 1000, 0, params));
+  EXPECT_GT(sla_score(10, 9000, 0, 10000), sla_score(8, 1000, 0, 10000));
 }
 
 TEST(SlaFitnessTest, MeetingTheBoundBeatsMissingIt) {
-  dse::SlaParams params;
-  params.p99_bound_us = 10000;
-  EXPECT_GT(sla_score(1, 9999, 0, params), sla_score(100, 10001, 0.01, params));
+  EXPECT_GT(sla_score(1, 9999, 0, 10000), sla_score(100, 10001, 0.01, 10000));
 }
 
 TEST(SlaFitnessTest, LatencyBreaksTiesOnlyWithinSameUserCount) {
-  dse::SlaParams params;
-  params.p99_bound_us = 10000;
-  EXPECT_GT(sla_score(5, 2000, 0, params), sla_score(5, 8000, 0, params));
-  EXPECT_GT(sla_score(6, 9999, 0, params), sla_score(5, 1, 0, params));
+  EXPECT_GT(sla_score(5, 2000, 0, 10000), sla_score(5, 8000, 0, 10000));
+  EXPECT_GT(sla_score(6, 9999, 0, 10000), sla_score(5, 1, 0, 10000));
 }
 
 // --------------------------------------------------------- traffic search --
@@ -1325,10 +1321,9 @@ TEST(TrafficSearchTest, OutcomeFollowsTheFleetSlaBound) {
     EXPECT_EQ(result.stats.sla_bound_us, bound_us);
     EXPECT_EQ(result.sla_met, bound_us > 1.0);
     EXPECT_EQ(result.users_served, bound_us > 1.0 ? 1 : 0);
-    EXPECT_DOUBLE_EQ(result.sla_fitness,
-                     sla_score(result.users_served, result.stats.latency.p99,
-                               result.stats.sla_violation_rate,
-                               {.p99_bound_us = bound_us}));
+    EXPECT_EQ(result.sla_fitness,
+              sla_score(result.users_served, result.stats.latency.p99,
+                        result.stats.sla_violation_rate, bound_us));
   }
 }
 

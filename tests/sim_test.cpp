@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "arch/platform.hpp"
 #include "dse/cross_branch.hpp"
+#include "dse/search_driver.hpp"
 #include "nn/zoo/avatar_decoder.hpp"
 #include "nn/zoo/classic_nets.hpp"
 #include "sim/ddr.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stage.hpp"
+#include "util/hash.hpp"
 
 namespace fcad::sim {
 namespace {
@@ -198,13 +203,47 @@ TEST(SimulatorTest, SingleBranchBackbone) {
   EXPECT_GT(r.branches[0].fps, 0);
 }
 
-TEST(SimulatorTest, RequiresAtLeastTwoFrames) {
-  const auto& model = decoder_model();
-  const arch::Platform zu9cg = arch::platform_zu9cg();
-  const auto config = searched_config(model, zu9cg, {1, 1, 1});
-  SimOptions opt;
-  opt.frames = 1;
-  EXPECT_THROW(simulate(model, config, zu9cg, opt), InternalError);
+TEST(SimulatorTest, TableOneWinnersMatchPinnedGolden) {
+  // Every SimResult field of the five Table-I winners (P = 200, N = 20,
+  // seed 1, batches {1,2,2}), folded bit for bit: the simulator's timing
+  // constants must not drift.
+  const std::vector<std::pair<arch::Platform, const char*>> cases = {
+      {arch::platform_z7045(), "pipelined-int8"},
+      {arch::platform_zu17eg(), "pipelined-int8"},
+      {arch::platform_zu17eg(), "pipelined-int16"},
+      {arch::platform_zu9cg(), "pipelined-int8"},
+      {arch::platform_zu9cg(), "pipelined-int16"}};
+  util::Hash128 digest;
+  for (const auto& [platform, datapath] : cases) {
+    dse::SearchSpec spec;
+    spec.customization.datapath = datapath;
+    spec.customization.batch_sizes = {1, 2, 2};
+    spec.search.population = 200;
+    spec.search.iterations = 20;
+    spec.search.seed = 1;
+    auto outcome = dse::SearchDriver(decoder_model(), platform).run(spec);
+    ASSERT_TRUE(outcome.is_ok()) << platform.name << " " << datapath;
+    const SimResult r =
+        simulate(decoder_model(), outcome->search.config, platform);
+    digest.absorb(r.branches.size());
+    for (const BranchSimResult& b : r.branches) {
+      digest.absorb_double(b.fps);
+      digest.absorb_double(b.latency_cycles);
+      digest.absorb_double(b.efficiency);
+      digest.absorb_double(b.gops);
+    }
+    digest.absorb_double(r.min_fps);
+    digest.absorb_double(r.efficiency);
+    digest.absorb_double(r.ddr_demand_gbps);
+    digest.absorb_double(r.ddr_congestion);
+    digest.absorb(r.stages.size());
+    for (const StageSimStats& s : r.stages) {
+      digest.absorb(static_cast<std::uint64_t>(s.stage));
+      digest.absorb(static_cast<std::uint64_t>(s.busy_cycles));
+      digest.absorb(static_cast<std::uint64_t>(s.stall_cycles));
+    }
+  }
+  EXPECT_EQ(digest.hex(), "7f6935f1990a5b1bce6a339e05cfcc7a");
 }
 
 }  // namespace

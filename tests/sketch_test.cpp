@@ -8,6 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -149,6 +152,103 @@ TEST(SketchTest, BinaryRoundTripIsExactAndTornBlocksAreRejected) {
   std::istringstream foreign(bad);
   QuantileSketch out;
   EXPECT_FALSE(QuantileSketch::read_binary(foreign, out));
+}
+
+// Field offsets of the encoding (write_binary): magic, seed, alpha, then
+// count, zero_count, the 128-bit sum, min, max, compactions, lo, n, buckets.
+constexpr std::size_t kAlphaAt = 4 + 8;
+constexpr std::size_t kCountAt = kAlphaAt + 8;
+constexpr std::size_t kMinAt = kCountAt + 8 + 8 + 16;
+constexpr std::size_t kMaxAt = kMinAt + 8;
+constexpr std::size_t kLoAt = kMaxAt + 8 + 8;
+constexpr std::size_t kBucketsAt = kLoAt + 4 + 4;
+
+template <typename T>
+T field(const std::string& bytes, std::size_t at) {
+  T v;
+  std::memcpy(&v, bytes.data() + at, sizeof v);
+  return v;
+}
+
+template <typename T>
+std::string with_field(std::string bytes, std::size_t at, T v) {
+  std::memcpy(bytes.data() + at, &v, sizeof v);
+  return bytes;
+}
+
+bool parses(const std::string& bytes) {
+  std::istringstream in(bytes);
+  QuantileSketch out;
+  return QuantileSketch::read_binary(in, out);
+}
+
+TEST(SketchTest, BlocksBreakingAnInvariantAreRejected) {
+  QuantileSketch sketch(kSeed);
+  for (double v : lognormal_samples(kSeed, 100)) sketch.add(v);
+  const std::string bytes = sketch.to_bytes();
+  ASSERT_TRUE(parses(bytes));
+  const auto n = field<std::uint32_t>(bytes, kLoAt + 4);
+  ASSERT_GE(n, 2u);
+  const std::size_t last_at = kBucketsAt + 8 * (n - 1);
+
+  // The mass no longer adds up to the count.
+  EXPECT_FALSE(parses(with_field<std::int64_t>(bytes, kCountAt, 5)));
+  // A span whose top index no sample can reach (and whose walk would step
+  // past INT32_MAX).
+  EXPECT_FALSE(parses(with_field<std::int32_t>(
+      bytes, kLoAt, std::numeric_limits<std::int32_t>::max() - 2)));
+  EXPECT_FALSE(parses(with_field<std::int32_t>(
+      bytes, kLoAt, std::numeric_limits<std::int32_t>::min())));
+  // A tiny alpha would make that span reachable; no writer uses one.
+  EXPECT_FALSE(parses(with_field<std::int32_t>(
+      with_field<double>(bytes, kAlphaAt, 1e-9), kLoAt,
+      std::numeric_limits<std::int32_t>::max() - 2)));
+  EXPECT_FALSE(parses(with_field<double>(bytes, kAlphaAt, 0.01)));
+  // A negative bucket, with the total kept: -1 at the bottom, +1 at the top.
+  const std::int64_t moved = field<std::int64_t>(bytes, kBucketsAt) + 1;
+  const std::string negative = with_field<std::int64_t>(
+      with_field<std::int64_t>(bytes, kBucketsAt, -1), last_at,
+      field<std::int64_t>(bytes, last_at) + moved);
+  EXPECT_FALSE(parses(negative));
+  // min > max on a non-empty sketch.
+  const std::string swapped = with_field<double>(
+      with_field<double>(bytes, kMinAt, sketch.max()), kMaxAt, sketch.min());
+  EXPECT_FALSE(parses(swapped));
+  // min/max no sample can produce: an infinite max, a negative min, a max
+  // past kMaxSample, a min of 0 with no zero sample.
+  EXPECT_FALSE(parses(with_field<double>(
+      bytes, kMaxAt, std::numeric_limits<double>::infinity())));
+  EXPECT_FALSE(parses(with_field<double>(bytes, kMinAt, -1.0)));
+  EXPECT_FALSE(parses(
+      with_field<double>(bytes, kMaxAt, 2 * QuantileSketch::kMaxSample)));
+  EXPECT_FALSE(parses(with_field<double>(bytes, kMinAt, 0.0)));
+}
+
+TEST(SketchTest, SeededByteFlipsEitherFailOrRoundTrip) {
+  // Whatever a corrupt byte does, an accepted block re-encodes to the same
+  // bytes and reads a p99 inside [min, max].
+  QuantileSketch sketch(kSeed);
+  for (double v : lognormal_samples(kSeed, 100)) sketch.add(v);
+  sketch.add(0);
+  const std::string bytes = sketch.to_bytes();
+  std::mt19937_64 rng(kSeed);
+  int accepted = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string flipped = bytes;
+    const std::size_t at = rng() % flipped.size();
+    const auto mask = static_cast<char>(1 + rng() % 255);
+    flipped[at] = static_cast<char>(flipped[at] ^ mask);
+    std::istringstream in(flipped);
+    QuantileSketch loaded;
+    if (!QuantileSketch::read_binary(in, loaded)) continue;
+    ++accepted;
+    EXPECT_EQ(loaded.to_bytes(), flipped) << "byte " << at;
+    const double p99 = loaded.quantile(99);
+    EXPECT_GE(p99, loaded.min()) << "byte " << at;
+    EXPECT_LE(p99, loaded.max()) << "byte " << at;
+  }
+  // Seed, sum and compaction bytes carry no invariant, so some flips pass.
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(SketchTest, AddOrderNeverChangesTheBytes) {
