@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
     TablePrinter t({"alpha", "branch FPS", "min FPS", "fitness"});
     for (double alpha : {0.0, 0.05, 0.5, 5.0}) {
       dse::SearchSpec spec = base_spec();
-      spec.search.objective = dse::Objective::batch_fitness({.alpha = alpha});
+      spec.search.objective = dse::Objective::batch_fitness(alpha);
       const dse::SearchResult result = run_search(spec);
       t.add_row({format_fixed(alpha, 2), fps_cell(result.eval),
                  format_fixed(result.eval.min_fps, 1),
@@ -211,9 +211,7 @@ int main(int argc, char** argv) {
     std::printf("--- F. 865-class SoC cache sensitivity ---\n");
     TablePrinter t({"cache (MiB)", "FPS", "efficiency", "memory-bound layers"});
     for (double cache_mib : {1.0, 2.0, 4.0, 8.0, 32.0}) {
-      baselines::Soc865Params params;
-      params.cache_mib = cache_mib;
-      const auto r = baselines::run_soc865(*model, params);
+      const auto r = baselines::run_soc865(*model, cache_mib);
       int bound = 0;
       for (const auto& lt : r.layers) bound += lt.memory_bound;
       t.add_row({format_fixed(cache_mib, 0), format_fixed(r.fps, 1),

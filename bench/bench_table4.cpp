@@ -54,7 +54,10 @@ int main() {
       "  Case 3: {61.0, 30.5, 15.3}  81.8%% DSP  82.8 s\n"
       "  Case 4: {122.1, 122.1, 122.1}  88.5%% DSP  56.9 s\n"
       "  Case 5: {61.0, 61.0, 61.0}  87.8%% DSP  67.6 s\n"
-      "shape to check: FPS roughly doubles Z7045 -> ZU9CG, 16-bit runs at\n"
-      "about half the 8-bit rate, budgets respected, high efficiency.\n");
+      "shape to check: min FPS rises 4x Z7045 -> ZU9CG (paper: 30.5 ->\n"
+      "122.1, also 4x). 16-bit min FPS is half the 8-bit rate on ZU9CG\n"
+      "(paper: 61.0 vs 122.1) but a third on ZU17EG (paper: 15.3 vs 61.0,\n"
+      "a quarter). Budgets respected; overall efficiency is high except\n"
+      "ZU17EG 16-bit.\n");
   return 0;
 }

@@ -3,16 +3,28 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/dtype.hpp"
+
 namespace fcad::baselines {
+namespace {
+
+constexpr int kMacsPerCycle = 1024;  ///< 8-bit MAC array of the AI engine
+constexpr double kFreqGhz = 1.45;
+/// Sustainable (not peak) LPDDR bandwidth.
+constexpr double kDdrGbps = 12.0;
+constexpr double kMaxOverfetch = 8.0;  ///< cap on the re-fetch multiplier
+constexpr nn::DataType kDataType = nn::DataType::kInt8;
+
+}  // namespace
 
 Soc865Result run_soc865(const arch::ReorganizedModel& model,
-                        const Soc865Params& params) {
+                        double cache_mib) {
   Soc865Result result;
   const double peak_macs_per_s =
-      static_cast<double>(params.macs_per_cycle) * params.freq_ghz * 1e9;
-  const double cache_bytes = params.cache_mib * 1024.0 * 1024.0;
-  const double bw_bytes_per_s = params.ddr_gbps * 1e9;
-  const int elem_bytes = nn::bytes(params.dtype);
+      static_cast<double>(kMacsPerCycle) * kFreqGhz * 1e9;
+  const double cache_bytes = cache_mib * 1024.0 * 1024.0;
+  const double bw_bytes_per_s = kDdrGbps * 1e9;
+  const int elem_bytes = nn::bytes(kDataType);
 
   double total_s = 0;
   std::int64_t total_ops = 0;
@@ -35,8 +47,8 @@ Soc865Result run_soc865(const arch::ReorganizedModel& model,
     if (working_set > cache_bytes) {
       // Tiled execution re-fetches activations; the re-fetch multiplier
       // grows with how badly the working set overflows the cache.
-      lt.overfetch = std::min(params.max_overfetch,
-                              std::ceil(working_set / cache_bytes));
+      lt.overfetch =
+          std::min(kMaxOverfetch, std::ceil(working_set / cache_bytes));
       traffic += lt.overfetch * (in_bytes + out_bytes);
     } else {
       traffic += in_bytes + out_bytes;  // first touch still misses

@@ -9,18 +9,8 @@
 #include <vector>
 
 #include "arch/reorg.hpp"
-#include "nn/dtype.hpp"
 
 namespace fcad::baselines {
-
-struct Soc865Params {
-  int macs_per_cycle = 1024;   ///< 8-bit MAC array of the AI engine
-  double freq_ghz = 1.45;
-  double cache_mib = 2.0;      ///< effectively usable last-level cache
-  double ddr_gbps = 12.0;      ///< sustainable (not peak) LPDDR bandwidth
-  double max_overfetch = 8.0;  ///< cap on the re-fetch multiplier
-  nn::DataType dtype = nn::DataType::kInt8;
-};
 
 struct SocLayerTime {
   int stage = -1;
@@ -39,7 +29,9 @@ struct Soc865Result {
   std::vector<SocLayerTime> layers;
 };
 
+/// `cache_mib` is the effectively usable last-level cache — the one knob
+/// the Table-II mechanism turns on (bench_ablation section F sweeps it).
 Soc865Result run_soc865(const arch::ReorganizedModel& model,
-                        const Soc865Params& params = {});
+                        double cache_mib = 2.0);
 
 }  // namespace fcad::baselines

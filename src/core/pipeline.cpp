@@ -40,9 +40,11 @@ obs::LaneId pipeline_lane(obs::Tracer* tracer) {
 // v3 embedded the kTraffic serving stats (serving_stats_to_text) so traffic
 // outcomes round-trip whole and qualify for the spec-hash artifact cache.
 // v4 keys sweep_point lines by canonical datapath name and adds the point's
-// batch scale (joint precision x microarchitecture x batch sweeps); v3 files
-// are rejected like any other stale magic and simply re-searched.
-constexpr const char* kArtifactMagic = "fcad-search-artifact v4";
+// batch scale (joint precision x microarchitecture x batch sweeps). v5
+// drops the wall-clock `seconds` of each result and the convergence line's
+// `mean_seconds`, so one spec always saves the same bytes. Older files are
+// rejected like any other stale magic and simply re-searched.
+constexpr const char* kArtifactMagic = "fcad-search-artifact v5";
 
 std::string format_double(double value) { return format_exact(value); }
 
@@ -74,13 +76,13 @@ void write_doubles(std::ostringstream& os, const char* key,
 /// (arch/config_io format). Shared by the winner and every sweep point. A
 /// result truncated before its first evaluation (cancelled run) has no
 /// configuration and serializes `config 0`. The fitness-cache hit/miss
-/// counters are diagnostics of the producing run and are not round-tripped.
+/// counters and the wall-clock `seconds` are diagnostics of the producing
+/// run and are not round-tripped.
 void write_search_block(std::ostringstream& os, const ReorgArtifact& reorg,
                         const dse::SearchResult& result) {
   os << "fitness " << format_double(result.fitness) << "\n";
   os << "feasible " << (result.feasible ? 1 : 0) << "\n";
   os << "stopped_early " << (result.stopped_early ? 1 : 0) << "\n";
-  os << "seconds " << format_double(result.seconds) << "\n";
   os << "evaluations " << result.trace.evaluations << "\n";
   os << "convergence_iteration " << result.trace.convergence_iteration
      << "\n";
@@ -144,8 +146,6 @@ StatusOr<dse::SearchResult> parse_search_block(const ReorgArtifact& reorg,
       result.feasible = value == "1";
     } else if (key == "stopped_early") {
       result.stopped_early = value == "1";
-    } else if (key == "seconds") {
-      result.seconds = std::strtod(value.c_str(), nullptr);
     } else if (key == "evaluations") {
       result.trace.evaluations = std::strtoll(value.c_str(), nullptr, 10);
     } else if (key == "convergence_iteration") {
@@ -203,7 +203,6 @@ std::string search_artifact_to_text(const ReorgArtifact& reorg,
        << format_double(stats.mean_iterations) << " "
        << format_double(stats.min_iterations) << " "
        << format_double(stats.max_iterations) << " "
-       << format_double(stats.mean_seconds) << " "
        << format_double(stats.mean_fitness) << " "
        << format_double(stats.fitness_spread) << "\n";
   }
@@ -285,8 +284,7 @@ StatusOr<SearchArtifact> search_artifact_from_text(const ReorgArtifact& reorg,
     } else if (key == "convergence") {
       dse::ConvergenceStats& stats = artifact.outcome.convergence;
       fields >> stats.runs >> stats.mean_iterations >> stats.min_iterations >>
-          stats.max_iterations >> stats.mean_seconds >> stats.mean_fitness >>
-          stats.fitness_spread;
+          stats.max_iterations >> stats.mean_fitness >> stats.fitness_spread;
       if (fields.fail()) {
         return Status::invalid_argument(
             "search artifact: malformed convergence line");

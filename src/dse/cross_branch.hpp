@@ -34,7 +34,7 @@ struct CrossBranchOptions {
   /// Candidate objective, the one fitness of this search and of every
   /// registered strategy (dse/strategy.hpp). Defaults to the paper's batch
   /// fitness; the variance weight alpha is set here, through
-  /// Objective::batch_fitness({.alpha = ...}). Must not be empty.
+  /// Objective::batch_fitness(alpha). Must not be empty.
   Objective objective = Objective::batch_fitness();
   /// Stage name used in ProgressEvents emitted by this search.
   std::string progress_label = "search";

@@ -14,6 +14,10 @@ namespace {
 constexpr double kOverBoundDemerit = 1e6;
 /// Weight of the SLA-violation rate in Objective::sla.
 constexpr double kViolationWeight = 1e3;
+/// Batch-fitness demerit per branch that missed its batch target: large
+/// enough that infeasible candidates still rank against each other but
+/// never beat a feasible one.
+constexpr double kInfeasibleDemerit = 1e7;
 
 }  // namespace
 
@@ -141,16 +145,16 @@ Objective::Term Objective::sla_violations() {
           }};
 }
 
-Objective Objective::batch_fitness(const FitnessParams& params) {
+Objective Objective::batch_fitness(double alpha) {
   // Weighted-FPS sum, minus the variance penalty, minus the infeasibility
   // demerits.
   Objective objective;
   Term t = throughput();
   objective.add(t.name, 1.0, t.value);
   t = balance();
-  objective.add(t.name, params.alpha, t.value);
+  objective.add(t.name, alpha, t.value);
   t = feasibility();
-  objective.add(t.name, params.infeasible_demerit, t.value);
+  objective.add(t.name, kInfeasibleDemerit, t.value);
   return objective;
 }
 

@@ -21,15 +21,6 @@ struct AcceleratorEval;
 
 namespace fcad::dse {
 
-/// Weights of the batch fitness S(Perf, U) - alpha * Var(Perf), with a
-/// large constant demerit per branch that missed its batch target so
-/// infeasible candidates still rank against each other but never beat a
-/// feasible one.
-struct FitnessParams {
-  double alpha = 0.05;              ///< variance penalty weight
-  double infeasible_demerit = 1e7;  ///< per branch missing its batch target
-};
-
 /// Population variance of `values` (sigma^2 of Sec. VI-B).
 double variance(const std::vector<double>& values);
 
@@ -112,9 +103,11 @@ class Objective {
   static Term sla_violations(); ///< -violation rate (weight carries the scale)
 
   // ---- canned compositions ----------------------------------------------
-  /// throughput + alpha*balance + demerit*feasibility: the paper's fitness
-  /// and the default of every hardware search.
-  static Objective batch_fitness(const FitnessParams& params = {});
+  /// throughput + alpha*balance + 1e7*feasibility: the paper's fitness
+  /// S(Perf, U) - alpha * Var(Perf), with a large constant demerit per
+  /// branch that missed its batch target, and the default of every hardware
+  /// search. `alpha` is the variance penalty weight.
+  static Objective batch_fitness(double alpha = 0.05);
   /// users + headroom + 1e3*violations: the default serving score of
   /// kTraffic. Maximizes users served subject to the replay's p99 bound
   /// (the telepresence SLA: every stream decoded within its frame budget at

@@ -402,12 +402,6 @@ StatusOr<SearchOutcome> SearchDriver::run_traffic(
     serving::ServingStats stats = std::move(*first);
     int users_served = stats.sla_met ? traffic.workload.users : 0;
 
-    // Trace-driven workloads ignore the user count (the offered load IS the
-    // trace; the count only relabels requests), so scaling it would inflate
-    // users_served without changing anything the SLA sees.
-    const bool scalable =
-        traffic.workload.process != serving::ArrivalProcess::kTrace;
-
     // Bisects (lo meets the SLA, hi does not) to the largest SLA-meeting
     // user count, leaving that count's replay in `best`.
     auto bisect_users = [&](int lo, int hi,
@@ -426,8 +420,7 @@ StatusOr<SearchOutcome> SearchDriver::run_traffic(
       return lo;
     };
 
-    if (scalable && stats.sla_met &&
-        traffic.max_users > traffic.workload.users) {
+    if (stats.sla_met && traffic.max_users > traffic.workload.users) {
       // Maximize the served user count: double to the first SLA miss, then
       // bisect the gap.
       int lo = traffic.workload.users;
@@ -452,7 +445,7 @@ StatusOr<SearchOutcome> SearchDriver::run_traffic(
         return out;
       }
       users_served = *served;
-    } else if (scalable && !stats.sla_met && traffic.workload.users > 1) {
+    } else if (!stats.sla_met && traffic.workload.users > 1) {
       // Over capacity at the requested count: find the largest user count
       // this candidate can still serve within the bound.
       int hi = traffic.workload.users;

@@ -43,8 +43,7 @@ struct TrafficSpec {
   serving::FleetOptions fleet;
   int max_batch = 8;  ///< largest uniform batch multiplier probed (doubling)
   /// When > workload.users: additionally maximize the served user count up
-  /// to this cap (doubling + bisection per candidate config). Ignored for
-  /// kTrace workloads, whose offered load does not depend on the count.
+  /// to this cap (doubling + bisection per candidate config).
   int max_users = 0;
   /// Score candidates on the cycle-level simulator's service times instead
   /// of the analytical estimate (slower, closer to the board).

@@ -41,11 +41,6 @@ void absorb_traffic(util::Hash128& h, const TrafficSpec& traffic) {
   h.absorb_double(traffic.workload.frame_rate_hz);
   h.absorb_double(traffic.workload.duration_s);
   h.absorb(traffic.workload.seed);
-  h.absorb_double(traffic.workload.burst_on_s);
-  h.absorb_double(traffic.workload.burst_off_s);
-  h.absorb_double(traffic.workload.burst_factor);
-  h.absorb(traffic.workload.trace_arrivals_us.size());
-  for (double t : traffic.workload.trace_arrivals_us) h.absorb_double(t);
   h.absorb(static_cast<std::uint64_t>(traffic.workload.target_requests));
   h.absorb(static_cast<std::uint64_t>(traffic.fleet.instances));
   h.absorb(static_cast<std::uint64_t>(traffic.fleet.policy));
@@ -69,7 +64,7 @@ void absorb_traffic(util::Hash128& h, const TrafficSpec& traffic) {
 
 util::Hash128 spec_hash(const SearchSpec& spec) {
   util::Hash128 h;
-  h.absorb_string("fcad-search-spec v2");
+  h.absorb_string("fcad-search-spec v3");
   h.absorb(static_cast<std::uint64_t>(spec.kind));
   h.absorb_string(spec.strategy.empty() ? kDefaultStrategy : spec.strategy);
   absorb_customization(h, spec.customization);

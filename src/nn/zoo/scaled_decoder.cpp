@@ -10,6 +10,9 @@
 namespace fcad::nn::zoo {
 namespace {
 
+/// Up-sampling steps of the texture branches (output = 8 * 2^steps).
+constexpr int kTextureSteps = 5;
+
 int scaled(int base, double width) {
   return std::max(1, static_cast<int>(std::lround(base * width)));
 }
@@ -28,8 +31,6 @@ LayerId cau(GraphBuilder& b, LayerId x, const std::string& prefix, int out_ch,
 Graph scaled_decoder(const ScaledDecoderSpec& spec) {
   FCAD_CHECK_MSG(spec.branches >= 1, "scaled_decoder: need >= 1 branch");
   FCAD_CHECK_MSG(spec.width >= 0.125, "scaled_decoder: width too small");
-  FCAD_CHECK_MSG(spec.texture_steps >= 1 && spec.texture_steps <= 7,
-                 "scaled_decoder: texture_steps out of range");
 
   GraphBuilder b("scaled_decoder_b" + std::to_string(spec.branches) + "_w" +
                  std::to_string(scaled(100, spec.width)));
@@ -66,11 +67,9 @@ Graph scaled_decoder(const ScaledDecoderSpec& spec) {
 
   for (int br = 1; br < spec.branches; ++br) {
     // Alternate branch depth so the decoder stays heterogeneous: odd
-    // branches run the full texture_steps, even ones stop two steps early.
-    const int extra_steps =
-        std::max(1, spec.texture_steps - 2 + (br % 2 ? 0 : -2) + 2) - 2;
-    const int steps = std::clamp(extra_steps + 2, 1, spec.texture_steps) - 2;
-    const int own_steps = std::max(1, steps);
+    // branches run all kTextureSteps (two shared, the rest their own), even
+    // ones stop two steps early.
+    const int own_steps = kTextureSteps - 2 - (br % 2 ? 0 : 2);
     LayerId x = shared;
     int ch = scaled(128, spec.width);
     for (int i = 0; i < own_steps; ++i) {

@@ -15,8 +15,6 @@ struct ScaledDecoderSpec {
   int branches = 3;
   /// Channel width multiplier applied to every conv (>= 0.125).
   double width = 1.0;
-  /// Up-sampling steps of the texture branches (output = 8 * 2^steps).
-  int texture_steps = 5;
   bool untied_bias = true;
 };
 

@@ -63,8 +63,7 @@ void metadata_json(JsonWriter& json, const LaneId& lane, const char* name,
 
 }  // namespace
 
-Tracer::Tracer(TracerOptions options)
-    : options_(options), start_(std::chrono::steady_clock::now()) {}
+Tracer::Tracer() : start_(std::chrono::steady_clock::now()) {}
 
 Tracer::Lane& Tracer::lane_ref(LaneId id) {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -84,13 +83,12 @@ void Tracer::name_lane(LaneId lane, const std::string& process,
 void Tracer::append(LaneId id, TraceEvent event) {
   Lane& lane = lane_ref(id);
   const std::lock_guard<std::mutex> lock(lane.mutex);
-  if (static_cast<std::int64_t>(lane.events.size()) >=
-      options_.lane_capacity) {
+  if (static_cast<std::int64_t>(lane.events.size()) >= kLaneCapacity) {
     if (lane.dropped == 0) {
       FCAD_LOG(kWarn)
               .field("pid", id.pid)
               .field("tid", id.tid)
-              .field("capacity", options_.lane_capacity)
+              .field("capacity", kLaneCapacity)
           << "obs: trace lane full; dropping further events";
     }
     ++lane.dropped;

@@ -17,7 +17,7 @@
 // ambient tracer is a single atomic pointer, nullptr by default; every
 // instrumentation site loads it once and skips all work on null.
 //
-// Bounded memory: each lane keeps at most `lane_capacity` events; later
+// Bounded memory: each lane keeps at most `kLaneCapacity` events; later
 // events are counted as dropped (deterministically, in append order) and
 // the export annotates the lane. A million-request replay therefore
 // produces a Perfetto-loadable file of bounded size.
@@ -64,14 +64,12 @@ struct TraceEvent {
   std::vector<std::pair<std::string, double>> args;
 };
 
-struct TracerOptions {
-  /// Events kept per lane before deterministic dropping kicks in.
-  std::int64_t lane_capacity = 20000;
-};
-
 class Tracer {
  public:
-  explicit Tracer(TracerOptions options = {});
+  /// Events kept per lane before deterministic dropping kicks in.
+  static constexpr std::int64_t kLaneCapacity = 20000;
+
+  Tracer();
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
@@ -112,7 +110,6 @@ class Tracer {
   Lane& lane_ref(LaneId id);
   void append(LaneId id, TraceEvent event);
 
-  TracerOptions options_;
   std::chrono::steady_clock::time_point start_;
   mutable std::mutex mutex_;  ///< guards the lane map's shape
   std::map<LaneId, std::unique_ptr<Lane>> lanes_;

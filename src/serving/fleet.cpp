@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -298,7 +299,7 @@ std::string replay_fingerprint(const ServiceModel& service,
                                const ServeSpec& spec, const ReplayPlan& plan) {
   const FleetOptions& options = plan.options;
   util::Hash128 h;
-  h.absorb_string("fcad-fleet-replay v3");
+  h.absorb_string("fcad-fleet-replay v4");
   // Elastic policies and fault schedules change per-shard results, so a
   // checkpoint from a different spec must never resume this run. The
   // canonical strings are byte-stable (format_spec_number round-trips
@@ -339,9 +340,6 @@ std::string replay_fingerprint(const ServiceModel& service,
   h.absorb_double(workload.frame_rate_hz);
   h.absorb_double(workload.duration_s);
   h.absorb(workload.seed);
-  h.absorb_double(workload.burst_on_s);
-  h.absorb_double(workload.burst_off_s);
-  h.absorb_double(workload.burst_factor);
   h.absorb(static_cast<std::uint64_t>(workload.target_requests));
   return h.hex();
 }
@@ -357,6 +355,18 @@ Status validate_fleet_spec(const ServiceModel& service,
     return Status::invalid_argument(
         "fleet: shards must be in [1, instances], got " +
         std::to_string(options.shards));
+  }
+  if (!std::isfinite(options.batch_timeout_us)) {
+    return Status::invalid_argument("fleet: batch_timeout_us must be finite");
+  }
+  if (!std::isfinite(options.switch_penalty_us) ||
+      options.switch_penalty_us < 0) {
+    return Status::invalid_argument(
+        "fleet: switch_penalty_us must be finite and >= 0");
+  }
+  if (!std::isfinite(options.sla_bound_us) || options.sla_bound_us <= 0) {
+    return Status::invalid_argument(
+        "fleet: sla_bound_us must be finite and > 0");
   }
   if (Status s = validate_percentile(options.progress_tail_pct); !s.is_ok()) {
     return Status::invalid_argument("fleet: progress_tail_pct: " +
@@ -448,11 +458,6 @@ StatusOr<ReplayPlan> plan_replay(const ServiceModel& service,
     const WorkloadOptions workload_defaults;
     if (plan.workload.branches == workload_defaults.branches) {
       plan.workload.branches = service.num_branches();
-    }
-    if (plan.workload.process == ArrivalProcess::kTrace) {
-      return Status::invalid_argument(
-          "fleet: the streaming replay generates its workload — a trace is "
-          "already materialized, use simulate_fleet");
     }
     if (plan.workload.target_requests <= 0) {
       return Status::invalid_argument(

@@ -157,6 +157,9 @@ StatusOr<ReplayJob> replay_job_from_args(const ArgParser& args) {
 
   auto cancel_at = args.get_double("cancel-at", 0.0);
   if (!cancel_at.is_ok()) return cancel_at.status();
+  if (!(*cancel_at >= 0 && *cancel_at <= 1)) {
+    return Status::invalid_argument("--cancel-at: must be in [0, 1]");
+  }
   job.cancel_at = *cancel_at;
   job.csv_path = args.get("csv", "");
   job.json_path = args.get("json", "");

@@ -24,8 +24,8 @@ namespace fcad::serving {
 /// One replay job: the ServeSpec plus the CLI-facing outputs.
 struct ReplayJob {
   ServeSpec spec;
-  /// Cancel via RunControl once this fraction of the requests completed
-  /// (exit code 3); 0 disables.
+  /// Cancel via RunControl once this fraction (in [0, 1]) of the requests
+  /// completed (exit code 3); 0 disables.
   double cancel_at = 0;
   std::string csv_path;        ///< stats row ("" disables)
   std::string json_path;       ///< deterministic JSON report ("" disables)

@@ -108,10 +108,9 @@ std::string scenario_to_string(const ScenarioSpec& spec);
 StatusOr<ScenarioSpec> scenario_from_string(const std::string& text);
 
 /// Generates `options` shaped by `spec`. With a trivial spec this defers to
-/// generate_workload (bit-identical output). Shaped arrivals require a
-/// generated process: kTrace + shapes_arrivals() is rejected. Extra flash
-/// users get ids `options.users + j` and their own decorrelated rng forks,
-/// so enabling a flash window never perturbs base users' arrival draws.
+/// generate_workload (bit-identical output). Extra flash users get ids
+/// `options.users + j` and their own decorrelated rng forks, so enabling a
+/// flash window never perturbs base users' arrival draws.
 /// With `target_requests > 0` events are merged lazily in global time order
 /// until the branch fan-out covers the target, matching generate_workload's
 /// contract under drift.

@@ -16,6 +16,12 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// (moved from scenario.cpp with the generator; the value is part of the
 /// workload contract — changing it changes every shaped trace).
 constexpr std::uint64_t kAcceptSalt = 0x9e3779b97f4a7c15ULL;
+/// kBursty on/off phase means and the "on" rate multiplier. The long-run
+/// mean rate is frame_rate_hz * factor * on / (on + off), which these keep
+/// equal to frame_rate_hz.
+constexpr double kBurstOnS = 0.2;
+constexpr double kBurstOffS = 0.2;
+constexpr double kBurstFactor = 2.0;
 
 /// Per-user activity windows derived from churn (base users) or a flash
 /// window (extra users). An empty list means always active.
@@ -38,7 +44,7 @@ struct ActivityWindows {
   }
 };
 
-/// The merged lazy generator behind every non-trace workload: each user's
+/// The merged lazy generator behind every workload: each user's
 /// candidate stream is thinned by the scenario's acceptance rule (when it
 /// shapes arrivals) before it reaches a min-heap, which holds only each
 /// user's next accepted frame event and merges them in (arrival, user)
@@ -84,9 +90,8 @@ class GeneratedRequestStream final : public RequestStream {
     auto add_user = [&](int user, ActivityWindows activity) {
       UserEntry entry{
           UserStream(root.fork(static_cast<std::uint64_t>(user) + 1),
-                     rate_hz, bursty ? options.burst_on_s : 0.0,
-                     bursty ? options.burst_off_s : 0.0,
-                     options.burst_factor),
+                     rate_hz, bursty ? kBurstOnS : 0.0,
+                     bursty ? kBurstOffS : 0.0, kBurstFactor),
           thinned_
               ? std::optional<Rng>(
                     accept_root.fork(static_cast<std::uint64_t>(user) + 1))
@@ -201,18 +206,6 @@ StatusOr<std::unique_ptr<RequestStream>> make_request_stream(
     const WorkloadOptions& options, const ScenarioSpec& scenario) {
   if (Status s = validate_workload_options(options); !s.is_ok()) return s;
   if (Status s = validate_scenario(scenario); !s.is_ok()) return s;
-  if (options.process == ArrivalProcess::kTrace) {
-    if (scenario.shapes_arrivals()) {
-      return Status::invalid_argument(
-          "scenario: shaped arrivals require a generated process, not a "
-          "trace");
-    }
-    // Traces are already materialized; adapt them instead of re-deriving.
-    auto workload = generate_workload(options);
-    if (!workload.is_ok()) return workload.status();
-    return std::unique_ptr<RequestStream>(
-        std::make_unique<VectorRequestStream>(std::move(*workload)));
-  }
   return std::unique_ptr<RequestStream>(
       std::make_unique<GeneratedRequestStream>(options, scenario));
 }

@@ -37,8 +37,8 @@ class RequestStream {
   virtual Status finish_status() const { return Status::ok(); }
 };
 
-/// A materialized workload exposed through the stream interface (the kTrace
-/// adapter, and handy for tests).
+/// A materialized workload exposed through the stream interface (the
+/// replay of a caller-supplied request vector, and handy for tests).
 class VectorRequestStream final : public RequestStream {
  public:
   explicit VectorRequestStream(std::vector<Request> requests)
@@ -57,9 +57,7 @@ class VectorRequestStream final : public RequestStream {
 /// Builds the arrival stream for `options` shaped by `scenario`
 /// (bit-identical to what generate_scenario_workload materializes,
 /// including the plain-generator fallback when the scenario does not shape
-/// arrivals). Validates both specs; a kTrace workload is materialized
-/// internally (traces are already in memory) and rejected when the
-/// scenario shapes arrivals, exactly like the materialized generator.
+/// arrivals). Validates both specs.
 StatusOr<std::unique_ptr<RequestStream>> make_request_stream(
     const WorkloadOptions& options, const ScenarioSpec& scenario = {});
 

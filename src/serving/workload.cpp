@@ -1,6 +1,5 @@
 #include "serving/workload.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <limits>
@@ -60,7 +59,6 @@ const char* to_string(ArrivalProcess process) {
   switch (process) {
     case ArrivalProcess::kPoisson: return "poisson";
     case ArrivalProcess::kBursty: return "bursty";
-    case ArrivalProcess::kTrace: return "trace";
   }
   return "?";
 }
@@ -73,7 +71,6 @@ StatusOr<ArrivalProcess> arrival_process_by_name(const std::string& name) {
   }
   if (lower == "poisson") return ArrivalProcess::kPoisson;
   if (lower == "bursty") return ArrivalProcess::kBursty;
-  if (lower == "trace") return ArrivalProcess::kTrace;
   return Status::not_found("unknown arrival process '" + name + "'");
 }
 
@@ -87,66 +84,28 @@ Status validate_workload_options(const WorkloadOptions& options) {
   if (options.target_requests < 0) {
     return Status::invalid_argument("workload: target_requests must be >= 0");
   }
-  if (options.process == ArrivalProcess::kTrace &&
-      options.target_requests > 0) {
+  if (!std::isfinite(options.frame_rate_hz) || options.frame_rate_hz <= 0) {
     return Status::invalid_argument(
-        "workload: target_requests requires a generated arrival process");
+        "workload: frame_rate_hz must be finite and > 0");
   }
-  if (options.process != ArrivalProcess::kTrace) {
-    if (options.frame_rate_hz <= 0) {
-      return Status::invalid_argument("workload: frame_rate_hz must be > 0");
-    }
-    if (options.target_requests == 0 && options.duration_s <= 0) {
-      return Status::invalid_argument("workload: duration_s must be > 0");
-    }
+  // The horizon is ignored in target mode, but a non-finite value is never
+  // a horizon anyone meant.
+  if (!std::isfinite(options.duration_s)) {
+    return Status::invalid_argument("workload: duration_s must be finite");
   }
-  // Checked for every process, not only kBursty: a zero phase would be
-  // silently ignored until the process flips to bursty and then hang the
-  // generator, so it is rejected at the spec boundary instead.
-  if (options.burst_on_s <= 0 || options.burst_off_s <= 0 ||
-      options.burst_factor <= 0) {
-    return Status::invalid_argument(
-        "workload: burst_on_s/burst_off_s/burst_factor must be > 0");
-  }
-  if (options.process == ArrivalProcess::kTrace &&
-      options.trace_arrivals_us.empty()) {
-    return Status::invalid_argument("workload: trace arrivals are empty");
+  if (options.target_requests == 0 && options.duration_s <= 0) {
+    return Status::invalid_argument("workload: duration_s must be > 0");
   }
   return Status::ok();
 }
 
 StatusOr<std::vector<Request>> generate_workload(
     const WorkloadOptions& options) {
-  if (Status s = validate_workload_options(options); !s.is_ok()) return s;
-
-  if (options.process != ArrivalProcess::kTrace) {
-    // The pull-based stream (stream.cpp) is the single copy of the
-    // generator for every generated process; this entry point just drains
-    // it into a vector.
-    auto stream = make_request_stream(options);
-    if (!stream.is_ok()) return stream.status();
-    return drain_request_stream(**stream, options.target_requests);
-  }
-
-  // Traces stay materialized: frame events as (arrival_us, user) pairs.
-  std::vector<double> times = options.trace_arrivals_us;
-  std::sort(times.begin(), times.end());
-
-  std::vector<Request> workload;
-  workload.reserve(times.size() * static_cast<std::size_t>(options.branches));
-  std::int64_t id = 0;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    const int user = static_cast<int>(i) % options.users;
-    for (int branch = 0; branch < options.branches; ++branch) {
-      Request r;
-      r.id = id++;
-      r.user = user;
-      r.branch = branch;
-      r.arrival_us = times[i];
-      workload.push_back(r);
-    }
-  }
-  return workload;
+  // The pull-based stream (stream.cpp) is the single copy of the generator;
+  // this entry point just drains it into a vector.
+  auto stream = make_request_stream(options);
+  if (!stream.is_ok()) return stream.status();
+  return drain_request_stream(**stream, options.target_requests);
 }
 
 }  // namespace fcad::serving

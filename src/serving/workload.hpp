@@ -26,15 +26,20 @@ struct Request {
   double arrival_us = 0;  ///< arrival time, microseconds from epoch 0
 };
 
+/// kBursty: each user alternates exponentially distributed on/off phases
+/// (0.2 s mean each); during "on" the frame rate doubles, during "off" the
+/// stream is silent (camera occluded / user muted), so the long-run mean
+/// rate stays frame_rate_hz and poisson-vs-bursty comparisons offer the
+/// same load, just burstier. The phase constants live beside their one
+/// reader, the generator in stream.cpp.
 enum class ArrivalProcess {
   kPoisson,  ///< per-user exponential inter-arrival times
   kBursty,   ///< on/off modulated Poisson (talking-head bursts)
-  kTrace,    ///< explicit frame-event times supplied by the caller
 };
 
 const char* to_string(ArrivalProcess process);
 
-/// Lookup by name ("poisson", "bursty", "trace"); case-insensitive.
+/// Lookup by name ("poisson", "bursty"); case-insensitive.
 StatusOr<ArrivalProcess> arrival_process_by_name(const std::string& name);
 
 struct WorkloadOptions {
@@ -45,35 +50,18 @@ struct WorkloadOptions {
   double duration_s = 1.0;     ///< generation horizon
   std::uint64_t seed = 1;
 
-  /// kBursty: each user alternates exponentially distributed on/off phases;
-  /// during "on" the frame rate is multiplied by `burst_factor`, during
-  /// "off" the stream is silent (camera occluded / user muted). The
-  /// long-run mean rate is frame_rate_hz * burst_factor * on/(on+off) —
-  /// the defaults keep it equal to frame_rate_hz so poisson-vs-bursty
-  /// comparisons offer the same load, just burstier.
-  double burst_on_s = 0.2;
-  double burst_off_s = 0.2;
-  double burst_factor = 2.0;
-
-  /// kTrace: frame-event times in microseconds; event i is assigned to user
-  /// i mod `users`. Unsorted input is accepted and sorted internally.
-  std::vector<double> trace_arrivals_us;
-
-  /// When > 0 (Poisson/bursty only): generate exactly this many requests
-  /// — the knob for million-request replay traces — instead of bounding
-  /// the horizon by `duration_s` (which is then ignored). Per-user streams
+  /// When > 0: generate exactly this many requests — the knob for
+  /// million-request replay traces — instead of bounding the horizon by
+  /// `duration_s` (which is then ignored). Per-user streams
   /// are drawn lazily in global time order, so the result is deterministic
   /// for a fixed seed and each user's arrivals match what the
   /// duration-bounded generator would produce.
   std::int64_t target_requests = 0;
 };
 
-/// Validates every WorkloadOptions field: users/branches >= 1,
-/// target_requests >= 0 (and only with a generated process), positive
-/// rate/horizon for generated processes, positive burst phases and factor
-/// (checked regardless of the selected process — a silently ignored
-/// `burst_off_s = 0` would turn into an infinite loop the moment the
-/// process switches to kBursty), and a non-empty trace for kTrace.
+/// Validates every WorkloadOptions field, each error naming its field:
+/// users/branches >= 1, target_requests >= 0, a finite positive rate, and a
+/// finite horizon (> 0 unless target_requests bounds the stream instead).
 Status validate_workload_options(const WorkloadOptions& options);
 
 /// Generates the request stream, sorted by arrival time with dense ids.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "arch/platform.hpp"
 #include "baselines/dnnbuilder.hpp"
 #include "baselines/hybriddnn.hpp"
@@ -208,23 +210,22 @@ TEST(Soc865Test, HdLayersAreMemoryBound) {
 }
 
 TEST(Soc865Test, BiggerCacheHelps) {
-  Soc865Params small;
-  small.cache_mib = 1.0;
-  Soc865Params big;
-  big.cache_mib = 64.0;  // everything fits
-  const double fps_small = run_soc865(mimic_model(), small).fps;
-  const double fps_big = run_soc865(mimic_model(), big).fps;
+  const double fps_small = run_soc865(mimic_model(), 1.0).fps;
+  const double fps_big = run_soc865(mimic_model(), 64.0).fps;  // all fits
   EXPECT_GT(fps_big, fps_small);
 }
 
 TEST(Soc865Test, OverfetchIsCapped) {
-  Soc865Params p;
-  p.max_overfetch = 4.0;
-  const Soc865Result r = run_soc865(mimic_model(), p);
+  // A 64 KiB cache overflows the HD layers many times over; the re-fetch
+  // multiplier still stops at its 8x cap.
+  const Soc865Result r = run_soc865(mimic_model(), 1.0 / 16);
+  double worst = 0;
   for (const SocLayerTime& lt : r.layers) {
-    EXPECT_LE(lt.overfetch, 4.0);
+    EXPECT_LE(lt.overfetch, 8.0);
     EXPECT_GE(lt.overfetch, 1.0);
+    worst = std::max(worst, lt.overfetch);
   }
+  EXPECT_EQ(worst, 8.0);
 }
 
 }  // namespace

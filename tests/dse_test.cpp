@@ -89,16 +89,16 @@ TEST(SpecHashTest, ObjectiveWeightsHashExactly) {
   // Two alphas that print alike under %g must still key apart, whether the
   // objective is set on the spec or on the search options.
   SearchSpec a;
-  a.objective = Objective::batch_fitness({.alpha = 0.05});
+  a.objective = Objective::batch_fitness(0.05);
   SearchSpec b;
-  b.objective = Objective::batch_fitness({.alpha = 0.05000001});
+  b.objective = Objective::batch_fitness(0.05000001);
   ASSERT_EQ(a.objective.describe(), b.objective.describe());
   EXPECT_NE(spec_hash(a).hex(), spec_hash(b).hex());
 
   SearchSpec c;
-  c.search.objective = Objective::batch_fitness({.alpha = 0.05});
+  c.search.objective = Objective::batch_fitness(0.05);
   SearchSpec d;
-  d.search.objective = Objective::batch_fitness({.alpha = 0.05000001});
+  d.search.objective = Objective::batch_fitness(0.05000001);
   EXPECT_NE(spec_hash(c).hex(), spec_hash(d).hex());
   // The same weights hash alike.
   EXPECT_EQ(spec_hash(c).hex(), spec_hash(SearchSpec{}).hex());
@@ -150,11 +150,11 @@ TEST(FitnessTest, PriorityWeightedSum) {
   ObjectiveInput input;
   input.fps = {10, 20};
   input.priorities = {1, 2};
-  EXPECT_DOUBLE_EQ(Objective::batch_fitness({.alpha = 0}).score(input), 50.0);
+  EXPECT_DOUBLE_EQ(Objective::batch_fitness(0).score(input), 50.0);
 }
 
 TEST(FitnessTest, VariancePenaltyPrefersBalance) {
-  const Objective objective = Objective::batch_fitness({.alpha = 1.0});
+  const Objective objective = Objective::batch_fitness(1.0);
   ObjectiveInput balanced;
   balanced.fps = {30, 30};
   balanced.priorities = {1, 1};

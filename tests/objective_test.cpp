@@ -27,8 +27,8 @@ constexpr std::uint64_t kFoldSeed = 0xcbf29ce484222325ULL;
 
 TEST(ObjectiveTest, BatchFitnessMatchesPinnedGolden) {
   // The digest was captured from the paper's fitness written out directly
-  // (sum_j fps_j * P_j - alpha * Var(fps) - demerit * unmet) over the same
-  // 200 seeded inputs.
+  // (sum_j fps_j * P_j - alpha * Var(fps) - 1e7 * unmet) over the same 200
+  // seeded inputs.
   Rng rng(2024);
   std::uint64_t digest = kFoldSeed;
   for (int trial = 0; trial < 200; ++trial) {
@@ -39,12 +39,10 @@ TEST(ObjectiveTest, BatchFitnessMatchesPinnedGolden) {
       input.priorities.push_back(rng.next_range(0.1, 8.0));
     }
     input.unmet_targets = trial % 4;
-    FitnessParams params;
-    params.alpha = rng.next_range(0.0, 1.0);
-    params.infeasible_demerit = rng.next_range(1e3, 1e8);
-    digest = fold_bits(digest, Objective::batch_fitness(params).score(input));
+    const double alpha = rng.next_range(0.0, 1.0);
+    digest = fold_bits(digest, Objective::batch_fitness(alpha).score(input));
   }
-  EXPECT_EQ(digest, 0x0395713a1286f285ULL);
+  EXPECT_EQ(digest, 0x27e2fec852a86e5bULL);
 }
 
 TEST(ObjectiveTest, SlaMatchesPinnedGolden) {
@@ -78,11 +76,7 @@ TEST(ObjectiveTest, TermsAccumulateWithWeightsInOrder) {
 }
 
 TEST(ObjectiveTest, DescribeListsTermsAndWeights) {
-  FitnessParams params;
-  params.alpha = 0.05;
-  params.infeasible_demerit = 1e7;
-  const std::string description =
-      Objective::batch_fitness(params).describe();
+  const std::string description = Objective::batch_fitness(0.05).describe();
   EXPECT_EQ(description, "throughput + 0.05*balance + 1e+07*feasibility");
   EXPECT_EQ(Objective().describe(), "<empty>");
 }
@@ -107,8 +101,7 @@ TEST(ObjectiveTest, ExplicitBatchFitnessReproducesDefaultSearchExactly) {
   options.seed = 99;
   const SearchResult implicit =
       cross_branch_search(*model, budget, cust, options);
-  options.objective =
-      Objective::batch_fitness({.alpha = 0.05, .infeasible_demerit = 1e7});
+  options.objective = Objective::batch_fitness(0.05);
   const SearchResult composed =
       cross_branch_search(*model, budget, cust, options);
 

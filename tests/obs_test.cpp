@@ -177,18 +177,22 @@ TEST(TraceTest, IdenticalRecordingsProduceIdenticalBytes) {
 }
 
 TEST(TraceTest, LaneCapacityDropsDeterministically) {
-  Tracer t(TracerOptions{.lane_capacity = 10});
-  for (int i = 0; i < 25; ++i) {
-    t.complete({kServingPid, 0}, "e" + std::to_string(i), "serving", i, 1);
+  constexpr std::int64_t kCap = Tracer::kLaneCapacity;
+  Tracer t;
+  for (std::int64_t i = 0; i < kCap + 15; ++i) {
+    t.complete({kServingPid, 0}, "e" + std::to_string(i), "serving",
+               static_cast<double>(i), 1);
   }
-  EXPECT_EQ(t.events(), 10);
+  EXPECT_EQ(t.events(), kCap);
   EXPECT_EQ(t.dropped(), 15);
   const std::string json = t.to_json();
   // The export annotates the truncation so a viewer can tell.
   EXPECT_NE(json.find("beyond lane capacity"), std::string::npos);
-  // The first 10 events survive; event 10+ never appears.
-  EXPECT_NE(json.find("\"e9\""), std::string::npos);
-  EXPECT_EQ(json.find("\"e10\""), std::string::npos);
+  // The first kCap events survive; event kCap+ never appears.
+  EXPECT_NE(json.find("\"e" + std::to_string(kCap - 1) + "\""),
+            std::string::npos);
+  EXPECT_EQ(json.find("\"e" + std::to_string(kCap) + "\""),
+            std::string::npos);
 }
 
 TEST(TraceTest, InstallAndUninstallRoundTrip) {

@@ -128,7 +128,7 @@ TEST(PipelineTest, SearchArtifactRoundTripsThroughText) {
   const dse::SearchResult& restored = loaded.search()->best();
   EXPECT_EQ(restored.fitness, original.fitness);
   EXPECT_EQ(restored.feasible, original.feasible);
-  EXPECT_EQ(restored.seconds, original.seconds);
+  EXPECT_EQ(restored.seconds, 0.0);  // wall time is not part of the file
   EXPECT_EQ(restored.trace.evaluations, original.trace.evaluations);
   ASSERT_EQ(restored.config.branches.size(), original.config.branches.size());
   for (std::size_t b = 0; b < original.config.branches.size(); ++b) {
@@ -192,21 +192,44 @@ TEST(PipelineTest, LoadedArtifactDrivesSimulationAndResult) {
   EXPECT_GT(result->simulation->min_fps, 0);
 }
 
+TEST(PipelineTest, OneSpecSavesByteIdenticalArtifacts) {
+  // Wall-clock time stays out of the artifact, so two fresh pipelines
+  // running one spec save the same bytes, for a winner-carrying kind and
+  // for kConvergence.
+  dse::SearchSpec convergence = fast_options().spec;
+  convergence.kind = dse::SearchKind::kConvergence;
+  convergence.convergence_runs = 2;
+  for (const dse::SearchSpec& spec : {fast_options().spec, convergence}) {
+    std::string saved[2];
+    for (std::string& text : saved) {
+      Pipeline pipeline(nn::zoo::avatar_decoder(), arch::platform_zu9cg());
+      ASSERT_TRUE(pipeline.optimize(spec).is_ok());
+      text = pipeline.save_search();
+    }
+    ASSERT_FALSE(saved[0].empty());
+    EXPECT_EQ(saved[0], saved[1]) << dse::to_string(spec.kind);
+  }
+}
+
 TEST(PipelineTest, MalformedArtifactRejected) {
   Pipeline pipeline(nn::zoo::avatar_decoder(), arch::platform_zu9cg());
   EXPECT_FALSE(pipeline.load_search("not an artifact").is_ok());
-  // Artifacts from older formats (v1 winner-only, v2 without serving stats)
-  // are not readable as v3 — a stale cache entry re-searches instead.
+  // Artifacts from older formats (v1 winner-only, v2 without serving stats,
+  // v4 with wall-clock seconds) are not readable as v5 — a stale cache entry
+  // re-searches instead.
   EXPECT_FALSE(
       pipeline.load_search("fcad-search-artifact v1\nfitness 1\n").is_ok());
   EXPECT_FALSE(
       pipeline.load_search("fcad-search-artifact v2\nkind optimize\n")
           .is_ok());
-  // A v3 header without a kind/result is incomplete.
   EXPECT_FALSE(
-      pipeline.load_search("fcad-search-artifact v3\n").is_ok());
+      pipeline.load_search("fcad-search-artifact v4\nkind optimize\n")
+          .is_ok());
+  // A v5 header without a kind/result is incomplete.
   EXPECT_FALSE(
-      pipeline.load_search("fcad-search-artifact v3\nkind optimize\n")
+      pipeline.load_search("fcad-search-artifact v5\n").is_ok());
+  EXPECT_FALSE(
+      pipeline.load_search("fcad-search-artifact v5\nkind optimize\n")
           .is_ok());
   EXPECT_EQ(pipeline.search(), nullptr);
   // result() without completed stages is an error, not a crash.
@@ -377,9 +400,9 @@ TEST(ArtifactCacheTest, KeyTracksExactObjectiveWeights) {
   // share a cached artifact — even though describe() prints them alike.
   Pipeline pipeline(nn::zoo::avatar_decoder(), arch::platform_zu9cg());
   dse::SearchSpec a = fast_options().spec;
-  a.objective = dse::Objective::batch_fitness({.alpha = 0.05});
+  a.objective = dse::Objective::batch_fitness(0.05);
   dse::SearchSpec b = fast_options().spec;
-  b.objective = dse::Objective::batch_fitness({.alpha = 0.05000001});
+  b.objective = dse::Objective::batch_fitness(0.05000001);
   ASSERT_FALSE(pipeline.artifact_cache_key(a).empty());
   EXPECT_NE(pipeline.artifact_cache_key(a), pipeline.artifact_cache_key(b));
 }

@@ -76,9 +76,6 @@ TEST(ScaledDecoderTest, BadSpecsRejected) {
   ScaledDecoderSpec tiny;
   tiny.width = 0.01;
   EXPECT_THROW(scaled_decoder(tiny), InternalError);
-  ScaledDecoderSpec deep;
-  deep.texture_steps = 9;
-  EXPECT_THROW(scaled_decoder(deep), InternalError);
 }
 
 }  // namespace

@@ -261,18 +261,6 @@ TEST(ScenarioTest, NonFiniteAndOutOfRangeFieldsAreRejected) {
   EXPECT_TRUE(scenario_from_string("churn:user=1,join=0,leave=inf").is_ok());
 }
 
-TEST(ScenarioTest, TraceArrivalsCannotBeShaped) {
-  WorkloadOptions wl = base_options();
-  wl.process = ArrivalProcess::kTrace;
-  wl.trace_arrivals_us = {0, 1000, 2000};
-  wl.target_requests = 0;
-  ScenarioSpec s;
-  s.diurnal.period_s = 1.0;
-  s.diurnal.amplitude = 0.3;
-  EXPECT_EQ(generate_scenario_workload(wl, s).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(ScenarioTest, RateMultiplierComposesClauses) {
   ScenarioSpec s = composed_spec();
   // Diurnal sine at t=0 is exactly 1; inside the flash window the step

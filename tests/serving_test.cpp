@@ -135,24 +135,6 @@ TEST(WorkloadTest, BurstyGeneratesWithinHorizon) {
   }
 }
 
-TEST(WorkloadTest, TraceAssignsUsersRoundRobinAndExpandsBranches) {
-  WorkloadOptions options;
-  options.process = ArrivalProcess::kTrace;
-  options.users = 2;
-  options.branches = 2;
-  options.trace_arrivals_us = {300, 100, 200};
-  auto workload = generate_workload(options);
-  ASSERT_TRUE(workload.is_ok());
-  ASSERT_EQ(workload->size(), 6u);  // 3 events x 2 branches
-  // Sorted events: 100 (user 0), 200 (user 1), 300 (user 0).
-  EXPECT_EQ((*workload)[0].arrival_us, 100);
-  EXPECT_EQ((*workload)[0].user, 0);
-  EXPECT_EQ((*workload)[0].branch, 0);
-  EXPECT_EQ((*workload)[1].branch, 1);
-  EXPECT_EQ((*workload)[2].user, 1);
-  EXPECT_EQ((*workload)[4].user, 0);
-}
-
 TEST(WorkloadTest, RejectsBadOptions) {
   WorkloadOptions options;
   options.users = 0;
@@ -160,9 +142,6 @@ TEST(WorkloadTest, RejectsBadOptions) {
   options.users = 1;
   options.frame_rate_hz = 0;
   EXPECT_FALSE(generate_workload(options).is_ok());
-  options.frame_rate_hz = 30;
-  options.process = ArrivalProcess::kTrace;
-  EXPECT_FALSE(generate_workload(options).is_ok());  // empty trace
 }
 
 TEST(WorkloadTest, TargetRequestsGeneratesExactCount) {
@@ -222,21 +201,17 @@ TEST(WorkloadTest, TargetRequestsMatchesDurationBoundedPrefix) {
   EXPECT_TRUE(generate_workload(target).is_ok());
 }
 
-TEST(WorkloadTest, TargetRequestsRejectsTraceAndNegatives) {
+TEST(WorkloadTest, TargetRequestsRejectsNegatives) {
   WorkloadOptions options;
   options.target_requests = -1;
-  EXPECT_FALSE(generate_workload(options).is_ok());
-  options.target_requests = 10;
-  options.process = ArrivalProcess::kTrace;
-  options.trace_arrivals_us = {1, 2, 3};
   EXPECT_FALSE(generate_workload(options).is_ok());
 }
 
 TEST(WorkloadTest, ProcessNamesRoundTrip) {
   EXPECT_EQ(*arrival_process_by_name("Poisson"), ArrivalProcess::kPoisson);
   EXPECT_EQ(*arrival_process_by_name("bursty"), ArrivalProcess::kBursty);
-  EXPECT_EQ(*arrival_process_by_name("TRACE"), ArrivalProcess::kTrace);
   EXPECT_FALSE(arrival_process_by_name("uniform").is_ok());
+  EXPECT_FALSE(arrival_process_by_name("trace").is_ok());
 }
 
 // ---------------------------------------------------------------- batcher --
@@ -1351,6 +1326,48 @@ TEST(ServeSpecTest, ReplayFlagsSetTheFleetBoundAndClock) {
   EXPECT_FALSE(replay_job({"--clock", "bogus"}).is_ok());
 }
 
+TEST(ServeSpecTest, NonFiniteAndOutOfRangeInputsNameTheirField) {
+  // Each bad value is rejected at the spec boundary, naming its field —
+  // never an invariant abort deep in the shard loop, never a silent report.
+  const ServiceModel service = make_service({{2, 3000.0}, {2, 5000.0}});
+  auto status_of = [&](std::vector<const char*> flags) {
+    flags.insert(flags.end(),
+                 {"--replay", "200", "--instances", "2", "--shards", "1"});
+    auto job = replay_job(flags);
+    if (!job.is_ok()) return job.status();
+    return simulate_fleet_stream(service, job->spec).status();
+  };
+  EXPECT_TRUE(status_of({}).is_ok()) << status_of({}).to_string();
+  const struct {
+    std::vector<const char*> flags;
+    const char* field;
+  } cases[] = {
+      {{"--timeout-us", "nan"}, "batch_timeout_us"},
+      {{"--timeout-us", "inf"}, "batch_timeout_us"},
+      {{"--switch-penalty-us", "nan"}, "switch_penalty_us"},
+      {{"--switch-penalty-us", "-1e9"}, "switch_penalty_us"},
+      {{"--sla-ms", "nan"}, "sla_bound_us"},
+      {{"--sla-ms", "0"}, "sla_bound_us"},
+      {{"--frame-rate", "nan"}, "frame_rate_hz"},
+      {{"--frame-rate", "inf"}, "frame_rate_hz"},
+      {{"--cancel-at", "7"}, "--cancel-at"},
+      {{"--cancel-at", "nan"}, "--cancel-at"},
+  };
+  for (const auto& c : cases) {
+    const Status status = status_of(c.flags);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << c.flags[0] << " " << c.flags[1];
+    EXPECT_NE(status.message().find(c.field), std::string::npos)
+        << status.to_string();
+  }
+
+  WorkloadOptions workload;
+  workload.duration_s = std::numeric_limits<double>::quiet_NaN();
+  const Status duration = validate_workload_options(workload);
+  EXPECT_EQ(duration.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(duration.message().find("duration_s"), std::string::npos);
+}
+
 TEST(ServeSpecTest, SteadyClockReplayPacesTheTraceInRealTime) {
   // Wall mode is the live-pacing mode: the replay sleeps to each event's
   // trace timestamp, so recorded times carry genuine scheduler jitter and
@@ -1380,40 +1397,6 @@ TEST(ServeSpecTest, SteadyClockReplayPacesTheTraceInRealTime) {
     EXPECT_GT(r.finish_us, r.start_us);
   }
   EXPECT_GT(steady_run->latency.p99, 0);
-}
-
-TEST(ServeSpecTest, BurstParametersValidatedForEveryProcess) {
-  // Satellite of the elastic-serving PR: a zero burst phase used to be
-  // silently ignored until the process flipped to kBursty — it is now
-  // rejected at the spec boundary regardless of the selected process.
-  WorkloadOptions options;
-  options.process = ArrivalProcess::kPoisson;
-  options.burst_off_s = 0;
-  auto generated = generate_workload(options);
-  ASSERT_FALSE(generated.is_ok());
-  EXPECT_EQ(generated.status().code(), StatusCode::kInvalidArgument);
-
-  options.burst_off_s = 0.2;
-  options.burst_factor = -1;
-  EXPECT_FALSE(validate_workload_options(options).is_ok());
-  options.burst_factor = 2.0;
-  options.burst_on_s = 0;
-  EXPECT_FALSE(validate_workload_options(options).is_ok());
-  options.burst_on_s = 0.2;
-  EXPECT_TRUE(validate_workload_options(options).is_ok());
-}
-
-TEST(ServeSpecTest, TraceWithTargetRequestsRejected) {
-  WorkloadOptions options;
-  options.process = ArrivalProcess::kTrace;
-  options.trace_arrivals_us = {0, 100, 200};
-  options.target_requests = 10;
-  auto generated = generate_workload(options);
-  ASSERT_FALSE(generated.is_ok());
-  EXPECT_EQ(generated.status().code(), StatusCode::kInvalidArgument);
-
-  options.target_requests = 0;
-  EXPECT_TRUE(generate_workload(options).is_ok());
 }
 
 }  // namespace

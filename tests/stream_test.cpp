@@ -629,12 +629,6 @@ TEST(StreamTest, StreamPathRejectsInvalidSpecs) {
   EXPECT_EQ(simulate_fleet_stream(service, no_target).status().code(),
             StatusCode::kInvalidArgument);
 
-  ServeSpec traced = spec;
-  traced.workload.process = ArrivalProcess::kTrace;
-  traced.workload.trace_arrivals_us = {1, 2, 3};
-  EXPECT_EQ(simulate_fleet_stream(service, traced).status().code(),
-            StatusCode::kInvalidArgument);
-
   ServeSpec records = spec;
   records.fleet.latency_mode = LatencyMode::kSketch;
   records.fleet.keep_records = true;
