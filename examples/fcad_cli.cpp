@@ -11,8 +11,10 @@
 // --save-artifact / --load-artifact serialize the optimization stage, so a
 // search can be resumed for reporting/simulation without re-running it.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "obs/export.hpp"
 #include "sim/trace.hpp"
 #include "util/args.hpp"
+#include "util/format.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -99,15 +102,39 @@ StatusOr<nn::Graph> load_model(const ArgParser& args) {
   return nn::from_text(buffer.str());
 }
 
+/// A finite, positive `--flag` value, rejected by name otherwise.
+StatusOr<double> positive_flag(const ArgParser& args, const std::string& flag,
+                               double fallback) {
+  auto value = args.get_double(flag, fallback);
+  if (!value.is_ok()) return value.status();
+  if (!std::isfinite(*value) || *value <= 0) {
+    return Status::invalid_argument("--" + flag +
+                                    " must be finite and > 0, got " +
+                                    format_exact(*value));
+  }
+  return *value;
+}
+
 StatusOr<arch::Platform> load_platform(const ArgParser& args) {
   if (args.has("asic-macs")) {
+    // make_asic casts the MAC count and the buffer's BRAM18K count to int.
+    constexpr auto kIntMax = std::numeric_limits<int>::max();
     auto macs = args.get_int("asic-macs", 0);
     if (!macs.is_ok()) return macs.status();
-    auto buffer = args.get_double("asic-buffer-mib", 4.0);
+    if (*macs < 1 || *macs > kIntMax) {
+      return Status::invalid_argument("--asic-macs must be in [1, " +
+                                      std::to_string(kIntMax) + "], got " +
+                                      std::to_string(*macs));
+    }
+    auto buffer = positive_flag(args, "asic-buffer-mib", 4.0);
     if (!buffer.is_ok()) return buffer.status();
-    auto bw = args.get_double("asic-bw", 12.8);
+    if (std::ceil(*buffer * 1024.0 * 1024.0 * 8.0 / 18432.0) > kIntMax) {
+      return Status::invalid_argument("--asic-buffer-mib is too large, got " +
+                                      format_exact(*buffer));
+    }
+    auto bw = positive_flag(args, "asic-bw", 12.8);
     if (!bw.is_ok()) return bw.status();
-    auto freq = args.get_double("asic-freq", 600.0);
+    auto freq = positive_flag(args, "asic-freq", 600.0);
     if (!freq.is_ok()) return freq.status();
     return arch::make_asic("asic", static_cast<int>(*macs), *buffer, *bw,
                            *freq);

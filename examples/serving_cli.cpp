@@ -56,8 +56,6 @@ void usage() {
       "  --switch-penalty-us <f> branch retarget cost per pass (default "
       "500)\n"
       "  --sla-ms <f>           p99 latency bound (default 33.333)\n"
-      "  --tail-pct <f>         percentile rank streamed by progress ticks,\n"
-      "                         in (0, 100] (default 99)\n"
       "hardware search:\n"
       "  --platform <name>      z7045 | zu17eg | zu9cg | ku115 (default "
       "zu9cg)\n"
@@ -181,13 +179,6 @@ int run(const ArgParser& args) {
   const double sla_us =
       flag_value(args.get_double("sla-ms", 100.0 / 3.0)) * 1e3;
   const auto shards = static_cast<int>(flag_value(args.get_int("shards", 1)));
-  // Percentile-bearing flags are validated up front: a bad rank is a clean
-  // CLI error, never a crash inside the stats layer.
-  const double tail_pct = flag_value(args.get_double("tail-pct", 99.0));
-  if (Status s = serving::validate_percentile(tail_pct); !s.is_ok()) {
-    std::fprintf(stderr, "error: --tail-pct: %s\n", s.message().c_str());
-    return 1;
-  }
   const bool emit_json = args.has("json");
 
   auto platform = arch::platform_by_name(args.get("platform", "zu9cg"));
@@ -261,7 +252,6 @@ int run(const ArgParser& args) {
   fleet.batch_timeout_us = timeout_us;
   fleet.switch_penalty_us = switch_penalty_us;
   fleet.sla_bound_us = sla_us;
-  fleet.progress_tail_pct = tail_pct;
 
   // 2. SLA-aware DSE mode: search batch scaling under the traffic spec.
   if (args.has("optimize")) {

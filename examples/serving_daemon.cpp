@@ -67,7 +67,7 @@ void usage() {
       "  --live                 serve an AF_UNIX socket on a steady clock\n"
       "traffic/fleet (replay modes share serving_cli --replay's flags):\n"
       "  --users --frame-rate --seed --instances --shards --threads\n"
-      "  --policy --timeout-us --switch-penalty-us --sla-ms --tail-pct\n"
+      "  --policy --timeout-us --switch-penalty-us --sla-ms\n"
       "scenario / elastic policy:\n"
       "  --scenario <spec>      shape the generated trace and schedule\n"
       "                         instance faults: diurnal:period=..,amp=..;\n"

@@ -48,9 +48,9 @@ ObjectiveInput objective_input(const arch::AcceleratorEval& eval,
 }
 
 Objective& Objective::add(std::string name, double weight, TermFn value) {
-  FCAD_CHECK_MSG(static_cast<bool>(value), "Objective term '" + name +
-                                               "' has no value function");
-  terms_.push_back(Term{std::move(name), weight, std::move(value)});
+  FCAD_CHECK_MSG(value != nullptr,
+                 "Objective term '" + name + "' has no value function");
+  terms_.push_back(Term{std::move(name), weight, value});
   return *this;
 }
 

@@ -11,7 +11,6 @@
 // objective_test.cpp).
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -60,7 +59,11 @@ ObjectiveInput objective_input(const arch::AcceleratorEval& eval,
 
 class Objective {
  public:
-  using TermFn = std::function<double(const ObjectiveInput&)>;
+  /// A plain function, so a term cannot capture state: spec_hash keys an
+  /// Objective by term names and weights, and anything a term captured
+  /// would change scores without changing the artifact key. Captureless
+  /// lambdas convert.
+  using TermFn = double (*)(const ObjectiveInput&);
 
   struct Term {
     std::string name;

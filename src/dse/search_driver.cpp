@@ -1,6 +1,7 @@
 #include "dse/search_driver.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -38,6 +39,15 @@ SearchResult SearchDriver::RunContext::search(
 }
 
 StatusOr<SearchOutcome> SearchDriver::run(const SearchSpec& spec) const {
+  // Every evaluation divides by the clock and the bandwidth.
+  for (const auto& [field, value] : {std::pair{"freq_mhz", platform_.freq_mhz},
+                                     std::pair{"bw_gbps", platform_.bw_gbps}}) {
+    if (!std::isfinite(value) || value <= 0) {
+      return Status::invalid_argument(std::string("platform: ") + field +
+                                      " must be finite and > 0, got " +
+                                      format_exact(value));
+    }
+  }
   const RunScope scope(spec.control);
 
   auto strategy = strategy_factory(spec.strategy);
@@ -305,7 +315,7 @@ namespace {
 /// Replays the traffic spec at `users` concurrent streams on `service`.
 /// `workload.branches` is derived from the service model here — the one
 /// place it is set. The scope makes huge replays interruptible (and streams
-/// partial percentile estimates as progress).
+/// completion counts as progress).
 StatusOr<serving::ServingStats> replay_traffic(
     const serving::ServiceModel& service, const TrafficSpec& traffic,
     int users, const RunScope* scope) {

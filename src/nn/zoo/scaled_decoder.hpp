@@ -15,7 +15,6 @@ struct ScaledDecoderSpec {
   int branches = 3;
   /// Channel width multiplier applied to every conv (>= 0.125).
   double width = 1.0;
-  bool untied_bias = true;
 };
 
 /// Builds the synthetic decoder; FCAD_CHECKs on nonsensical specs.

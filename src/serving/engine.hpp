@@ -84,17 +84,15 @@ struct ShardStats {
 ///     t = min(next arrival, next_event_us());
 ///     advance_to(t);                             // jumps or really sleeps
 ///   }
-/// Progress is one of its write-only observers, not engine state: the
-/// engine keeps no tail tracker, and the partial tail is tracked only when
-/// a progress listener exists.
+/// Progress is one of its write-only observers, not engine state.
 struct FleetEngineConfig {
   DispatchPolicy policy{};
   double batch_timeout_us = 4000;
   double switch_penalty_us = 0;
   double sla_bound_us = 33333.3;
-  /// Unread: the progress tail lives in run_shard's progress observer. Kept
-  /// only because perfbench's traced copy of the loop still sets it; goes
-  /// once perfbench runs run_shard with an observer (ROADMAP item 2).
+  /// Unread: progress ticks carry counts only. Kept only because
+  /// perfbench's traced copy of the loop still sets it; goes once perfbench
+  /// runs run_shard with an observer (ROADMAP item 1).
   double progress_tail_pct = 99;
   bool keep_records = false;
   int shard_index = 0;     ///< obs shard lane (tid = shard index)

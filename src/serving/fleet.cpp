@@ -368,10 +368,6 @@ Status validate_fleet_spec(const ServiceModel& service,
     return Status::invalid_argument(
         "fleet: sla_bound_us must be finite and > 0");
   }
-  if (Status s = validate_percentile(options.progress_tail_pct); !s.is_ok()) {
-    return Status::invalid_argument("fleet: progress_tail_pct: " +
-                                    s.message());
-  }
   if (service.num_branches() < 1) {
     return Status::invalid_argument("fleet: service model has no branches");
   }
@@ -519,11 +515,11 @@ StatusOr<std::unique_ptr<RequestStream>> shard_stream(ReplayPlan& plan,
 /// global completion count (resumed shards included) and the next tick's
 /// threshold.
 struct ProgressTicks {
-  void emit(std::int64_t step, double partial_tail) {
+  void emit(std::int64_t step) {
     scope->emit({"fleet",
                  static_cast<int>(std::min<std::int64_t>(step, 1LL << 30)),
                  static_cast<int>(std::min<std::int64_t>(offered, 1LL << 30)),
-                 partial_tail});
+                 0});
     last_emitted.store(step, std::memory_order_relaxed);
   }
 
@@ -537,26 +533,16 @@ struct ProgressTicks {
 };
 
 /// run_shard's observer on a replay with a progress listener: counts the
-/// shard's completions into the shared ticks and keeps its partial tail — a
-/// TailTracker over its exact latencies, or the engine's own sketch in
-/// sketch mode (no O(expected) tracker reserve on billion-request runs).
-/// Due ticks fire after a dispatch; only they (~20 per replay) read the tail.
+/// shard's completions into the shared ticks and emits the ticks that fall
+/// due after a dispatch.
 class ProgressObserver : public ShardObserver {
  public:
-  ProgressObserver(ProgressTicks& ticks, const FleetOptions& options,
-                   std::int64_t expected_requests)
-      : ticks_(ticks),
-        pct_(options.progress_tail_pct),
-        sketch_(options.latency_mode == LatencyMode::kSketch),
-        tail_(sketch_ ? 0 : expected_requests, pct_) {}
+  explicit ProgressObserver(ProgressTicks& ticks) : ticks_(ticks) {}
 
-  void on_start(const FleetEngine& engine) { engine_ = &engine; }
-  void on_batch(const Batch& batch, int, double, double finish_us) {
+  void on_batch(const Batch& batch, int, double, double) {
     ticks_.completed.fetch_add(
         static_cast<std::int64_t>(batch.requests.size()),
         std::memory_order_relaxed);
-    if (sketch_) return;
-    for (const Request& r : batch.requests) tail_.add(finish_us - r.arrival_us);
   }
   void on_phase(ShardPhase phase) {
     if (phase != ShardPhase::kDispatch) return;
@@ -564,53 +550,14 @@ class ProgressObserver : public ShardObserver {
     if (c < ticks_.next_at.load(std::memory_order_relaxed)) return;
     std::lock_guard<std::mutex> lock(ticks_.mutex);
     if (c < ticks_.next_at.load(std::memory_order_relaxed)) return;  // lost
-    ticks_.emit(c, partial_tail());
+    ticks_.emit(c);
     ticks_.next_at.store((c / ticks_.chunk + 1) * ticks_.chunk,
                          std::memory_order_relaxed);
   }
 
  private:
-  double partial_tail() const {
-    if (!sketch_) return tail_.partial();
-    const QuantileSketch& sketch = engine_->stats().latency_sketch;
-    return sketch.count() == 0 ? 0 : sketch.quantile(pct_);
-  }
-
   ProgressTicks& ticks_;
-  double pct_;
-  bool sketch_;
-  TailTracker tail_;
-  const FleetEngine* engine_ = nullptr;
 };
-
-/// The exact final tail-percentile estimate for the terminal progress tick,
-/// computed from the per-shard streams BEFORE merge_shard_stats consumes
-/// them. Exact mode streams every latency through a TailTracker (O(tail)
-/// memory); sketch mode folds the shard sketches and reads the quantile.
-double final_tail_estimate(const std::vector<ShardStats>& shards,
-                           std::int64_t total_completed,
-                           const FleetOptions& options) {
-  if (options.latency_mode == LatencyMode::kSketch) {
-    QuantileSketch merged;
-    bool first = true;
-    for (const ShardStats& shard : shards) {
-      if (first) {
-        merged = shard.latency_sketch;
-        first = false;
-      } else {
-        FCAD_CHECK_MSG(merged.merge(shard.latency_sketch).is_ok(),
-                       "fleet: shard sketches disagree on seed/alpha");
-      }
-    }
-    return merged.count() == 0 ? 0
-                               : merged.quantile(options.progress_tail_pct);
-  }
-  TailTracker tail(total_completed, options.progress_tail_pct);
-  for (const ShardStats& shard : shards) {
-    for (double v : shard.latencies) tail.add(v);
-  }
-  return tail.partial();
-}
 
 }  // namespace
 
@@ -643,9 +590,8 @@ StatusOr<ServingStats> run_replay(ReplayPlan plan,
   for (const auto& slot : slots) {
     if (slot) already_completed += slot->completed;
   }
-  // Progress — ticks, and the tail estimates they carry — is an observer
-  // that exists only for a scope with a listener: an unobserved replay runs
-  // the bare loop and tracks no tail.
+  // Progress is an observer that exists only for a scope with a listener:
+  // an unobserved replay runs the bare loop.
   const bool observed = scope != nullptr && scope->observed();
   std::optional<ProgressTicks> ticks;
   if (observed) {
@@ -680,8 +626,7 @@ StatusOr<ServingStats> run_replay(ReplayPlan plan,
     ShardTally& tally = tallies[static_cast<std::size_t>(i)];
     auto result =
         ticks ? run_shard(service, source, *clock, plan, spec.elastic, s,
-                          expected, scope, tally,
-                          ProgressObserver(*ticks, options, expected))
+                          expected, scope, tally, ProgressObserver(*ticks))
               : run_shard(service, source, *clock, plan, spec.elastic, s,
                           expected, scope, tally);
     if (Status fs = source.finish_status(); !fs.is_ok()) {
@@ -742,19 +687,6 @@ StatusOr<ServingStats> run_replay(ReplayPlan plan,
     shards.push_back(std::move(*slots[static_cast<std::size_t>(s)]));
   }
 
-  // The terminal tick: every replay with an observer ends with a progress
-  // event whose estimate is the final tail percentile over ALL latencies
-  // (exact in exact mode, the merged-sketch quantile in sketch mode). A
-  // sharded run's last in-loop tick carries the emitting shard's local
-  // estimate even when it lands exactly at completed == offered, so only
-  // the single-shard loop (whose tracker saw every sample) may skip the
-  // terminal emit. Computed before the merge, which consumes the shards.
-  const bool terminal_tick =
-      observed && (owned > 1 || ticks->last_emitted.load() != total_completed);
-  const double final_tail =
-      terminal_tick ? final_tail_estimate(shards, total_completed, options)
-                    : 0;
-
   ServingStats stats =
       merge_shard_stats(std::move(shards), service, options.sla_bound_us,
                         plan.provisioned_total, resumed);
@@ -767,7 +699,10 @@ StatusOr<ServingStats> run_replay(ReplayPlan plan,
   }
   if (shed != nullptr) *shed = total_shed;
 
-  if (terminal_tick) ticks->emit(stats.completed, final_tail);
+  // An observed replay ends with a tick at its final count.
+  if (ticks && ticks->last_emitted.load() != stats.completed) {
+    ticks->emit(stats.completed);
+  }
 
   return stats;
 }

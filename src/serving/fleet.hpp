@@ -75,9 +75,10 @@ struct FleetOptions {
   /// core, N = exactly N workers. A RunControl::threads override (via the
   /// scope) wins. Never changes results.
   int threads = 0;
-  /// Percentile rank streamed by progress ticks (partial tail estimate).
-  /// Validated: out-of-(0,100] values return Status::invalid_argument.
-  double progress_tail_pct = 99;
+  /// Unread: progress ticks carry counts only. Kept only because
+  /// perfbench's traced copy of the loop still copies it; goes once
+  /// perfbench runs run_shard with an observer (ROADMAP item 1).
+  static constexpr double progress_tail_pct = 99;
   /// Checkpoint file ("" disables). Granularity is one shard: every shard
   /// completion atomically rewrites the file (temp + rename) with all
   /// finished shards' partial stats, and a later run with the same service,
@@ -143,12 +144,11 @@ struct ServeSpec {
 /// poll it and the call returns StatusCode::kCancelled once the token fires
 /// or the deadline passes (finished shards stay checkpointed when a
 /// checkpoint path is set). A scope with a progress listener also receives
-/// ~20 "fleet" ProgressEvents over the replay, whose best_fitness field
-/// carries the *partial tail-latency estimate* (microseconds, exact
-/// nearest-rank at `progress_tail_pct` over the emitting shard's completions
-/// so far). Progress is a write-only observer of the shard loop (run_shard,
-/// internal serving/shard_loop.hpp), created — with its tail tracking —
-/// only when a listener exists, so it never changes the stats.
+/// ~20 "fleet" ProgressEvents over the replay: `step` requests completed of
+/// `total_steps` offered (best_fitness stays 0), ending with one tick at the
+/// final count. Progress is a write-only observer of the shard loop
+/// (run_shard, internal serving/shard_loop.hpp), created only when a
+/// listener exists, so it never changes the stats.
 StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
                                       const std::vector<Request>& requests,
                                       const ServeSpec& spec,

@@ -74,12 +74,6 @@ StatusOr<ReplayJob> replay_job_from_args(const ArgParser& args) {
   auto switch_penalty = args.get_double("switch-penalty-us", 500.0);
   if (!switch_penalty.is_ok()) return switch_penalty.status();
   fleet.switch_penalty_us = *switch_penalty;
-  auto tail_pct = args.get_double("tail-pct", 99.0);
-  if (!tail_pct.is_ok()) return tail_pct.status();
-  if (Status s = validate_percentile(*tail_pct); !s.is_ok()) {
-    return Status::invalid_argument("--tail-pct: " + s.message());
-  }
-  fleet.progress_tail_pct = *tail_pct;
   fleet.checkpoint_path = args.get("checkpoint", "");
 
   auto sla_ms = args.get_double("sla-ms", 100.0 / 3.0);

@@ -50,9 +50,9 @@ struct ReplayJob {
 
 /// Parses the shared --replay flag set (--replay N --users --frame-rate
 /// --seed --instances --shards --threads --policy --timeout-us
-/// --switch-penalty-us --sla-ms --tail-pct --clock --checkpoint --cancel-at
-/// --scenario --elastic --latency-mode --stream --process-shard i/N
-/// --merge a,b,... --csv --json --decisions) into a job. --scenario
+/// --switch-penalty-us --sla-ms --clock --checkpoint --cancel-at --scenario
+/// --elastic --latency-mode --stream --process-shard i/N --merge a,b,...
+/// --csv --json --decisions) into a job. --scenario
 /// takes the scenario_to_string grammar (diurnal/flash/churn/fault
 /// clauses), --elastic the elastic_to_string grammar (scale/reshard
 /// clauses); both default to "none". --latency-mode exact|sketch selects

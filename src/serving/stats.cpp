@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -33,56 +32,6 @@ double percentile(std::vector<double> samples, double pct) {
                    samples.begin() + static_cast<std::ptrdiff_t>(index),
                    samples.end());
   return samples[index];
-}
-
-Status validate_percentile(double pct) {
-  if (!(pct > 0 && pct <= 100)) {
-    return Status::invalid_argument("percentile rank " + format_exact(pct) +
-                                    " is out of (0, 100]");
-  }
-  return Status::ok();
-}
-
-TailTracker::TailTracker(std::int64_t expected_total, double pct)
-    : pct_(pct) {
-  FCAD_CHECK_MSG(validate_percentile(pct).is_ok(),
-                 "TailTracker: pct out of (0, 100]");
-  const auto n = static_cast<double>(std::max<std::int64_t>(expected_total, 1));
-  // Samples >= the nearest-rank pick at n total: n - ceil(pct/100 * n) + 1.
-  const auto rank =
-      std::max<std::int64_t>(static_cast<std::int64_t>(
-                                 std::ceil(pct / 100.0 * n)),
-                             1);
-  cap_ = static_cast<std::size_t>(
-      std::max<std::int64_t>(expected_total, 1) - rank + 1);
-  tail_.reserve(cap_);
-}
-
-void TailTracker::add(double sample) {
-  ++seen_;
-  if (tail_.size() < cap_) {
-    tail_.push_back(sample);
-    std::push_heap(tail_.begin(), tail_.end(), std::greater<>());
-  } else if (sample > tail_.front()) {
-    std::pop_heap(tail_.begin(), tail_.end(), std::greater<>());
-    tail_.back() = sample;
-    std::push_heap(tail_.begin(), tail_.end(), std::greater<>());
-  }
-}
-
-double TailTracker::partial() const {
-  if (seen_ == 0) return 0;
-  const auto n = static_cast<std::size_t>(seen_);
-  // The nearest-rank pick over n samples is the k-th largest one; the tail
-  // heap holds the top min(n, cap_) samples, which contains it whenever the
-  // caller honored expected_total (clamped defensively otherwise).
-  std::size_t k = n - nearest_rank_index(n, pct_);
-  std::vector<double> top = tail_;
-  k = std::min(k, top.size());
-  const std::size_t pos = top.size() - k;
-  std::nth_element(top.begin(),
-                   top.begin() + static_cast<std::ptrdiff_t>(pos), top.end());
-  return top[pos];
 }
 
 LatencySummary summarize(std::vector<double> samples) {

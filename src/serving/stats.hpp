@@ -21,38 +21,6 @@ namespace fcad::serving {
 /// `pct` must be in (0, 100]; requires a non-empty sample set.
 double percentile(std::vector<double> samples, double pct);
 
-/// Ok iff `pct` is a valid percentile rank in (0, 100]. The check every
-/// user-facing percentile input (CLI flags, FleetOptions) must pass before
-/// it reaches the CHECKing `percentile()` above.
-Status validate_percentile(double pct);
-
-/// Streaming tracker of the upper tail of at most `expected_total` samples,
-/// so *partial* nearest-rank percentiles stay exact without re-scanning the
-/// whole stream: `partial()` costs O(tail) where the tail is the top
-/// (100-pct)% of the expected stream (~1% for p99), and `add` is O(1)
-/// amortized. Replaces the full O(n) latency-vector copy that fleet
-/// progress ticks used to pay ~20 times per replay.
-class TailTracker {
- public:
-  /// `pct` must be a valid percentile rank; `expected_total` is an upper
-  /// bound on the number of samples that will ever be added.
-  TailTracker(std::int64_t expected_total, double pct);
-
-  void add(double sample);
-
-  /// Exact nearest-rank `pct` percentile over the samples added so far
-  /// (0 when no samples were added yet).
-  double partial() const;
-
-  std::int64_t seen() const { return seen_; }
-
- private:
-  double pct_ = 99;
-  std::size_t cap_ = 1;        ///< tail size needed at expected_total
-  std::int64_t seen_ = 0;
-  std::vector<double> tail_;   ///< min-heap of the largest cap_ samples
-};
-
 struct LatencySummary {
   std::int64_t count = 0;
   double mean = 0;

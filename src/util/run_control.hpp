@@ -2,7 +2,7 @@
 // observer callbacks, cooperative cancellation, and a wall-clock deadline.
 // Honored by every dse::SearchDriver entry point, by the strategy search
 // loop between rounds, and by serving::simulate_fleet between events (which
-// streams partial percentile estimates as progress). Lives in util so the
+// streams completion counts as progress). Lives in util so the
 // serving layer can honor the same controls without depending on dse.
 #pragma once
 
@@ -37,8 +37,8 @@ struct ProgressEvent {
   std::string stage;       ///< emitting stage ("search", "sweep int8@200MHz")
   int step = 0;            ///< completed units, 1-based
   int total_steps = 0;     ///< scheduled units (0 when open-ended)
-  /// Emitter-scoped scalar: the best objective value so far for searches,
-  /// the partial p99 latency estimate (microseconds) for fleet replays.
+  /// The best objective value so far for searches; 0 for fleet replays,
+  /// whose ticks carry counts only.
   double best_fitness = 0;
 };
 

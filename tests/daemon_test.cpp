@@ -314,9 +314,7 @@ TEST(DaemonTest, RunTraceHonoursEveryReplayOption) {
   records_in_sketch.fleet.keep_records = true;
   ServeSpec process_range = base;
   process_range.fleet.process_count = 2;
-  ServeSpec zero_tail = base;
-  zero_tail.fleet.progress_tail_pct = 0;
-  for (const ServeSpec& bad : {records_in_sketch, process_range, zero_tail}) {
+  for (const ServeSpec& bad : {records_in_sketch, process_range}) {
     auto replayed = simulate_fleet(service, trace, bad);
     auto traced = Daemon(service, bad).run_trace(trace);
     ASSERT_FALSE(replayed.is_ok());
@@ -334,9 +332,9 @@ TEST(DaemonTest, RunTraceHonoursEveryReplayOption) {
           .string();
   std::filesystem::remove(checkpointed.fleet.checkpoint_path);
   util::RunControl control;
-  int ticks = 0;
+  std::vector<util::ProgressEvent> events;
   control.on_progress = [&](const util::ProgressEvent& event) {
-    ++ticks;
+    events.push_back(event);
     if (event.step >= 300) control.cancel.request_cancel();
   };
   const Daemon daemon(service, checkpointed);
@@ -346,11 +344,30 @@ TEST(DaemonTest, RunTraceHonoursEveryReplayOption) {
     ASSERT_FALSE(cancelled.is_ok());
     EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
   }
-  EXPECT_GT(ticks, 0);
+  std::vector<int> steps;
+  for (const util::ProgressEvent& event : events) steps.push_back(event.step);
+  EXPECT_EQ(steps, (std::vector<int>{21, 40, 60, 81, 100, 120, 141, 160, 180,
+                                     201, 220, 240, 260, 280, 300}));
   ASSERT_TRUE(std::filesystem::exists(checkpointed.fleet.checkpoint_path));
-  auto resumed = daemon.run_trace(trace);
+  // The resumed run counts on from the reloaded shard's 240 requests.
+  util::RunControl resume_control;
+  events.clear();
+  resume_control.on_progress = [&](const util::ProgressEvent& event) {
+    events.push_back(event);
+  };
+  const util::RunScope resume_scope(resume_control);
+  auto resumed = daemon.run_trace(trace, &resume_scope);
   ASSERT_TRUE(resumed.is_ok());
-  EXPECT_GT(resumed->stats.resumed_shards, 0);
+  EXPECT_EQ(resumed->stats.resumed_shards, 1);
+  expect_fleet_ticks(events, resumed->stats.completed,
+                     {{260, 400},
+                      {280, 400},
+                      {300, 400},
+                      {320, 400},
+                      {340, 400},
+                      {360, 400},
+                      {380, 400},
+                      {400, 400}});
   auto plain = simulate_fleet(service, trace, base);
   ASSERT_TRUE(plain.is_ok());
   EXPECT_EQ(serving_csv_row({}, *plain), serving_csv_row({}, resumed->stats));
@@ -367,14 +384,11 @@ TEST(DaemonTest, ServeRejectsWhatALiveSocketCannotHonour) {
   checkpointed.fleet.checkpoint_path = "/tmp/fcad_daemon_unhonoured.ckpt";
   ServeSpec process_range = live;
   process_range.fleet.process_count = 2;
-  ServeSpec zero_tail = live;
-  zero_tail.fleet.progress_tail_pct = 0;
   // A rejected spec leaves whatever sits at the socket path alone.
   std::ofstream(options.socket_path) << "not a socket\n";
   for (const auto& [spec, field] :
        {std::pair{checkpointed, "checkpoint_path"},
-        std::pair{process_range, "process_count"},
-        std::pair{zero_tail, "progress_tail_pct"}}) {
+        std::pair{process_range, "process_count"}}) {
     Daemon daemon(service, spec, options);
     auto result = daemon.serve();
     ASSERT_FALSE(result.is_ok()) << field;

@@ -60,15 +60,6 @@ TEST(ScaledDecoderTest, DesignSpaceGrowsWithBranches) {
   }
 }
 
-TEST(ScaledDecoderTest, UntiedBiasToggle) {
-  ScaledDecoderSpec untied;
-  ScaledDecoderSpec tied;
-  tied.untied_bias = false;
-  const auto pu = analysis::profile_graph(scaled_decoder(untied));
-  const auto pt = analysis::profile_graph(scaled_decoder(tied));
-  EXPECT_GT(pu.total_params, pt.total_params);
-}
-
 TEST(ScaledDecoderTest, BadSpecsRejected) {
   ScaledDecoderSpec zero;
   zero.branches = 0;

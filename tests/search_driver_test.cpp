@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/platform.hpp"
@@ -52,6 +54,25 @@ TEST(RunControlTest, ProgressEventsArriveOncePerIteration) {
   // The best-fitness stream is monotonically non-decreasing.
   for (std::size_t i = 1; i < events.size(); ++i) {
     EXPECT_GE(events[i].best_fitness, events[i - 1].best_fitness);
+  }
+}
+
+TEST(SearchDriverTest, RejectsANonPositiveOrNonFiniteClockOrBandwidth) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, -5.0, inf}) {
+    arch::Platform slow_clock = arch::platform_zu9cg();
+    slow_clock.freq_mhz = bad;
+    arch::Platform thin_pipe = arch::platform_zu9cg();
+    thin_pipe.bw_gbps = bad;
+    for (const auto& [platform, field] :
+         {std::pair{slow_clock, "freq_mhz"}, std::pair{thin_pipe, "bw_gbps"}}) {
+      auto outcome = SearchDriver(decoder_model(), platform).run(fast_spec());
+      ASSERT_FALSE(outcome.is_ok()) << field << " = " << bad;
+      EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(outcome.status().message().find(field), std::string::npos)
+          << outcome.status().message();
+    }
   }
 }
 

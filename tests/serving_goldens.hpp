@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -50,24 +51,31 @@ inline std::string decisions_digest(const ServingStats& stats) {
   return h.hex();
 }
 
-/// One pinned "fleet" ProgressEvent: the completion count it reports, the
-/// offered total, and the partial tail estimate (best_fitness) it carries.
+/// One pinned "fleet" ProgressEvent: the completion count it reports and
+/// the offered total.
 struct FleetTick {
   int step;
   int total_steps;
-  double tail_us;
 };
 
-/// `events` are exactly the `pinned` fleet ticks, tail estimates bit for bit.
+/// `events` are exactly the `pinned` fleet ticks. Every tick carries counts
+/// only (best_fitness 0), and the run's `completed` count is reported once,
+/// by the last tick.
 inline void expect_fleet_ticks(const std::vector<util::ProgressEvent>& events,
+                               std::int64_t completed,
                                const std::vector<FleetTick>& pinned) {
   ASSERT_EQ(events.size(), pinned.size());
+  int at_completed = 0;
   for (std::size_t i = 0; i < pinned.size(); ++i) {
     EXPECT_EQ(events[i].stage, "fleet") << "tick " << i;
     EXPECT_EQ(events[i].step, pinned[i].step) << "tick " << i;
     EXPECT_EQ(events[i].total_steps, pinned[i].total_steps) << "tick " << i;
-    EXPECT_EQ(events[i].best_fitness, pinned[i].tail_us) << "tick " << i;
+    EXPECT_EQ(events[i].best_fitness, 0) << "tick " << i;
+    if (events[i].step == completed) ++at_completed;
   }
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.back().step, completed);
+  EXPECT_EQ(at_completed, 1);
 }
 
 }  // namespace fcad::serving

@@ -309,41 +309,6 @@ TEST(StatsTest, NearestRankPercentilesAreExact) {
   EXPECT_EQ(percentile({9, 1, 5, 3, 7}, 60), 5);
 }
 
-TEST(StatsTest, PercentileValidationReturnsStatusInsteadOfCrashing) {
-  EXPECT_TRUE(validate_percentile(0.001).is_ok());
-  EXPECT_TRUE(validate_percentile(100).is_ok());
-  EXPECT_FALSE(validate_percentile(0).is_ok());
-  EXPECT_FALSE(validate_percentile(-5).is_ok());
-  EXPECT_FALSE(validate_percentile(100.5).is_ok());
-}
-
-TEST(StatsTest, TailTrackerMatchesExactPartialPercentiles) {
-  // Deterministic pseudo-random stream; the tracker's partial estimate must
-  // equal the exact nearest-rank percentile over every prefix it is asked
-  // at, while holding only ~the top 1% of the stream.
-  const std::int64_t total = 5000;
-  TailTracker tracker(total, 99);
-  std::vector<double> seen;
-  std::uint64_t state = 12345;
-  for (std::int64_t i = 0; i < total; ++i) {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    const double sample = static_cast<double>(state >> 40);
-    tracker.add(sample);
-    seen.push_back(sample);
-    if (i % 617 == 0 || i == total - 1) {
-      EXPECT_EQ(tracker.partial(), percentile(seen, 99)) << "prefix " << i;
-    }
-  }
-  EXPECT_EQ(tracker.seen(), total);
-
-  // pct = 100 tracks the running maximum with a single-slot tail.
-  TailTracker max_tracker(3, 100);
-  max_tracker.add(2);
-  max_tracker.add(9);
-  max_tracker.add(4);
-  EXPECT_EQ(max_tracker.partial(), 9);
-}
-
 TEST(StatsTest, ServingStatsSerializationRoundTripsBitExact) {
   // Build real stats (records kept) and round-trip them through the text
   // format; every field must survive bit-exactly and re-serialize to the
@@ -540,7 +505,7 @@ TEST(FleetTest, StatsAreBitReproducible) {
   EXPECT_EQ(serving_csv_row({}, *a), serving_csv_row({}, *b));
 }
 
-TEST(FleetTest, RunControlStreamsPartialPercentiles) {
+TEST(FleetTest, RunControlStreamsCompletionCounts) {
   WorkloadOptions wl;
   wl.users = 6;
   wl.branches = 2;
@@ -562,44 +527,29 @@ TEST(FleetTest, RunControlStreamsPartialPercentiles) {
   auto observed = run_fleet(service, *workload, options, &scope);
   ASSERT_TRUE(observed.is_ok());
 
-  ASSERT_GE(events.size(), 2u);
-  for (const util::ProgressEvent& event : events) {
-    EXPECT_EQ(event.stage, "fleet");
-    EXPECT_GT(event.step, 0);
-    EXPECT_EQ(event.total_steps,
-              static_cast<int>(workload->size()));
-    // The partial p99 estimate is a real latency, not a fitness.
-    EXPECT_GT(event.best_fitness, 0);
-  }
-  // Steps are monotone and the final estimate converges on the true p99.
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_GE(events[i].step, events[i - 1].step);
-  }
-  EXPECT_DOUBLE_EQ(events.back().best_fitness, observed->latency.p99);
-  // The whole tick sequence, pinned: which completion counts tick and the
-  // exact partial tail each carries.
-  expect_fleet_ticks(
-      events, {{40, 748, 10000},
-               {74, 748, 11683.803571711745},
-               {112, 748, 15185.495979460655},
-               {148, 748, 15185.495979460655},
-               {186, 748, 15185.495979460655},
-               {224, 748, 14474.201945701469},
-               {259, 748, 14474.201945701469},
-               {297, 748, 14474.201945701469},
-               {334, 748, 14330.356241963629},
-               {370, 748, 14330.356241963629},
-               {408, 748, 14330.356241963629},
-               {444, 748, 14330.356241963629},
-               {483, 748, 14330.356241963629},
-               {519, 748, 14474.201945701469},
-               {555, 748, 15112.265649867128},
-               {594, 748, 15458.365155116422},
-               {630, 748, 15185.495979460655},
-               {666, 748, 15185.495979460655},
-               {705, 748, 15112.265649867128},
-               {740, 748, 15112.265649867128},
-               {748, 748, 15112.265649867128}});
+  // The whole tick sequence, pinned: which completion counts tick.
+  expect_fleet_ticks(events, observed->completed,
+                     {{40, 748},
+                      {74, 748},
+                      {112, 748},
+                      {148, 748},
+                      {186, 748},
+                      {224, 748},
+                      {259, 748},
+                      {297, 748},
+                      {334, 748},
+                      {370, 748},
+                      {408, 748},
+                      {444, 748},
+                      {483, 748},
+                      {519, 748},
+                      {555, 748},
+                      {594, 748},
+                      {630, 748},
+                      {666, 748},
+                      {705, 748},
+                      {740, 748},
+                      {748, 748}});
 
   // Observation never changes the stats.
   auto unobserved = run_fleet(service, *workload, options);
@@ -870,14 +820,6 @@ TEST(FleetTest, ShardedReplayValidatesItsOptions) {
   EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
   options.shards = 0;
   EXPECT_FALSE(run_fleet(service, workload, options).is_ok());
-  // A malformed progress percentile is a clean error, not a CHECK crash.
-  options.shards = 1;
-  options.progress_tail_pct = 0;
-  auto bad_pct = run_fleet(service, workload, options);
-  ASSERT_FALSE(bad_pct.is_ok());
-  EXPECT_EQ(bad_pct.status().code(), StatusCode::kInvalidArgument);
-  options.progress_tail_pct = 101;
-  EXPECT_FALSE(run_fleet(service, workload, options).is_ok());
 }
 
 TEST(FleetTest, ShardedReplayConservesAndReproduces) {
@@ -916,10 +858,9 @@ TEST(FleetTest, ShardedReplayConservesAndReproduces) {
   EXPECT_EQ(branch_sum, a->completed);
 }
 
-TEST(FleetTest, ShardedProgressEndsWithExactGlobalTail) {
-  // A sharded run's in-loop ticks carry shard-local estimates; the terminal
-  // tick must still be the exact tail percentile over ALL latencies — even
-  // when the last in-loop tick lands exactly at completed == offered.
+TEST(FleetTest, ShardedProgressEndsAtTheFinalCount) {
+  // A sharded run's ticks come from whichever shard crosses the next
+  // threshold; the last one reports the final count, exactly once.
   WorkloadOptions wl;
   wl.users = 8;
   wl.branches = 2;
@@ -942,34 +883,29 @@ TEST(FleetTest, ShardedProgressEndsWithExactGlobalTail) {
   const util::RunScope scope(control);
   auto stats = run_fleet(service, *workload, options, &scope);
   ASSERT_TRUE(stats.is_ok());
-  ASSERT_GE(events.size(), 2u);
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_GE(events[i].step, events[i - 1].step);
-  }
-  EXPECT_EQ(events.back().step, static_cast<int>(stats->completed));
-  EXPECT_DOUBLE_EQ(events.back().best_fitness, stats->latency.p99);
-  // Pinned: shard-local in-loop estimates, then the exact global terminal.
-  expect_fleet_ticks(events, {{48, 974, 13127.042398011807},
-                              {97, 974, 13127.042398011807},
-                              {144, 974, 12939.664472018194},
-                              {192, 974, 12939.664472018194},
-                              {240, 974, 12927.435057131952},
-                              {288, 974, 12651.079038513082},
-                              {336, 974, 17444.147243533633},
-                              {384, 974, 13331.350805842492},
-                              {432, 974, 13596.894944895525},
-                              {481, 974, 13331.350805842492},
-                              {528, 974, 12359.584266264224},
-                              {576, 974, 13297.460358463926},
-                              {624, 974, 12925.967779925442},
-                              {672, 974, 12925.967779925442},
-                              {720, 974, 12925.967779925442},
-                              {769, 974, 12000},
-                              {816, 974, 12708.633172712638},
-                              {864, 974, 12480.711040492053},
-                              {912, 974, 12708.633172712638},
-                              {960, 974, 12999.447302240063},
-                              {974, 974, 13243.109885479615}});
+  // Pinned: which global completion counts tick.
+  expect_fleet_ticks(events, stats->completed,
+                     {{48, 974},
+                      {97, 974},
+                      {144, 974},
+                      {192, 974},
+                      {240, 974},
+                      {288, 974},
+                      {336, 974},
+                      {384, 974},
+                      {432, 974},
+                      {481, 974},
+                      {528, 974},
+                      {576, 974},
+                      {624, 974},
+                      {672, 974},
+                      {720, 974},
+                      {769, 974},
+                      {816, 974},
+                      {864, 974},
+                      {912, 974},
+                      {960, 974},
+                      {974, 974}});
 }
 
 namespace {
